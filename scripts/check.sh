@@ -15,9 +15,9 @@
 #                                  # baseline (scripts/bench_baseline.json)
 #   scripts/check.sh --tsan        # ThreadSanitizer build, run the
 #                                  # threaded-executor test label (the
-#                                  # SPSC rings, payload pool, span id
-#                                  # generator, and the full TiVo run
-#                                  # on the threaded engine)
+#                                  # SPSC rings, timer injection, payload
+#                                  # pool, span id generator, and the
+#                                  # full TiVo run on the threaded engine)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -112,8 +112,9 @@ cd "$BUILD_DIR"
 if [ "$TSAN" -eq 1 ]; then
     # Under TSan, only the threaded label matters: it exercises every
     # cross-thread structure (SPSC rings, the worker park/wake
-    # protocol, the payload pool, atomic span ids) plus one full TiVo
-    # scenario on the threaded engine.
+    # protocol, worker timer/cancel injection into the shared
+    # TimerQueue, the payload pool, atomic span ids) plus one full
+    # TiVo scenario on the threaded engine.
     ctest -L threaded --output-on-failure
     # The chaos label adds the fault-injection paths under TSan: the
     # engine's seeded draws from network and worker threads, plus the

@@ -37,7 +37,7 @@
 
 #include "common/result.hh"
 #include "common/rng.hh"
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::chaos {
 

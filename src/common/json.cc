@@ -1,9 +1,46 @@
 #include "common/json.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace hydra::json {
+
+void
+escape(std::ostream &out, std::string_view text)
+{
+    for (char c : text) {
+        switch (c) {
+          case '"': out << "\\\""; break;
+          case '\\': out << "\\\\"; break;
+          case '\b': out << "\\b"; break;
+          case '\f': out << "\\f"; break;
+          case '\n': out << "\\n"; break;
+          case '\r': out << "\\r"; break;
+          case '\t': out << "\\t"; break;
+          default:
+            // Cast through unsigned char: a plain (signed) char would
+            // sign-extend bytes >= 0x80 into bogus \uffxx escapes.
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(c)));
+                out << buf;
+            } else {
+                out << c;
+            }
+        }
+    }
+}
+
+void
+writeString(std::ostream &out, std::string_view text)
+{
+    out << '"';
+    escape(out, text);
+    out << '"';
+}
 
 namespace {
 

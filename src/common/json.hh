@@ -1,8 +1,11 @@
 /**
  * @file
- * Minimal JSON document parser.
+ * Minimal JSON support: the string escaper every exporter writes
+ * through, and a document parser.
  *
- * Just enough to read back what the observability exporters write
+ * The escaper escapes exactly what RFC 8259 requires: quote,
+ * backslash, and control characters below 0x20 (with short forms for
+ * the common ones). The parser reads back what the exporters write
  * (introspection snapshots, trace files): the full value grammar,
  * escape decoding, and a tiny ordered-object DOM. Numbers parse as
  * double, which is exact for every integer the exporters emit.
@@ -12,13 +15,21 @@
 #define HYDRA_COMMON_JSON_HH
 
 #include <cstdint>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/result.hh"
 
 namespace hydra::json {
+
+/** Escape @p text as JSON string contents (no surrounding quotes). */
+void escape(std::ostream &out, std::string_view text);
+
+/** Write @p text as a complete, quoted JSON string. */
+void writeString(std::ostream &out, std::string_view text);
 
 /** One parsed JSON value (a tagged union, insertion-ordered object). */
 struct Value

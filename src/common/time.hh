@@ -5,8 +5,8 @@
  * GHz clock rates, Gbps link rates).
  */
 
-#ifndef HYDRA_SIM_TIME_HH
-#define HYDRA_SIM_TIME_HH
+#ifndef HYDRA_COMMON_TIME_HH
+#define HYDRA_COMMON_TIME_HH
 
 #include <cstdint>
 
@@ -82,4 +82,4 @@ transferTime(std::uint64_t bytes, double gbps)
 
 } // namespace hydra::sim
 
-#endif // HYDRA_SIM_TIME_HH
+#endif // HYDRA_COMMON_TIME_HH

@@ -17,7 +17,7 @@ struct TransportMetrics
     obs::Counter &sent;
     obs::Counter &bytes;
     obs::Counter &dropped;
-    obs::LatencyHistogram &latencyNs;
+    obs::Histogram &latencyNs;
 
     explicit TransportMetrics(const char *transport)
         : sent(obs::counter("channel.messages_sent",

@@ -4,10 +4,10 @@
 #include <sstream>
 
 #include "chaos/chaos.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "dev/device.hh"
 #include "obs/flight.hh"
-#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/slo.hh"
 #include "obs/trace.hh"
@@ -168,7 +168,7 @@ class MonitorPseudoOffcode : public Offcode
         const IntrospectionSnapshot snap = rt_.introspect();
         std::ostringstream out;
         out << "{\"machine\":";
-        obs::writeJsonString(out, snap.machine);
+        json::writeString(out, snap.machine);
         out << ",\"now_ns\":" << snap.now << ",\"offcodes\":[";
         bool first = true;
         for (const OffcodeIntrospection &oc : snap.offcodes) {
@@ -178,9 +178,9 @@ class MonitorPseudoOffcode : public Offcode
             const bool healthy = oc.state == "Started" &&
                                  oc.watchdogAgeNs < kWatchdogLimitNs;
             out << "{\"bindname\":";
-            obs::writeJsonString(out, oc.bindname);
+            json::writeString(out, oc.bindname);
             out << ",\"state\":";
-            obs::writeJsonString(out, oc.state);
+            json::writeString(out, oc.state);
             out << ",\"watchdog_age_ns\":" << oc.watchdogAgeNs
                 << ",\"healthy\":" << (healthy ? "true" : "false")
                 << "}";
@@ -887,7 +887,7 @@ Runtime::introspectJson() const
     const IntrospectionSnapshot snap = introspect();
     std::ostringstream out;
     out << "{\"machine\":";
-    obs::writeJsonString(out, snap.machine);
+    json::writeString(out, snap.machine);
     out << ",\"now_ns\":" << snap.now << ",\"offcodes\":[";
     bool first = true;
     for (const OffcodeIntrospection &oc : snap.offcodes) {
@@ -895,12 +895,12 @@ Runtime::introspectJson() const
             out << ",";
         first = false;
         out << "{\"bindname\":";
-        obs::writeJsonString(out, oc.bindname);
+        json::writeString(out, oc.bindname);
         out << ",\"site\":";
-        obs::writeJsonString(out, oc.site);
+        json::writeString(out, oc.site);
         out << ",\"is_host\":" << (oc.isHost ? "true" : "false")
             << ",\"state\":";
-        obs::writeJsonString(out, oc.state);
+        json::writeString(out, oc.state);
         out << ",\"calls_handled\":" << oc.telemetry.callsHandled
             << ",\"data_handled\":" << oc.telemetry.dataHandled
             << ",\"mgmt_handled\":" << oc.telemetry.mgmtHandled

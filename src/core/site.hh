@@ -17,7 +17,7 @@
 
 #include "dev/device.hh"
 #include "hw/machine.hh"
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::obs {
 struct SiteActivitySlot;

@@ -4,22 +4,19 @@
  *
  * Every model in the substrate — hardware, OS, devices, network,
  * channels, the TiVo pipeline — advances by scheduling callbacks on
- * an Executor. The interface deliberately mirrors the discrete-event
- * simulator it was extracted from (now/schedule/cancel/run), plus
- * one new primitive the simulator never needed: post(site, fn),
- * site-affine immediate execution, the hook that lets an engine run
- * device sites on real threads.
+ * an Executor: a discrete-event clock (now/schedule/cancel/run) plus
+ * post(site, fn), site-affine immediate execution, the hook that lets
+ * an engine run device sites on real threads.
  *
- * Two engines implement it:
- *  - SimExecutor: wraps sim::Simulator bit-for-bit. Deterministic;
- *    the default. post() degrades to a zero-delay event, so ordering
- *    stays globally serial.
+ * Two engines implement it, both dispatching timers from one
+ * TimerQueue (timer_queue.hh):
+ *  - SimExecutor: deterministic; the default. post() degrades to a
+ *    zero-delay event, so ordering stays globally serial.
  *  - ThreadedExecutor: thread-per-device-site with mutex-free SPSC
  *    handoff between sites. Virtual time still advances on the
  *    coordinator, but posted work runs concurrently.
  *
- * No file outside src/exec/ and src/sim/ may include
- * sim/simulator.hh; consumers depend on this interface only.
+ * Consumers depend on this interface only.
  */
 
 #ifndef HYDRA_EXEC_EXECUTOR_HH
@@ -35,7 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::exec {
 

@@ -1,6 +1,7 @@
 #include "exec/sim_executor.hh"
 
 #include <algorithm>
+#include <cassert>
 
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
@@ -24,11 +25,85 @@ simExecMetrics()
     return metrics;
 }
 
+/**
+ * The event kernel's instruments. Registered on the first timer
+ * operation rather than with the engine: the registry exports in
+ * registration order, so moving them would reorder metrics dumps.
+ */
+struct KernelMetrics
+{
+    obs::Counter &dispatched = obs::counter("sim.events_dispatched");
+    obs::Counter &scheduled = obs::counter("sim.events_scheduled");
+    obs::Counter &cancelled = obs::counter("sim.events_cancelled");
+    obs::Gauge &queueDepth = obs::gauge("sim.queue_depth");
+};
+
+KernelMetrics &
+kernelMetrics()
+{
+    static KernelMetrics metrics;
+    return metrics;
+}
+
 } // namespace
 
 SimExecutor::SimExecutor()
 {
     simExecMetrics();
+}
+
+TaskId
+SimExecutor::scheduleAt(Time when, Callback fn)
+{
+    assert(when >= now_);
+    const TaskId id = timers_.push(when, std::move(fn));
+    kernelMetrics().scheduled.increment();
+    return id;
+}
+
+void
+SimExecutor::cancel(TaskId id)
+{
+    kernelMetrics().cancelled.increment();
+    timers_.cancel(id);
+}
+
+bool
+SimExecutor::dispatch(Time until)
+{
+    TimerQueue::Timer timer;
+    if (!timers_.popDue(until, timer))
+        return false;
+    assert(timer.when >= now_);
+    now_ = timer.when;
+    ++dispatched_;
+    KernelMetrics &metrics = kernelMetrics();
+    metrics.dispatched.increment();
+    metrics.queueDepth.set(static_cast<double>(timers_.size()));
+    timer.fn();
+    return true;
+}
+
+bool
+SimExecutor::step()
+{
+    return dispatch(static_cast<Time>(-1));
+}
+
+void
+SimExecutor::runUntil(Time until)
+{
+    while (dispatch(until)) {
+    }
+    if (now_ < until)
+        now_ = until;
+}
+
+void
+SimExecutor::runToCompletion()
+{
+    while (step()) {
+    }
 }
 
 SiteId
@@ -54,7 +129,7 @@ SimExecutor::post(SiteId site, Callback fn)
         // draw delays one task — both via scheduleAt, which preserves
         // FIFO among equal timestamps, so a seeded run replays
         // byte-for-byte.
-        const Time now = sim_.now();
+        const Time now = now_;
         sim::SimTime amount = 0;
         if (chaosEngine.stallSite(now, amount)) {
             if (stallUntil_.size() <= site)
@@ -67,11 +142,11 @@ SimExecutor::post(SiteId site, Callback fn)
         if (chaosEngine.slowPost(now, amount))
             when += amount;
         if (when > now) {
-            sim_.scheduleAt(when, std::move(fn));
+            scheduleAt(when, std::move(fn));
             return;
         }
     }
-    sim_.schedule(0, std::move(fn));
+    schedule(0, std::move(fn));
 }
 
 void
@@ -92,7 +167,7 @@ SimExecutor::drain()
     // Run everything due at the current instant — post() chains
     // schedule zero-delay events, so a pipeline drains fully — but
     // leave future timers for runUntil().
-    sim_.runUntil(sim_.now());
+    runUntil(now_);
 }
 
 const char *

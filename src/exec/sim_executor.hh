@@ -1,13 +1,9 @@
 /**
  * @file
- * SimExecutor: the deterministic discrete-event engine, wrapping
- * sim::Simulator bit-for-bit. Golden traces produced against the bare
- * simulator stay unchanged: every Executor method forwards 1:1, and
- * post(site, fn) is a zero-delay event, so cross-site handoffs fire
- * in global scheduling order exactly as before the executor split.
- *
- * This file is one of the two executor backends allowed to include
- * sim/simulator.hh.
+ * SimExecutor: the deterministic discrete-event engine. One thread
+ * drives one clock and one TimerQueue; post(site, fn) is a zero-delay
+ * event, so cross-site handoffs fire in global scheduling order and a
+ * fixed seed replays byte for byte.
  */
 
 #ifndef HYDRA_EXEC_SIM_EXECUTOR_HH
@@ -16,39 +12,35 @@
 #include <vector>
 
 #include "exec/executor.hh"
-#include "sim/simulator.hh"
+#include "exec/timer_queue.hh"
 
 namespace hydra::exec {
 
 /** Deterministic single-threaded engine (the default). */
-class SimExecutor : public Executor
+class SimExecutor final : public Executor
 {
   public:
     SimExecutor();
 
     const char *backendName() const override { return "sim"; }
 
-    Time now() const override { return sim_.now(); }
+    Time now() const override { return now_; }
 
     TaskId
     schedule(Time delay, Callback fn) override
     {
-        return sim_.schedule(delay, std::move(fn));
+        return scheduleAt(now_ + delay, std::move(fn));
     }
 
-    TaskId
-    scheduleAt(Time when, Callback fn) override
-    {
-        return sim_.scheduleAt(when, std::move(fn));
-    }
+    TaskId scheduleAt(Time when, Callback fn) override;
 
     TaskId
     schedulePeriodic(Time period, std::function<bool()> fn) override
     {
-        return sim_.schedulePeriodic(period, std::move(fn));
+        return timers_.pushPeriodic(now_, period, std::move(fn));
     }
 
-    void cancel(TaskId id) override { sim_.cancel(id); }
+    void cancel(TaskId id) override;
 
     SiteId addSite(const std::string &name) override;
     std::size_t siteCount() const override { return siteNames_.size(); }
@@ -56,27 +48,22 @@ class SimExecutor : public Executor
     void post(SiteId site, Callback fn) override;
     void postBatch(SiteId site, std::span<Callback> fns) override;
 
-    void runUntil(Time until) override { sim_.runUntil(until); }
-    void runToCompletion() override { sim_.runToCompletion(); }
-    bool step() override { return sim_.step(); }
+    void runUntil(Time until) override;
+    void runToCompletion() override;
+    bool step() override;
     void drain() override;
 
-    std::uint64_t
-    eventsDispatched() const override
-    {
-        return sim_.eventsDispatched();
-    }
+    std::uint64_t eventsDispatched() const override { return dispatched_; }
 
-    std::size_t pendingEvents() const override
-    {
-        return sim_.pendingEvents();
-    }
-
-    /** The wrapped kernel, for simulator-specific tests/tools. */
-    sim::Simulator &simulator() { return sim_; }
+    std::size_t pendingEvents() const override { return timers_.size(); }
 
   private:
-    sim::Simulator sim_;
+    /** Fire the earliest timer if it is due by @p until. */
+    bool dispatch(Time until);
+
+    TimerQueue timers_;
+    Time now_ = 0;
+    std::uint64_t dispatched_ = 0;
     std::vector<std::string> siteNames_;
     /** Chaos: virtual time each site is wedged until (0 = healthy). */
     std::vector<Time> stallUntil_;

@@ -72,22 +72,6 @@ ThreadedExecutor::onCoordinator() const
     return std::this_thread::get_id() == coordinator_;
 }
 
-void
-ThreadedExecutor::pushTimer(TimerRecord record)
-{
-    heap_.push_back(std::move(record));
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
-}
-
-ThreadedExecutor::TimerRecord
-ThreadedExecutor::popTimer()
-{
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-    TimerRecord record = std::move(heap_.back());
-    heap_.pop_back();
-    return record;
-}
-
 TaskId
 ThreadedExecutor::schedule(Time delay, Callback fn)
 {
@@ -97,49 +81,24 @@ ThreadedExecutor::schedule(Time delay, Callback fn)
 TaskId
 ThreadedExecutor::scheduleAt(Time when, Callback fn)
 {
-    const TaskId id = nextId_.fetch_add(1, std::memory_order_relaxed);
     if (onCoordinator()) {
         assert(when >= now());
-        pushTimer(TimerRecord{when, id, std::move(fn)});
-    } else {
-        // Worker path: completion callbacks re-enter virtual time
-        // through the coordinator's inbox.
-        std::lock_guard<std::mutex> lock(injectMutex_);
-        injectedTimers_.push_back(TimerRecord{when, id, std::move(fn)});
-        injectedCount_.fetch_add(1, std::memory_order_release);
+        return timers_.push(when, std::move(fn));
     }
+    // Worker path: completion callbacks re-enter virtual time through
+    // the coordinator's inbox.
+    const TaskId id = timers_.allocateId();
+    std::lock_guard<std::mutex> lock(injectMutex_);
+    injectedTimers_.push_back(TimerQueue::Timer{when, id, std::move(fn)});
+    injectedCount_.fetch_add(1, std::memory_order_release);
     return id;
 }
 
 TaskId
 ThreadedExecutor::schedulePeriodic(Time period, std::function<bool()> fn)
 {
-    assert(period > 0);
     assert(onCoordinator() && "periodic series belong to the main loop");
-    const TaskId seriesId = nextId_.fetch_add(1, std::memory_order_relaxed);
-    periodics_[seriesId] = Periodic{period, std::move(fn)};
-    const TaskId eventId = nextId_.fetch_add(1, std::memory_order_relaxed);
-    pushTimer(TimerRecord{now() + period, eventId,
-                          [this, seriesId]() { firePeriodic(seriesId); }});
-    return seriesId;
-}
-
-void
-ThreadedExecutor::firePeriodic(TaskId series_id)
-{
-    auto it = periodics_.find(series_id);
-    if (it == periodics_.end())
-        return; // cancelled
-    if (!it->second.fn()) {
-        periodics_.erase(series_id);
-        return;
-    }
-    it = periodics_.find(series_id); // fn may cancel its own series
-    if (it == periodics_.end())
-        return;
-    const TaskId eventId = nextId_.fetch_add(1, std::memory_order_relaxed);
-    pushTimer(TimerRecord{now() + it->second.period, eventId,
-                          [this, series_id]() { firePeriodic(series_id); }});
+    return timers_.pushPeriodic(now(), period, std::move(fn));
 }
 
 void
@@ -151,11 +110,10 @@ ThreadedExecutor::cancel(TaskId id)
         injectedCount_.fetch_add(1, std::memory_order_release);
         return;
     }
-    if (periodics_.erase(id))
-        return;
-    if (id >= nextId_.load(std::memory_order_relaxed))
-        return;
-    cancelled_.insert(id);
+    // The id may name a worker's timer still in the inbox; queue it
+    // first, or pruning could drop the tombstone before it arrives.
+    moveInjected();
+    timers_.cancel(id);
 }
 
 void
@@ -163,7 +121,7 @@ ThreadedExecutor::moveInjected()
 {
     if (injectedCount_.load(std::memory_order_acquire) == 0)
         return;
-    std::vector<TimerRecord> timers;
+    std::vector<TimerQueue::Timer> timers;
     std::vector<TaskId> cancels;
     {
         std::lock_guard<std::mutex> lock(injectMutex_);
@@ -171,16 +129,14 @@ ThreadedExecutor::moveInjected()
         cancels.swap(injectedCancels_);
         injectedCount_.store(0, std::memory_order_release);
     }
-    for (TimerRecord &record : timers) {
+    for (TimerQueue::Timer &timer : timers) {
         // A worker may have raced the clock; never schedule into the
         // past.
-        record.when = std::max(record.when, now());
-        pushTimer(std::move(record));
+        timer.when = std::max(timer.when, now());
+        timers_.push(std::move(timer));
     }
-    for (TaskId id : cancels) {
-        if (!periodics_.erase(id))
-            cancelled_.insert(id);
-    }
+    for (TaskId id : cancels)
+        timers_.cancel(id);
 }
 
 SiteId
@@ -270,13 +226,7 @@ ThreadedExecutor::post(SiteId site, Callback fn)
                          : nullptr;
     if (!worker) {
         // The main loop is its own site: run as a zero-delay event.
-        if (onCoordinator()) {
-            pushTimer(TimerRecord{
-                now(), nextId_.fetch_add(1, std::memory_order_relaxed),
-                std::move(fn)});
-        } else {
-            scheduleAt(now(), std::move(fn));
-        }
+        scheduleAt(now(), std::move(fn));
         return;
     }
     postsPending_.fetch_add(1, std::memory_order_acq_rel);
@@ -520,26 +470,17 @@ ThreadedExecutor::sampleSiteOccupancy()
 bool
 ThreadedExecutor::dispatchDueTimer(Time until)
 {
-    while (!heap_.empty()) {
-        const TimerRecord &top = heap_.front();
-        if (cancelled_.erase(top.id)) {
-            popTimer();
-            continue;
-        }
-        if (top.when > until)
-            return false;
-        TimerRecord record = popTimer();
-        assert(record.when >= now());
-        now_.store(record.when, std::memory_order_release);
-        const std::uint64_t n =
-            dispatched_.fetch_add(1, std::memory_order_relaxed);
-        if ((n & kOccupancySampleMask) == 0)
-            sampleSiteOccupancy();
-        metrics().timerEvents.increment();
-        record.fn();
-        return true;
-    }
-    return false;
+    TimerQueue::Timer timer;
+    if (!timers_.popDue(until, timer))
+        return false;
+    assert(timer.when >= now());
+    now_.store(timer.when, std::memory_order_release);
+    const std::uint64_t n = dispatched_.fetch_add(1, std::memory_order_relaxed);
+    if ((n & kOccupancySampleMask) == 0)
+        sampleSiteOccupancy();
+    metrics().timerEvents.increment();
+    timer.fn();
+    return true;
 }
 
 void
@@ -609,7 +550,7 @@ std::size_t
 ThreadedExecutor::pendingEvents() const
 {
     // Coordinator-accurate; racy (but safe) from elsewhere.
-    return heap_.size() + injectedCount_.load(std::memory_order_acquire);
+    return timers_.size() + injectedCount_.load(std::memory_order_acquire);
 }
 
 } // namespace hydra::exec

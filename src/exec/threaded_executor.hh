@@ -5,8 +5,8 @@
  * Thread model (DESIGN.md §10):
  *  - The *coordinator* is the thread that constructed the executor.
  *    It owns virtual time: timer events (schedule/scheduleAt/
- *    schedulePeriodic) dispatch on it in (when, id) order, exactly
- *    like the deterministic simulator.
+ *    schedulePeriodic) dispatch on it in (when, id) order from the
+ *    same TimerQueue the deterministic engine uses.
  *  - Each addSite() spawns a dedicated *worker* thread. post(site,
  *    fn) hands fn to that worker through a mutex-free SPSC ring —
  *    one ring per (producer, site) pair, so device-to-device
@@ -34,12 +34,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/executor.hh"
 #include "exec/spsc_queue.hh"
+#include "exec/timer_queue.hh"
 
 namespace hydra::obs {
 class Counter;
@@ -51,7 +50,7 @@ struct SiteActivitySlot;
 namespace hydra::exec {
 
 /** Thread-per-device-site engine. */
-class ThreadedExecutor : public Executor
+class ThreadedExecutor final : public Executor
 {
   public:
     struct Config
@@ -118,28 +117,14 @@ class ThreadedExecutor : public Executor
         return postsExecuted_.load(std::memory_order_relaxed);
     }
 
+    /** Cancelled-timer tombstones awaiting a pop (tests; coordinator). */
+    std::size_t
+    cancelledBacklog() const
+    {
+        return timers_.cancelledBacklog();
+    }
+
   private:
-    struct TimerRecord
-    {
-        Time when;
-        TaskId id;
-        Callback fn;
-
-        bool
-        operator>(const TimerRecord &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return id > other.id; // FIFO among equal timestamps
-        }
-    };
-
-    struct Periodic
-    {
-        Time period;
-        std::function<bool()> fn;
-    };
-
     /**
      * One producer's lane into a site: a mutex-free SPSC ring plus a
      * mutex-guarded overflow spill for bursts. Per-producer FIFO
@@ -204,9 +189,6 @@ class ThreadedExecutor : public Executor
     };
 
     bool onCoordinator() const;
-    void pushTimer(TimerRecord record);
-    TimerRecord popTimer();
-    void firePeriodic(TaskId series_id);
     void moveInjected();
     /** Dispatch the earliest timer if due by @p until; false if not. */
     bool dispatchDueTimer(Time until);
@@ -229,17 +211,14 @@ class ThreadedExecutor : public Executor
     Config config_;
     std::thread::id coordinator_;
 
-    // --- coordinator-owned virtual time (same shape as sim) ---
-    std::vector<TimerRecord> heap_;
-    std::unordered_set<TaskId> cancelled_;
-    std::unordered_map<TaskId, Periodic> periodics_;
+    // --- coordinator-owned virtual time ---
+    TimerQueue timers_;
     std::atomic<Time> now_{0};
-    std::atomic<TaskId> nextId_{1};
     std::atomic<std::uint64_t> dispatched_{0};
 
     // --- cross-thread injection into the coordinator (cold path) ---
     mutable std::mutex injectMutex_;
-    std::vector<TimerRecord> injectedTimers_;
+    std::vector<TimerQueue::Timer> injectedTimers_;
     std::vector<TaskId> injectedCancels_;
     std::atomic<std::size_t> injectedCount_{0};
 

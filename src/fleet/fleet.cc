@@ -6,7 +6,7 @@
 #include "common/bytes.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::fleet {
 

@@ -28,7 +28,7 @@ struct RunState
 {
     Fleet &fleet;
     const LoadgenConfig &config;
-    obs::LatencyHistogram &latency;
+    obs::Histogram &latency;
     std::vector<Stream> streams;
     /** streams index lists, partitioned by home host. */
     std::vector<std::vector<std::size_t>> byHome;
@@ -82,7 +82,7 @@ buildStream(RunState &state, Stream &stream)
         return false;
 
     exec::Executor &executor = state.fleet.executor();
-    obs::LatencyHistogram &latency = state.latency;
+    obs::Histogram &latency = state.latency;
     std::atomic<std::uint64_t> *count =
         state.delivered[stream.target->index()].get();
     stream.channel->installHandler(

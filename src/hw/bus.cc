@@ -15,7 +15,7 @@ struct BusMetrics
     obs::Counter &crossings = obs::counter("bus.crossings");
     obs::Counter &bytes = obs::counter("bus.bytes_moved");
     obs::Counter &stalls = obs::counter("bus.contention_stalls");
-    obs::LatencyHistogram &stallNs = obs::histogram("bus.stall_ns");
+    obs::Histogram &stallNs = obs::histogram("bus.stall_ns");
 };
 
 BusMetrics &

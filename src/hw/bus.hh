@@ -18,7 +18,7 @@
 #include <string>
 
 #include "exec/executor.hh"
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::obs {
 class Histogram;

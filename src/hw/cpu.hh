@@ -16,7 +16,7 @@
 #include <string>
 
 #include "exec/executor.hh"
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::hw {
 

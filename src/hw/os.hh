@@ -22,7 +22,7 @@
 #include "hw/cache.hh"
 #include "hw/cpu.hh"
 #include "exec/executor.hh"
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::hw {
 

@@ -21,7 +21,7 @@ struct NetMetrics
     /** Reserved: the fabric models lossy UDP, nothing retransmits
      * today; registered so dashboards see an explicit zero. */
     obs::Counter &retransmits = obs::counter("net.retransmits");
-    obs::LatencyHistogram &flightNs = obs::histogram("net.flight_ns");
+    obs::Histogram &flightNs = obs::histogram("net.flight_ns");
 };
 
 NetMetrics &

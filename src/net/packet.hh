@@ -13,7 +13,7 @@
 #include "common/bytes.hh"
 #include "common/payload.hh"
 #include "obs/span.hh"
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::net {
 

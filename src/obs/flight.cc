@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/json.hh"
+#include "common/json.hh"
 
 namespace hydra::obs {
 
@@ -145,7 +145,7 @@ FlightRecorder::toJson(std::size_t maxSnapshots) const
                 out << ',';
             firstEntry = false;
             out << '"';
-            jsonEscape(out, key);
+            json::escape(out, key);
             out << "\":" << delta;
         }
         out << "},\"gauges\":{";
@@ -155,7 +155,7 @@ FlightRecorder::toJson(std::size_t maxSnapshots) const
                 out << ',';
             firstEntry = false;
             out << '"';
-            jsonEscape(out, key);
+            json::escape(out, key);
             out << "\":";
             writeNumber(out, value);
         }
@@ -166,7 +166,7 @@ FlightRecorder::toJson(std::size_t maxSnapshots) const
                 out << ',';
             firstEntry = false;
             out << '"';
-            jsonEscape(out, key);
+            json::escape(out, key);
             out << "\":{\"n\":" << summary.count
                 << ",\"min\":" << summary.min
                 << ",\"max\":" << summary.max << ",\"p50\":";

@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/json.hh"
+#include "common/json.hh"
 
 namespace hydra::obs {
 
@@ -28,9 +28,9 @@ writeLabels(std::ostringstream &out, const Labels &labels)
             out << ',';
         first = false;
         out << '"';
-        jsonEscape(out, key);
+        json::escape(out, key);
         out << "\":\"";
-        jsonEscape(out, value);
+        json::escape(out, value);
         out << '"';
     }
     out << '}';
@@ -128,7 +128,7 @@ MetricsRegistry::gauge(const std::string &name, const Labels &labels)
     return findOrCreate(gauges_, name, labels);
 }
 
-LatencyHistogram &
+Histogram &
 MetricsRegistry::histogram(const std::string &name, const Labels &labels)
 {
     return findOrCreate(histograms_, name, labels);
@@ -157,13 +157,13 @@ MetricsRegistry::counterTotal(const std::string &name) const
     return total;
 }
 
-const LatencyHistogram *
+const Histogram *
 MetricsRegistry::findHistogram(const std::string &name,
                                const Labels &labels) const
 {
     const Labels sorted = sortedLabels(labels);
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry<LatencyHistogram> &entry : histograms_)
+    for (const Entry<Histogram> &entry : histograms_)
         if (entry.name == name && entry.labels == sorted)
             return entry.instrument.get();
     return nullptr;
@@ -205,7 +205,7 @@ MetricsRegistry::reset()
         entry.instrument->reset();
     for (const Entry<Gauge> &entry : gauges_)
         entry.instrument->reset();
-    for (const Entry<LatencyHistogram> &entry : histograms_)
+    for (const Entry<Histogram> &entry : histograms_)
         entry.instrument->reset();
 }
 
@@ -220,7 +220,7 @@ MetricsRegistry::toJson() const
         if (i)
             out << ',';
         out << "{\"name\":\"";
-        jsonEscape(out, entry.name);
+        json::escape(out, entry.name);
         out << "\",\"labels\":";
         writeLabels(out, entry.labels);
         out << ",\"value\":" << entry.instrument->value() << '}';
@@ -231,7 +231,7 @@ MetricsRegistry::toJson() const
         if (i)
             out << ',';
         out << "{\"name\":\"";
-        jsonEscape(out, entry.name);
+        json::escape(out, entry.name);
         out << "\",\"labels\":";
         writeLabels(out, entry.labels);
         out << ",\"value\":";
@@ -241,11 +241,11 @@ MetricsRegistry::toJson() const
     out << "],\"histograms\":[";
     for (std::size_t i = 0; i < histograms_.size(); ++i) {
         const auto &entry = histograms_[i];
-        const LatencyHistogram &h = *entry.instrument;
+        const Histogram &h = *entry.instrument;
         if (i)
             out << ',';
         out << "{\"name\":\"";
-        jsonEscape(out, entry.name);
+        json::escape(out, entry.name);
         out << "\",\"labels\":";
         writeLabels(out, entry.labels);
         out << ",\"unit\":\"ns\",\"count\":" << h.count()

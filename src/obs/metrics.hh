@@ -71,12 +71,6 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/**
- * Historical name for the registry's distribution instrument; the
- * implementation is the HDR-style log-linear Histogram (histogram.hh).
- */
-using LatencyHistogram = Histogram;
-
 /** Flat display key: "name{k=v,...}" (labels already sorted). */
 std::string displayKey(const std::string &name, const Labels &labels);
 
@@ -109,8 +103,8 @@ class MetricsRegistry
 
     Counter &counter(const std::string &name, const Labels &labels = {});
     Gauge &gauge(const std::string &name, const Labels &labels = {});
-    LatencyHistogram &histogram(const std::string &name,
-                                const Labels &labels = {});
+    Histogram &histogram(const std::string &name,
+                         const Labels &labels = {});
 
     /** Value of a counter, or 0 when it was never registered. */
     std::uint64_t counterValue(const std::string &name,
@@ -118,8 +112,8 @@ class MetricsRegistry
     /** Sum of every counter sharing @p name, across label sets. */
     std::uint64_t counterTotal(const std::string &name) const;
     /** Histogram lookup for tests; nullptr when absent. */
-    const LatencyHistogram *findHistogram(const std::string &name,
-                                          const Labels &labels = {}) const;
+    const Histogram *findHistogram(const std::string &name,
+                                   const Labels &labels = {}) const;
 
     /** Copy of every instrument's value, sorted by display key. */
     RegistrySnapshot snapshot() const;
@@ -150,7 +144,7 @@ class MetricsRegistry
     mutable std::mutex mutex_;
     std::vector<Entry<Counter>> counters_;
     std::vector<Entry<Gauge>> gauges_;
-    std::vector<Entry<LatencyHistogram>> histograms_;
+    std::vector<Entry<Histogram>> histograms_;
 };
 
 /** Shorthands for instrumentation sites. */
@@ -166,7 +160,7 @@ gauge(const std::string &name, const Labels &labels = {})
     return MetricsRegistry::instance().gauge(name, labels);
 }
 
-inline LatencyHistogram &
+inline Histogram &
 histogram(const std::string &name, const Labels &labels = {})
 {
     return MetricsRegistry::instance().histogram(name, labels);

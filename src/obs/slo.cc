@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/json.hh"
-#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -202,7 +201,7 @@ SloEngine::evaluate(std::uint64_t nowNs)
         parseDisplayKey(rule.metric, metricName, labels);
         switch (rule.kind) {
           case SloRule::Kind::HistogramPercentile: {
-            const LatencyHistogram *histogram =
+            const Histogram *histogram =
                 registry.findHistogram(metricName, labels);
             if (!histogram || histogram->count() == 0)
                 break; // nothing recorded yet: not a violation
@@ -321,11 +320,11 @@ SloEngine::toJson() const
             out << ',';
         firstRule = false;
         out << "{\"name\":";
-        writeJsonString(out, rule.name);
+        json::writeString(out, rule.name);
         out << ",\"kind\":";
-        writeJsonString(out, kindName(rule.kind));
+        json::writeString(out, kindName(rule.kind));
         out << ",\"metric\":";
-        writeJsonString(out, rule.metric);
+        json::writeString(out, rule.metric);
         out << ",\"violations\":" << rule.violations
             << ",\"last_observed\":" << rule.lastObserved << '}';
     }

@@ -29,7 +29,7 @@
 #include <string>
 
 #include "obs/trace.hh"
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::obs {
 

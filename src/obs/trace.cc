@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/json.hh"
+#include "common/json.hh"
 #include "obs/metrics.hh"
 
 namespace hydra::obs {
@@ -203,13 +203,13 @@ Tracer::writeJson(std::ostream &out) const
             namedPids.push_back(lane.lane.pid);
             out << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":"
                 << lane.lane.pid << ",\"tid\":0,\"args\":{\"name\":\"";
-            jsonEscape(out, lane.process);
+            json::escape(out, lane.process);
             out << "\"}},";
         }
         out << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":"
             << lane.lane.pid << ",\"tid\":" << lane.lane.tid
             << ",\"args\":{\"name\":\"";
-        jsonEscape(out, lane.thread);
+        json::escape(out, lane.thread);
         out << "\"}}";
     }
 
@@ -222,13 +222,13 @@ Tracer::writeJson(std::ostream &out) const
             out << ',';
         first = false;
         out << "{\"name\":\"";
-        jsonEscape(out, event.name);
+        json::escape(out, event.name);
         out << "\",\"ph\":\"" << event.phase << "\",\"ts\":";
         writeTimestamp(out, event.ts);
         out << ",\"pid\":" << event.pid << ",\"tid\":" << event.tid;
         if (!event.category.empty()) {
             out << ",\"cat\":\"";
-            jsonEscape(out, event.category);
+            json::escape(out, event.category);
             out << '"';
         }
         if (event.phase == 'X') {
@@ -291,9 +291,9 @@ Tracer::writeSpansJson(std::ostream &out) const
             out << ',';
         first = false;
         out << "{\"name\":";
-        writeJsonString(out, event.name);
+        json::writeString(out, event.name);
         out << ",\"cat\":";
-        writeJsonString(out, event.category);
+        json::writeString(out, event.category);
         std::string site;
         for (const LaneName &lane : lanes_) {
             if (lane.lane.pid == event.pid && lane.lane.tid == event.tid) {
@@ -302,7 +302,7 @@ Tracer::writeSpansJson(std::ostream &out) const
             }
         }
         out << ",\"site\":";
-        writeJsonString(out, site);
+        json::writeString(out, site);
         out << ",\"ts_ns\":" << event.ts << ",\"dur_ns\":" << event.dur
             << ",\"trace_id\":" << event.traceId
             << ",\"span_id\":" << event.spanId

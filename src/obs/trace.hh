@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.hh"
+#include "common/time.hh"
 
 namespace hydra::obs {
 

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the common module: Result/Status, GUIDs, byte
- * serialization, statistics, strings, and the deterministic RNG.
+ * serialization, statistics, strings, JSON, simulated time, and the
+ * deterministic RNG.
  */
 
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -17,9 +19,37 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/strings.hh"
+#include "common/time.hh"
+#include "json_checker.hh"
 
 namespace hydra {
 namespace {
+
+// ------------------------------------------------------------------ Time
+
+TEST(SimTimeTest, UnitConversions)
+{
+    EXPECT_EQ(sim::milliseconds(5), 5'000'000u);
+    EXPECT_EQ(sim::seconds(1), 1'000'000'000u);
+    EXPECT_DOUBLE_EQ(sim::toMilliseconds(sim::milliseconds(7)), 7.0);
+    EXPECT_DOUBLE_EQ(sim::toSeconds(sim::seconds(3)), 3.0);
+}
+
+TEST(SimTimeTest, CyclesToTimeRoundsUp)
+{
+    // 1 cycle at 2.4 GHz is 0.41666 ns -> rounds up to 1 ns.
+    EXPECT_EQ(sim::cyclesToTime(1, 2.4), 1u);
+    // 2400 cycles at 2.4 GHz is exactly 1000 ns.
+    EXPECT_EQ(sim::cyclesToTime(2400, 2.4), 1000u);
+}
+
+TEST(SimTimeTest, TransferTime)
+{
+    // 125 bytes at 1 Gbps = 1000 bits / 1e9 bps = 1000 ns.
+    EXPECT_EQ(sim::transferTime(125, 1.0), 1000u);
+    // Higher bandwidth, shorter time.
+    EXPECT_LT(sim::transferTime(125, 8.0), sim::transferTime(125, 1.0));
+}
 
 // ---------------------------------------------------------------- Result
 
@@ -476,6 +506,31 @@ TEST(JsonTest, FindOnNonObjectIsNull)
     EXPECT_EQ(doc.value().find("anything"), nullptr);
     EXPECT_EQ(doc.value().array[0].asU64(), 1u);
     EXPECT_EQ(doc.value().asU64(), 0u); // not a number
+}
+
+TEST(JsonTest, EscaperHandlesControlAndQuoteCharacters)
+{
+    std::ostringstream out;
+    json::writeString(out, "a\"b\\c\n\r\t\b\f\x01z");
+    const std::string text = out.str();
+    EXPECT_EQ(text, "\"a\\\"b\\\\c\\n\\r\\t\\b\\f\\u0001z\"");
+
+    testutil::JsonChecker checker(text);
+    EXPECT_TRUE(checker.valid()) << text;
+    auto doc = json::parse(text);
+    ASSERT_TRUE(doc.ok());
+    EXPECT_EQ(doc.value().string, "a\"b\\c\n\r\t\b\f\x01z");
+}
+
+TEST(JsonTest, EscaperPassesHighBytesThrough)
+{
+    // UTF-8 multibyte sequences (bytes >= 0x80) must pass through
+    // unescaped; a signed-char comparison would mangle them into
+    // bogus \uffxx escapes.
+    const std::string utf8 = "caf\xc3\xa9";
+    std::ostringstream out;
+    json::writeString(out, utf8);
+    EXPECT_EQ(out.str(), "\"" + utf8 + "\"");
 }
 
 TEST(JsonTest, RejectsMalformedDocuments)

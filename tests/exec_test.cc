@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the executor abstraction: the SPSC handoff ring, the
- * deterministic SimExecutor backend, the ThreadedExecutor's timer /
- * post / cancellation semantics, thread-safe Payload pool
+ * deterministic SimExecutor's posts, the ThreadedExecutor's post /
+ * barrier / cross-thread timer semantics, thread-safe Payload pool
  * conservation under concurrent traffic, and cross-thread span
  * stitching. Everything labeled `threaded` in ctest also runs under
  * ThreadSanitizer via `scripts/check.sh --tsan`.
@@ -86,7 +86,12 @@ TEST(SpscQueueTest, TwoThreadsTransferEverythingInOrder)
 }
 
 // -------------------------------------------------------- SimExecutor
+//
+// Timer semantics shared by both engines live in timer_queue_test.cc.
 
+// The discrete-event contract the sim engine has always kept: timers fire
+// in time order, a cancelled one never runs, and the clock stops at the
+// last event that fired.
 TEST(SimExecutorTest, MirrorsSimulatorSemantics)
 {
     SimExecutor engine;
@@ -133,67 +138,6 @@ TEST(SimExecutorTest, DrainLeavesFutureTimersPending)
 }
 
 // ---------------------------------------------------- ThreadedExecutor
-
-TEST(ThreadedExecutorTest, TimersFireInOrderOnTheCoordinator)
-{
-    ThreadedExecutor engine;
-    EXPECT_STREQ(engine.backendName(), "threaded");
-
-    const std::thread::id self = std::this_thread::get_id();
-    std::vector<int> order;
-    engine.schedule(sim::microseconds(3), [&]() {
-        EXPECT_EQ(std::this_thread::get_id(), self);
-        order.push_back(3);
-    });
-    engine.schedule(sim::microseconds(1), [&]() { order.push_back(1); });
-    engine.scheduleAt(sim::microseconds(2), [&]() { order.push_back(2); });
-
-    engine.runUntil(sim::microseconds(10));
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(engine.now(), sim::microseconds(10));
-    EXPECT_EQ(engine.eventsDispatched(), 3u);
-}
-
-TEST(ThreadedExecutorTest, EqualTimestampsKeepFifoOrder)
-{
-    ThreadedExecutor engine;
-    std::vector<int> order;
-    for (int i = 0; i < 16; ++i)
-        engine.schedule(sim::microseconds(1),
-                        [&order, i]() { order.push_back(i); });
-    engine.runToCompletion();
-    ASSERT_EQ(order.size(), 16u);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadedExecutorTest, CancelAndPeriodicMatchSimSemantics)
-{
-    ThreadedExecutor engine;
-    bool fired = false;
-    const TaskId doomed =
-        engine.schedule(sim::microseconds(5), [&]() { fired = true; });
-    engine.cancel(doomed);
-
-    int ticks = 0;
-    const TaskId series = engine.schedulePeriodic(
-        sim::microseconds(2), [&]() { return ++ticks < 3; });
-    engine.runUntil(sim::microseconds(20));
-    EXPECT_FALSE(fired);
-    EXPECT_EQ(ticks, 3);
-
-    int more = 0;
-    const TaskId forever = engine.schedulePeriodic(
-        sim::microseconds(2), [&]() {
-            ++more;
-            return true;
-        });
-    engine.runUntil(sim::microseconds(26));
-    engine.cancel(forever);
-    engine.runUntil(sim::microseconds(40));
-    EXPECT_EQ(more, 3);
-    (void)series;
-}
 
 TEST(ThreadedExecutorTest, PostRunsOnTheSiteWorkerThread)
 {
@@ -251,6 +195,22 @@ TEST(ThreadedExecutorTest, WorkersCanScheduleTimersBack)
     });
     engine.runUntil(sim::milliseconds(1));
     EXPECT_TRUE(timerFired.load());
+}
+
+TEST(ThreadedExecutorTest, WorkerCancelsOfFiredTimersLeaveBoundedBacklog)
+{
+    // Regression: a cancel injected from a worker for a timer that had
+    // already fired left a tombstone on the coordinator for the life
+    // of the executor.
+    ThreadedExecutor engine;
+    const SiteId site = engine.addSite("canceller");
+    for (int i = 0; i < 1000; ++i) {
+        const TaskId id = engine.schedule(1, []() {});
+        engine.runToCompletion();
+        engine.post(site, [&engine, id]() { engine.cancel(id); });
+        engine.drain(); // applies the injected cancel
+    }
+    EXPECT_LE(engine.cancelledBacklog(), 65u); // not 1000
 }
 
 TEST(ThreadedExecutorTest, PostOrderPreservedPerProducerSitePair)

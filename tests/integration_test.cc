@@ -70,7 +70,7 @@ TEST(TestbedTest, RunPopulatesObservabilityMetrics)
     EXPECT_GT(registry.counterTotal("loader.deploys"), 0u);
     EXPECT_GT(registry.counterTotal("net.packets_delivered"), 0u);
 
-    const obs::LatencyHistogram *latency = registry.findHistogram(
+    const obs::Histogram *latency = registry.findHistogram(
         "channel.send_latency_ns", {{"transport", "dma-ring"}});
     ASSERT_NE(latency, nullptr);
     EXPECT_GT(latency->count(), 0u);

@@ -11,7 +11,7 @@
 
 #include "obs/metrics.hh"
 #include "obs/slo.hh"
-#include "sim/time.hh"
+#include "common/time.hh"
 
 using namespace hydra;
 using namespace hydra::obs;

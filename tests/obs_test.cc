@@ -12,7 +12,6 @@
 #include <string>
 
 #include "json_checker.hh"
-#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -111,7 +110,7 @@ TEST_F(ObsTest, GaugeHoldsLastValue)
 
 TEST_F(ObsTest, HistogramSummaries)
 {
-    obs::LatencyHistogram &h = obs::histogram("test.hist");
+    obs::Histogram &h = obs::histogram("test.hist");
     h.record(100);
     h.record(200);
     h.record(300);
@@ -129,7 +128,7 @@ TEST_F(ObsTest, HistogramSummaries)
 
 TEST_F(ObsTest, HistogramEmptyIsSafe)
 {
-    obs::LatencyHistogram &h = obs::histogram("test.hist.empty");
+    obs::Histogram &h = obs::histogram("test.hist.empty");
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 0u);
@@ -139,7 +138,7 @@ TEST_F(ObsTest, HistogramEmptyIsSafe)
 
 TEST_F(ObsTest, HistogramBucketsAreLogLinear)
 {
-    obs::LatencyHistogram &h = obs::histogram("test.hist.buckets");
+    obs::Histogram &h = obs::histogram("test.hist.buckets");
     // Linear region: values below 32 land in their own bucket.
     h.record(0);
     h.record(1);
@@ -303,29 +302,7 @@ TEST_F(ObsTest, RingOverflowCountsDroppedEventsMetric)
               6u);
 }
 
-// ------------------------------------------------- shared JSON escaper
-
-TEST_F(ObsTest, SharedEscaperHandlesControlAndQuoteCharacters)
-{
-    std::ostringstream out;
-    obs::writeJsonString(out, "a\"b\\c\n\r\t\b\f\x01z");
-    const std::string json = out.str();
-    EXPECT_EQ(json, "\"a\\\"b\\\\c\\n\\r\\t\\b\\f\\u0001z\"");
-
-    JsonChecker checker(json);
-    EXPECT_TRUE(checker.valid()) << json;
-}
-
-TEST_F(ObsTest, SharedEscaperPassesHighBytesThrough)
-{
-    // UTF-8 multibyte sequences (bytes >= 0x80) must pass through
-    // unescaped; a signed-char comparison would mangle them into
-    // bogus \uffxx escapes.
-    const std::string utf8 = "caf\xc3\xa9";
-    std::ostringstream out;
-    obs::writeJsonString(out, utf8);
-    EXPECT_EQ(out.str(), "\"" + utf8 + "\"");
-}
+// ------------------------------------------------------ JSON escaping
 
 TEST_F(ObsTest, MetricsJsonEscapesControlCharactersInLabels)
 {
