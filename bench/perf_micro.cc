@@ -120,6 +120,35 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
+/**
+ * The hit path: one OS housekeeping tick's shape on the 256K/64/8 L2,
+ * a 64 KiB hot set (hits once warm) plus a 1344 B stream that always
+ * misses. BM_CacheAccess's 4 KiB stride lands in 8 sets and only
+ * misses. Items are cache lines.
+ */
+void
+BM_CacheHousekeepingTick(benchmark::State &state)
+{
+    hw::CacheModel cache(256 * 1024, 64, 8);
+    const hw::Addr hot = 0;
+    const hw::Addr stream = 1 << 20;
+    const std::size_t hotBytes = 64 * 1024;
+    const std::size_t streamPerTick = 1344;
+    const std::size_t streamBytes = 4 * 1024 * 1024;
+    std::size_t offset = 0;
+    for (auto _ : state) {
+        cache.access(hot, hotBytes, false);
+        cache.access(stream + offset, streamPerTick, false);
+        offset += streamPerTick;
+        if (offset + streamPerTick > streamBytes)
+            offset = 0;
+    }
+    benchmark::DoNotOptimize(cache.totals());
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        cache.totals().accesses));
+}
+BENCHMARK(BM_CacheHousekeepingTick);
+
 void
 BM_IlpTivoLayout(benchmark::State &state)
 {

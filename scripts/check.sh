@@ -4,8 +4,9 @@
 #
 # Usage:
 #   scripts/check.sh               # default build + all tests
-#   scripts/check.sh --sanitize    # ASan/UBSan build, obs-labeled tests
-#                                  # first, then the full suite
+#   scripts/check.sh --sanitize    # ASan/UBSan build, obs- then
+#                                  # hw-labeled tests first, then the
+#                                  # full suite
 #   scripts/check.sh --no-tracing  # HYDRA_TRACING=OFF build: proves
 #                                  # spans/traces compile out and the
 #                                  # suite still passes without them
@@ -126,6 +127,9 @@ if [ "$SANITIZE" -eq 1 ]; then
     # The obs label covers the subsystem with the most lock-free and
     # ring-buffer code — run it first for a fast sanitizer signal.
     ctest -L obs --output-on-failure
+    # Then the cache model's flat-array pointer arithmetic (hw_test
+    # plus the randomized differential test in property_test).
+    ctest -L hw --output-on-failure
 fi
 # Fault-injection + recovery paths first: a broken restart protocol
 # should fail loudly before the full matrix runs.

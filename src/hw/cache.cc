@@ -1,66 +1,68 @@
 #include "hw/cache.hh"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace hydra::hw {
 
 CacheModel::CacheModel(std::size_t capacity_bytes, std::size_t line_bytes,
                        std::size_t ways)
-    : lineBytes_(line_bytes)
+    : ways_(ways)
 {
-    assert(line_bytes > 0 && ways > 0);
-    assert(capacity_bytes % (line_bytes * ways) == 0);
+    // Release builds compile out assert(), and mask indexing would
+    // silently mis-map a bad geometry, so reject it here.
+    if (line_bytes == 0 || ways == 0)
+        throw std::invalid_argument("CacheModel: zero line size or ways");
+    if (capacity_bytes % (line_bytes * ways) != 0)
+        throw std::invalid_argument(
+            "CacheModel: capacity is not a multiple of line x ways");
     const std::size_t num_sets = capacity_bytes / (line_bytes * ways);
-    sets_.resize(num_sets);
-    for (auto &set : sets_)
-        set.ways.resize(ways);
-}
-
-bool
-CacheModel::touchLine(Addr line_addr, bool is_write)
-{
-    (void)is_write; // write-allocate: reads and writes behave alike here
-    const std::size_t set_idx =
-        static_cast<std::size_t>(line_addr / lineBytes_) % sets_.size();
-    const Addr tag = line_addr / lineBytes_;
-    Set &set = sets_[set_idx];
-
-    ++useClock_;
-    for (auto &line : set.ways) {
-        if (line.valid && line.tag == tag) {
-            line.lastUse = useClock_;
-            return false; // hit
-        }
-    }
-
-    // Miss: fill into the LRU way.
-    Line *victim = &set.ways[0];
-    for (auto &line : set.ways) {
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (line.lastUse < victim->lastUse)
-            victim = &line;
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lastUse = useClock_;
-    return true;
+    if (line_bytes < 2 || !std::has_single_bit(line_bytes) ||
+        !std::has_single_bit(num_sets))
+        throw std::invalid_argument(
+            "CacheModel: line size (>= 2) and set count must be powers "
+            "of two");
+    lineShift_ = static_cast<unsigned>(std::countr_zero(line_bytes));
+    setMask_ = num_sets - 1;
+    lines_.assign(num_sets * ways, kEmpty);
 }
 
 void
 CacheModel::access(Addr addr, std::size_t size, bool is_write)
 {
+    (void)is_write; // write-allocate: reads and writes behave alike here
     if (size == 0)
         return;
-    const Addr first = addr / lineBytes_ * lineBytes_;
-    const Addr last = (addr + size - 1) / lineBytes_ * lineBytes_;
-    for (Addr line = first; line <= last; line += lineBytes_) {
-        ++totals_.accesses;
-        if (touchLine(line, is_write))
-            ++totals_.misses;
+    // Locals, not members: stores through `set` may alias `this`.
+    const std::size_t ways = ways_;
+    const Addr mask = setMask_;
+    Addr *const lines = lines_.data();
+    const Addr first = addr >> lineShift_;
+    const Addr last = (addr + size - 1) >> lineShift_;
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    for (Addr line = first; line <= last; ++line) {
+        // One carry pass: the touched line becomes MRU and each tag it
+        // displaces moves one slot towards LRU, until the touched
+        // line's old slot absorbs the carry (hit) or the LRU tag or an
+        // empty slot falls off the end (miss). A separate search and
+        // shift would compile to a memmove call per line.
+        Addr *const set = lines + (line & mask) * ways;
+        Addr carry = line;
+        std::size_t w = 0;
+        for (; w < ways; ++w) {
+            const Addr displaced = set[w];
+            set[w] = carry;
+            if (displaced == line)
+                break;
+            carry = displaced;
+        }
+        ++accesses;
+        misses += w == ways;
     }
+    totals_.accesses += accesses;
+    totals_.misses += misses;
 }
 
 void
@@ -68,19 +70,16 @@ CacheModel::snoopInvalidate(Addr addr, std::size_t size)
 {
     if (size == 0)
         return;
-    const Addr first = addr / lineBytes_ * lineBytes_;
-    const Addr last = (addr + size - 1) / lineBytes_ * lineBytes_;
-    for (Addr line_addr = first; line_addr <= last;
-         line_addr += lineBytes_) {
-        const std::size_t set_idx =
-            static_cast<std::size_t>(line_addr / lineBytes_) % sets_.size();
-        const Addr tag = line_addr / lineBytes_;
-        for (auto &line : sets_[set_idx].ways) {
-            if (line.valid && line.tag == tag) {
-                line.valid = false;
-                break;
-            }
-        }
+    const Addr last = (addr + size - 1) >> lineShift_;
+    for (Addr line = addr >> lineShift_; line <= last; ++line) {
+        Addr *const set = lines_.data() + (line & setMask_) * ways_;
+        Addr *const end = set + ways_;
+        Addr *const hit = std::find(set, end, line);
+        if (hit == end)
+            continue;
+        // Close the gap so the empty slot joins the tail.
+        std::copy(hit + 1, end, hit);
+        end[-1] = kEmpty;
     }
 }
 
@@ -102,9 +101,7 @@ CacheModel::beginWindow()
 void
 CacheModel::flush()
 {
-    for (auto &set : sets_)
-        for (auto &line : set.ways)
-            line.valid = false;
+    std::fill(lines_.begin(), lines_.end(), kEmpty);
 }
 
 } // namespace hydra::hw

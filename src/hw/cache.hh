@@ -35,7 +35,13 @@ struct CacheStats
     }
 };
 
-/** Set-associative LRU cache with write-allocate policy. */
+/**
+ * Set-associative LRU cache with write-allocate policy.
+ *
+ * Each set is a row of `ways` line numbers in one flat array, ordered
+ * most recently used first; empty slots hold a sentinel and sit at the
+ * tail, so a miss fills a free slot before it evicts the LRU line.
+ */
 class CacheModel
 {
   public:
@@ -43,6 +49,9 @@ class CacheModel
      * @param capacity_bytes Total capacity (e.g. 256 kB).
      * @param line_bytes Line size (e.g. 64 B).
      * @param ways Associativity (e.g. 8).
+     * @throws std::invalid_argument unless line size and set count are
+     *         powers of two, the line size is at least 2 B, ways is
+     *         non-zero and the capacity is a multiple of line x ways.
      */
     CacheModel(std::size_t capacity_bytes, std::size_t line_bytes,
                std::size_t ways);
@@ -65,28 +74,18 @@ class CacheModel
     /** Drop all cached lines (e.g. between benchmark scenarios). */
     void flush();
 
-    std::size_t lineBytes() const { return lineBytes_; }
-    std::size_t numSets() const { return sets_.size(); }
+    std::size_t lineBytes() const { return std::size_t{1} << lineShift_; }
+    std::size_t numSets() const { return setMask_ + 1; }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
+    /** Marks an empty slot; no line number reaches it (lines >= 2 B). */
+    static constexpr Addr kEmpty = ~Addr{0};
 
-    struct Set
-    {
-        std::vector<Line> ways;
-    };
-
-    /** Touch one line; returns true on miss. */
-    bool touchLine(Addr line_addr, bool is_write);
-
-    std::size_t lineBytes_;
-    std::vector<Set> sets_;
-    std::uint64_t useClock_ = 0;
+    unsigned lineShift_;
+    Addr setMask_;
+    std::size_t ways_;
+    /** numSets() rows of ways_ line numbers, MRU first. */
+    std::vector<Addr> lines_;
     CacheStats totals_;
     CacheStats windowBase_;
 };

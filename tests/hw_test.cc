@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/stats.hh"
 #include "hw/bus.hh"
 #include "hw/cache.hh"
@@ -106,6 +108,35 @@ TEST(CacheTest, FlushDropsEverything)
     cache.flush();
     cache.access(0, 64, false);
     EXPECT_EQ(cache.totals().misses, 2u);
+}
+
+TEST(CacheTest, InvalidatedSlotRefillsBeforeEvictingLru)
+{
+    CacheModel cache(256, 64, 4); // 1 set x 4 ways
+    for (Addr a = 0; a < 256; a += 64)
+        cache.access(a, 1, false); // full set; line 0 is LRU
+    cache.snoopInvalidate(128, 64);
+    cache.access(256, 1, false); // miss: must take the freed slot
+    EXPECT_EQ(cache.totals().misses, 5u);
+    for (Addr a : {0, 64, 192, 256})
+        cache.access(a, 1, false); // all still resident
+    EXPECT_EQ(cache.totals().misses, 5u);
+    cache.access(128, 1, false); // the invalidated line refetches
+    EXPECT_EQ(cache.totals().misses, 6u);
+}
+
+TEST(CacheTest, RejectsBadGeometry)
+{
+    EXPECT_THROW(CacheModel(4096, 0, 4), std::invalid_argument);
+    EXPECT_THROW(CacheModel(4096, 64, 0), std::invalid_argument);
+    EXPECT_THROW(CacheModel(1000, 64, 4), std::invalid_argument);
+    EXPECT_THROW(CacheModel(0, 64, 4), std::invalid_argument);
+    EXPECT_THROW(CacheModel(768, 48, 4), std::invalid_argument);  // line
+    EXPECT_THROW(CacheModel(768, 64, 4), std::invalid_argument);  // 3 sets
+    EXPECT_THROW(CacheModel(16, 1, 4), std::invalid_argument);    // 1 B
+    EXPECT_NO_THROW(CacheModel(128, 64, 2));
+    EXPECT_NO_THROW(CacheModel(4096, 32, 16));
+    EXPECT_NO_THROW(CacheModel(256 * 1024, 64, 8));
 }
 
 // ---------------------------------------------------------------- Cpu

@@ -10,6 +10,8 @@
 
 #include <list>
 #include <map>
+#include <string>
+#include <tuple>
 
 #include "common/rng.hh"
 #include "core/call.hh"
@@ -244,7 +246,10 @@ TEST(ChannelOrderTest, ReliableRingPreservesOrderUnderBackpressure)
 
 // ----------------------------------------- cache model vs reference
 
-/** Straightforward reference: per-set list, MRU at front. */
+/**
+ * Straightforward reference: per-set list, MRU at front, indexed with
+ * divides. Ranges cover every line they touch, like the model's.
+ */
 class ReferenceCache
 {
   public:
@@ -255,6 +260,7 @@ class ReferenceCache
         table_.resize(sets_);
     }
 
+    /** Returns true on a miss of the line holding @p addr. */
     bool
     access(hw::Addr addr)
     {
@@ -271,6 +277,32 @@ class ReferenceCache
         if (set.size() > ways_)
             set.pop_back();
         return true; // miss
+    }
+
+    /** Touch [addr, addr+size); returns the number of misses. */
+    std::uint64_t
+    access(hw::Addr addr, std::size_t size)
+    {
+        std::uint64_t misses = 0;
+        for (std::uint64_t tag = addr / line_;
+             tag <= (addr + size - 1) / line_; ++tag)
+            misses += access(tag * line_);
+        return misses;
+    }
+
+    void
+    snoopInvalidate(hw::Addr addr, std::size_t size)
+    {
+        for (std::uint64_t tag = addr / line_;
+             tag <= (addr + size - 1) / line_; ++tag)
+            table_[tag % sets_].remove(tag);
+    }
+
+    void
+    flush()
+    {
+        for (auto &set : table_)
+            set.clear();
     }
 
   private:
@@ -308,6 +340,90 @@ TEST_P(CachePropertyTest, MatchesReferenceOnRandomTraces)
 
 INSTANTIATE_TEST_SUITE_P(Traces, CachePropertyTest,
                          ::testing::Range<std::uint64_t>(1, 16));
+
+struct CacheGeometry
+{
+    const char *name;
+    std::size_t capacity, line, ways;
+};
+
+void
+PrintTo(const CacheGeometry &geo, std::ostream *os)
+{
+    *os << geo.name;
+}
+
+class CacheDifferentialTest
+    : public ::testing::TestWithParam<
+          std::tuple<CacheGeometry, std::uint64_t>>
+{
+};
+
+/**
+ * Random mixes of unaligned multi-line accesses, snoops, flushes and
+ * measurement windows: the model's miss delta must match the
+ * reference's after every operation, not only in the final total.
+ */
+TEST_P(CacheDifferentialTest, MixedOpsMatchReferenceEveryStep)
+{
+    const auto &[geo, seed] = GetParam();
+    Rng rng(seed * 7919 + geo.capacity + geo.ways);
+    hw::CacheModel cache(geo.capacity, geo.line, geo.ways);
+    ReferenceCache reference(geo.capacity, geo.line, geo.ways);
+
+    // A hot region the cache can mostly hold plus a cold region four
+    // times its size; sizes up to four lines, at any byte offset.
+    const auto hot = static_cast<std::int64_t>(geo.capacity / 2);
+    const auto cold = static_cast<std::int64_t>(geo.capacity * 4);
+    const auto maxSize = static_cast<std::int64_t>(geo.line * 4);
+    hw::CacheStats window;
+    for (int i = 0; i < 20000; ++i) {
+        const auto addr = static_cast<hw::Addr>(
+            rng.chance(0.6) ? rng.uniformInt(0, hot)
+                            : rng.uniformInt(0, cold));
+        const auto size =
+            static_cast<std::size_t>(rng.uniformInt(1, maxSize));
+        const hw::CacheStats before = cache.totals();
+        const double op = rng.uniform();
+        if (op < 0.80) {
+            const std::uint64_t misses = reference.access(addr, size);
+            cache.access(addr, size, rng.chance(0.5));
+            const std::uint64_t lines =
+                (addr + size - 1) / geo.line - addr / geo.line + 1;
+            ASSERT_EQ(cache.totals().accesses - before.accesses, lines)
+                << "op " << i;
+            ASSERT_EQ(cache.totals().misses - before.misses, misses)
+                << "op " << i << " access " << addr << "+" << size;
+            window.accesses += lines;
+            window.misses += misses;
+        } else if (op < 0.95) {
+            reference.snoopInvalidate(addr, size);
+            cache.snoopInvalidate(addr, size);
+        } else if (op < 0.96) {
+            reference.flush();
+            cache.flush();
+        } else {
+            cache.beginWindow();
+            window = {};
+        }
+        ASSERT_EQ(cache.windowStats().accesses, window.accesses);
+        ASSERT_EQ(cache.windowStats().misses, window.misses);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferentialTest,
+    ::testing::Combine(
+        ::testing::Values(CacheGeometry{"OneSetTwoWays", 128, 64, 2},
+                          CacheGeometry{"DirectMapped", 4096, 64, 1},
+                          CacheGeometry{"Small8K", 8192, 64, 4},
+                          CacheGeometry{"L2256K", 256 * 1024, 64, 8},
+                          CacheGeometry{"Line32Ways16", 4096, 32, 16}),
+        ::testing::Range<std::uint64_t>(1, 6)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param).name) + "_" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace hydra
