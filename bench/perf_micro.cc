@@ -754,6 +754,86 @@ BENCHMARK(BM_FleetOpenLoop)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * The Channel Executive's control plane: one stream's destroy +
+ * create + connectSite + installHandler, on a 4-host fleet that holds
+ * 10k live streams (so registry lookups see a realistic population).
+ * remote:1 streams cross hosts (the fleet's remote provider); remote:0
+ * stay on one host (a DMA ring from host to NIC). Not gated.
+ */
+void
+BM_ChannelLifecycle(benchmark::State &state)
+{
+    constexpr std::size_t kHosts = 4;
+    constexpr std::size_t kStreams = 10000;
+    const bool remote = state.range(0) != 0;
+
+    exec::SimExecutor sim;
+    fleet::FleetConfig config;
+    config.hosts = kHosts;
+    config.quietHosts = true;
+    config.backgroundLoad = false;
+    fleet::Fleet fleet(sim, config);
+
+    struct Stream
+    {
+        fleet::Host *home = nullptr;
+        fleet::Host *target = nullptr;
+        core::ChannelId id = core::kInvalidChannel;
+    };
+    std::uint64_t delivered = 0;
+    auto open = [&](Stream &stream) {
+        core::ChannelConfig channelConfig;
+        channelConfig.name = "bench.lifecycle";
+        channelConfig.targetDevice = stream.target->nic().name();
+        auto created = stream.home->executive().createChannel(
+            channelConfig, stream.home->runtime().hostSite(), 256);
+        if (!created)
+            return false;
+        core::Channel *channel = created.value();
+        stream.id = channel->id();
+        core::ExecutionSite *site =
+            stream.target->runtime().siteByName(channelConfig.targetDevice);
+        if (!site)
+            return false;
+        auto endpoint = channel->connectSite(*site);
+        if (!endpoint)
+            return false;
+        channel->installHandler(
+            endpoint.value(),
+            [&delivered](const Payload &, std::size_t) { ++delivered; });
+        return true;
+    };
+
+    std::vector<Stream> streams(kStreams);
+    for (std::size_t i = 0; i < kStreams; ++i) {
+        Stream &stream = streams[i];
+        stream.home = &fleet.host(i % kHosts);
+        stream.target = &fleet.host(remote ? (i + 1) % kHosts : i % kHosts);
+        if (!open(stream)) {
+            state.SkipWithError("stream setup failed");
+            return;
+        }
+    }
+    sim.drain();
+
+    std::size_t cursor = 0;
+    for (auto _ : state) {
+        Stream &stream = streams[cursor++ % kStreams];
+        if (!stream.home->executive().destroyChannelById(stream.id) ||
+            !open(stream)) {
+            state.SkipWithError("churn failed");
+            break;
+        }
+    }
+    for (Stream &stream : streams)
+        stream.home->executive().destroyChannelById(stream.id);
+    sim.drain();
+    benchmark::DoNotOptimize(delivered);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ChannelLifecycle)->ArgNames({"remote"})->Arg(0)->Arg(1);
+
 } // namespace
 
 BENCHMARK_MAIN();

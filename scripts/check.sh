@@ -4,9 +4,9 @@
 #
 # Usage:
 #   scripts/check.sh               # default build + all tests
-#   scripts/check.sh --sanitize    # ASan/UBSan build, obs- then
-#                                  # hw-labeled tests first, then the
-#                                  # full suite
+#   scripts/check.sh --sanitize    # ASan/UBSan build, obs-, hw-,
+#                                  # then channel-labeled tests first,
+#                                  # then the full suite
 #   scripts/check.sh --no-tracing  # HYDRA_TRACING=OFF build: proves
 #                                  # spans/traces compile out and the
 #                                  # suite still passes without them
@@ -68,7 +68,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # against the committed baseline. Generous 2x threshold -- this
     # catches "the fast path regressed to deep copies", not
     # machine-to-machine noise.
-    # Fleet end-to-end smoke first: the scale ladder (10k/100k
+    # Fleet end-to-end smoke first: the registry-size ladder (10k/100k
     # streams, threaded executor) plus the 1-vs-4-host scaling bar.
     # The binary exits nonzero if a run fails to deliver cleanly or
     # the 4-host goodput drops below 2x of one host.
@@ -130,6 +130,10 @@ if [ "$SANITIZE" -eq 1 ]; then
     # Then the cache model's flat-array pointer arithmetic (hw_test
     # plus the randomized differential test in property_test).
     ctest -L hw --output-on-failure
+    # Then the channel lifecycle: endpoint and backlog Fifos, and the
+    # fleet's flat per-pair sequence table (core_channel_test plus
+    # fleet_test).
+    ctest -L channel --output-on-failure
 fi
 # Fault-injection + recovery paths first: a broken restart protocol
 # should fail loudly before the full matrix runs.

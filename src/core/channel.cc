@@ -29,7 +29,12 @@ ChannelHandle::install(std::function<void(const Payload &)> handler)
                             });
 }
 
-Channel::Channel(ChannelConfig config) : config_(std::move(config)) {}
+Channel::Channel(ChannelConfig config) : config_(std::move(config))
+{
+    // Unicast channels never grow past two endpoints: size them once.
+    if (config_.type == ChannelConfig::Type::Unicast)
+        endpoints_.reserve(2);
+}
 
 Channel::~Channel() = default;
 
@@ -136,9 +141,7 @@ Channel::addEndpoint(ExecutionSite &site)
             &obs::histogram("channel.delivery_latency_ns",
                             {{"channel", config_.name},
                              {"host", site.machine().name()}});
-    Endpoint ep;
-    ep.site = &site;
-    endpoints_.push_back(std::move(ep));
+    endpoints_.emplace_back().site = &site;
     return endpoints_.size() - 1;
 }
 

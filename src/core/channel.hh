@@ -16,13 +16,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/bytes.hh"
+#include "common/fifo.hh"
 #include "common/payload.hh"
 #include "common/result.hh"
 #include "core/site.hh"
@@ -252,7 +252,7 @@ class Channel
         ExecutionSite *site = nullptr;
         Offcode *offcode = nullptr; ///< set for connectOffcode endpoints
         Handler handler;
-        std::deque<Queued> queue;
+        Fifo<Queued> queue;
     };
 
     /** Register an endpoint; providers may veto cross-site layouts. */

@@ -24,7 +24,7 @@ ChannelExecutive::ChannelExecutive(
 void
 ChannelExecutive::registerProvider(std::unique_ptr<ChannelProvider> provider)
 {
-    providers_.push_back(std::move(provider));
+    providers_.emplace_back().provider = std::move(provider);
 }
 
 void
@@ -54,24 +54,26 @@ ChannelExecutive::createChannel(const ChannelConfig &config,
 
     // Pick the capable provider with the lowest per-message latency
     // (the "price" in the paper's terms).
-    ChannelProvider *best = nullptr;
+    ProviderSlot *slot = nullptr;
     ChannelCost bestCost;
-    for (const auto &provider : providers_) {
-        if (!provider->canServe(config, creator, target))
+    for (ProviderSlot &candidate : providers_) {
+        ChannelProvider &provider = *candidate.provider;
+        if (!provider.canServe(config, creator, target))
             continue;
         const ChannelCost cost =
-            provider->estimateCost(config, creator, target, typical_bytes);
-        if (!best || cost.perMessageLatency < bestCost.perMessageLatency) {
-            best = provider.get();
+            provider.estimateCost(config, creator, target, typical_bytes);
+        if (!slot || cost.perMessageLatency < bestCost.perMessageLatency) {
+            slot = &candidate;
             bestCost = cost;
         }
     }
-    if (!best) {
+    if (!slot) {
         obs::counter("channel.create_failed").increment();
         return Error(ErrorCode::Unsupported,
                      "no provider can serve this channel configuration");
     }
 
+    ChannelProvider *best = slot->provider.get();
     auto channel = best->create(config, creator);
     // A provider may hand back a channel whose creator endpoint never
     // connected (a vetoed addEndpoint, for example). Owning it would
@@ -83,8 +85,14 @@ ChannelExecutive::createChannel(const ChannelConfig &config,
                          "' produced no creator endpoint");
     }
 
-    obs::counter("channel.created", {{"provider", best->name()}})
-        .increment();
+    obs::Counter *created = slot->created.load(std::memory_order_acquire);
+    if (!created) {
+        // Racing first creates bind the same registry handle.
+        created = &obs::counter("channel.created",
+                                {{"provider", best->name()}});
+        slot->created.store(created, std::memory_order_release);
+    }
+    created->increment();
 
     LOG_DEBUG << "executive[" << shard_ << "]: provider '" << best->name()
               << "' selected for channel to '" << config.targetDevice
@@ -107,7 +115,18 @@ ChannelExecutive::destroyChannel(Channel *channel)
 {
     if (!channel)
         return Status(ErrorCode::InvalidArgument, "null channel");
-    return destroyChannelById(channel->id());
+    // The pointer may be stale (already destroyed): find it among the
+    // owned channels before touching it.
+    ChannelId id = kInvalidChannel;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &[owned, held] : channels_)
+            if (held.get() == channel) {
+                id = owned;
+                break;
+            }
+    }
+    return destroyChannelById(id);
 }
 
 Status
@@ -127,7 +146,8 @@ ChannelExecutive::destroyChannelById(ChannelId id)
     // Close (and free) outside the lock: close() may touch sites and
     // metrics, none of which need the registry serialized.
     owned->close();
-    obs::counter("channel.destroyed").increment();
+    static obs::Counter &destroyed = obs::counter("channel.destroyed");
+    destroyed.increment();
     return Status::success();
 }
 
@@ -186,8 +206,8 @@ ChannelExecutive::providerNames() const
 {
     std::vector<std::string> names;
     names.reserve(providers_.size());
-    for (const auto &provider : providers_)
-        names.push_back(provider->name());
+    for (const ProviderSlot &slot : providers_)
+        names.push_back(slot.provider->name());
     return names;
 }
 

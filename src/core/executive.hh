@@ -19,6 +19,7 @@
 #define HYDRA_CORE_EXECUTIVE_HH
 
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -27,6 +28,10 @@
 #include <vector>
 
 #include "core/providers.hh"
+
+namespace hydra::obs {
+class Counter;
+} // namespace hydra::obs
 
 namespace hydra::core {
 
@@ -65,11 +70,13 @@ class ChannelExecutive
                                     ExecutionSite &creator,
                                     std::size_t typical_bytes = 1024);
 
-    /** Destroy a channel created by this shard. O(1): the registry
-     * is keyed by the channel's id, not scanned by pointer. */
+    /** Destroy a channel created by this shard. A stale pointer is
+     * NotFound, never dereferenced, so this scans the shard; churn
+     * paths destroy by id. */
     Status destroyChannel(Channel *channel);
 
-    /** Destroy by id (what a routing table stores). */
+    /** Destroy by id (what a routing table stores). O(1): the
+     * registry is keyed by the channel's id. */
     Status destroyChannelById(ChannelId id);
 
     /** Look up an owned channel by id; nullptr when not this shard's. */
@@ -107,7 +114,17 @@ class ChannelExecutive
   private:
     std::function<ExecutionSite *(const std::string &)> siteLookup_;
     std::function<ExecutionSite *(const std::string &)> remoteLookup_;
-    std::vector<std::unique_ptr<ChannelProvider>> providers_;
+    /** A provider plus its `channel.created{provider=...}` handle,
+     * bound at the provider's first create (so series register in
+     * the same order as an uncached lookup would) and read and
+     * written atomically: shards accept concurrent creates. */
+    struct ProviderSlot
+    {
+        std::unique_ptr<ChannelProvider> provider;
+        std::atomic<obs::Counter *> created{nullptr};
+    };
+    /** A deque: emplace_back never moves a slot (atomics can't). */
+    std::deque<ProviderSlot> providers_;
 
     /** Guards channels_; providers are registered at bring-up only. */
     mutable std::mutex mutex_;

@@ -233,6 +233,8 @@ class RingChannel : public Channel
         : Channel(std::move(config)), exec_(executor),
           busMulticast_(bus_multicast)
     {
+        if (config_.type == ChannelConfig::Type::Unicast)
+            state_.reserve(2);
         // Register both buffering-mode copy counters up front so a
         // zero-copy run exports an observable 0, not an absent metric.
         copyMetrics();
@@ -254,7 +256,7 @@ class RingChannel : public Channel
                                               config_.maxMessageBytes);
             state.userBuffer = os.allocRegion(config_.maxMessageBytes);
         }
-        state_.push_back(state);
+        state_.push_back(std::move(state));
         return index;
     }
 
@@ -399,7 +401,7 @@ class RingChannel : public Channel
     struct EpState
     {
         std::size_t inFlight = 0;
-        std::deque<BacklogEntry> backlog;
+        Fifo<BacklogEntry> backlog;
         hw::Addr ringBuffer = 0;
         hw::Addr userBuffer = 0;
         std::size_t slot = 0;
@@ -539,7 +541,9 @@ class RingChannel : public Channel
 
         // Descriptors recycled; refill them from the backlog,
         // batch-aware: each drained entry keeps its own batch shape
-        // (and DMA chain) up to the descriptors actually free.
+        // (and DMA chain) up to the descriptors actually free. Each
+        // launch is taken out of the backlog first, so no reference
+        // into the backlog is live across startDma.
         dst_state.inFlight -= std::min(dst_state.inFlight,
                                        messages.size());
         while (!dst_state.backlog.empty() &&
@@ -547,24 +551,24 @@ class RingChannel : public Channel
             BacklogEntry &entry = dst_state.backlog.front();
             const std::size_t avail =
                 config_.ringDepth - dst_state.inFlight;
+            BacklogEntry launch;
             if (entry.messages.size() <= avail) {
-                BacklogEntry whole = std::move(entry);
+                launch = std::move(entry);
                 dst_state.backlog.pop_front();
-                dst_state.inFlight += whole.messages.size();
-                startDma(whole.from, to, std::move(whole.messages), true,
-                         whole.sentAt, whole.ctx);
             } else {
                 // Split: launch the prefix that fits, keep the rest
                 // queued at the front (order preserved).
-                std::vector<Payload> prefix(
-                    entry.messages.begin(),
-                    entry.messages.begin() + avail);
+                launch.from = entry.from;
+                launch.sentAt = entry.sentAt;
+                launch.ctx = entry.ctx;
+                launch.messages.assign(entry.messages.begin(),
+                                       entry.messages.begin() + avail);
                 entry.messages.erase(entry.messages.begin(),
                                      entry.messages.begin() + avail);
-                dst_state.inFlight += prefix.size();
-                startDma(entry.from, to, std::move(prefix), true,
-                         entry.sentAt, entry.ctx);
             }
+            dst_state.inFlight += launch.messages.size();
+            startDma(launch.from, to, std::move(launch.messages), true,
+                     launch.sentAt, launch.ctx);
         }
     }
 

@@ -82,6 +82,11 @@ class RemoteChannel : public core::Channel
                                kWireHeaderBytes
                          : 0)
     {
+        if (config_.type == core::ChannelConfig::Type::Unicast) {
+            wires_.reserve(2);
+            seqs_.reserve(4);
+            routedHosts_.reserve(2);
+        }
     }
 
     ~RemoteChannel() override
@@ -153,11 +158,8 @@ class RemoteChannel : public core::Channel
             if (site.isHost())
                 wire.txBuffer = owner->machine().os().allocRegion(
                     config_.maxMessageBytes + kWireHeaderBytes);
-            wires_.push_back(std::move(wire));
-            for (Wire &w : wires_) {
-                w.txSeq.resize(wires_.size(), 0);
-                w.rxSeen.resize(wires_.size(), 0);
-            }
+            wires_.push_back(wire);
+            growSeqs();
         }
         // Outside the channel lock: route registration takes the
         // host's fabric lock, which delivery holds while calling back
@@ -175,35 +177,71 @@ class RemoteChannel : public core::Channel
         Host *host = nullptr;
         /** Host-side tx staging region (0 for device endpoints). */
         hw::Addr txBuffer = 0;
-        /** txSeq[to]: next sequence this endpoint sends to `to`. */
-        std::vector<std::uint64_t> txSeq;
-        /** rxSeen[from]: frames received here from `from`. */
-        std::vector<std::uint64_t> rxSeen;
     };
+
+    /** Sequence state of one ordered endpoint pair (a, b). */
+    struct PairSeq
+    {
+        /** Next sequence a sends to b. */
+        std::uint64_t tx = 0;
+        /** Frames a has received from b. */
+        std::uint64_t rx = 0;
+    };
+
+    /** seqs_ cell of the ordered pair (a, b). */
+    PairSeq &
+    pairSeq(std::size_t a, std::size_t b)
+    {
+        return seqs_[a * wires_.size() + b];
+    }
+
+    /**
+     * Re-lay seqs_ out from n x n to (n+1) x (n+1) after endpoint n
+     * joined, in place. Every cell moves to an index at or above its
+     * old one, so copying from the last cell down never overwrites a
+     * cell still to be read; the new column and row start at zero.
+     */
+    void
+    growSeqs()
+    {
+        const std::size_t n = wires_.size() - 1;
+        seqs_.resize((n + 1) * (n + 1));
+        for (std::size_t row = n; row-- > 0;) {
+            seqs_[row * (n + 1) + n] = PairSeq{};
+            for (std::size_t col = n; col-- > 0;)
+                seqs_[row * (n + 1) + col] = seqs_[row * n + col];
+        }
+    }
 
     /**
      * Register this channel's id on every endpoint host's fabric.
      * Lazy because the creator endpoint attaches before the executive
      * binds the id; by the time a remote endpoint attaches (or the
-     * first write happens) the id is final.
+     * first write happens) the id is final. Routes register one host
+     * at a time outside the channel lock (see addEndpoint), with no
+     * temporary list of hosts.
      */
     void
     ensureRoutes()
     {
         if (id() == core::kInvalidChannel)
             return;
-        std::vector<Host *> owners;
-        {
-            std::lock_guard<std::recursive_mutex> lock(mutex_);
-            for (const Wire &wire : wires_)
-                if (std::find(routedHosts_.begin(), routedHosts_.end(),
-                              wire.host) == routedHosts_.end()) {
-                    routedHosts_.push_back(wire.host);
-                    owners.push_back(wire.host);
-                }
+        for (;;) {
+            Host *fresh = nullptr;
+            {
+                std::lock_guard<std::recursive_mutex> lock(mutex_);
+                for (const Wire &wire : wires_)
+                    if (std::find(routedHosts_.begin(), routedHosts_.end(),
+                                  wire.host) == routedHosts_.end()) {
+                        routedHosts_.push_back(wire.host);
+                        fresh = wire.host;
+                        break;
+                    }
+            }
+            if (!fresh)
+                return;
+            fresh->addRoute(id(), this);
         }
-        for (Host *host : owners)
-            host->addRoute(id(), this);
     }
 
     /** Same-machine leg of a multicast: zero-copy in-memory enqueue
@@ -238,7 +276,7 @@ class RemoteChannel : public core::Channel
                 sim::SimTime sentAt)
     {
         Wire &src = wires_[from];
-        const std::uint64_t seq = src.txSeq[to]++;
+        const std::uint64_t seq = pairSeq(from, to).tx++;
 
         PayloadBuilder builder;
         ByteWriter writer(builder.buffer());
@@ -294,10 +332,10 @@ class RemoteChannel : public core::Channel
         std::lock_guard<std::recursive_mutex> lock(mutex_);
         if (closed_ || to >= endpoints_.size() || from >= endpoints_.size())
             return;
-        Wire &dst = wires_[to];
-        if (seq != dst.rxSeen[from])
+        std::uint64_t &seen = pairSeq(to, from).rx;
+        if (seq != seen)
             remoteMetrics().seqGaps.increment();
-        dst.rxSeen[from] = seq + 1;
+        seen = seq + 1;
         if (endpoints_[to].site)
             endpoints_[to].site->run(kCosts.rxDescriptorCycles);
         deliverTo(to, body, from, sentAt);
@@ -308,6 +346,8 @@ class RemoteChannel : public core::Channel
     std::size_t wireLimit_;
     std::recursive_mutex mutex_;
     std::vector<Wire> wires_;
+    /** Flat n x n sequence table, n = wires_.size(); see pairSeq(). */
+    std::vector<PairSeq> seqs_;
     /** Hosts whose fabric tables carry our id (dtor unregisters). */
     std::vector<Host *> routedHosts_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <sstream>
 
 #include "common/json.hh"
@@ -11,11 +12,32 @@ namespace hydra::obs {
 
 namespace {
 
-Labels
-sortedLabels(Labels labels)
+/** @p labels in sorted order: the argument itself when it is already
+ * sorted (the common case), else a sorted copy in @p scratch. */
+const Labels &
+sortedView(const Labels &labels, Labels &scratch)
 {
-    std::sort(labels.begin(), labels.end());
-    return labels;
+    if (std::is_sorted(labels.begin(), labels.end()))
+        return labels;
+    scratch = labels;
+    std::sort(scratch.begin(), scratch.end());
+    return scratch;
+}
+
+/** Index key of (name, sorted labels); equality is still checked. */
+std::size_t
+identityHash(std::string_view name, const Labels &sorted)
+{
+    std::size_t hash = std::hash<std::string_view>{}(name);
+    auto mix = [&hash](std::string_view part) {
+        hash ^= std::hash<std::string_view>{}(part) + 0x9e3779b97f4a7c15ULL +
+                (hash << 6) + (hash >> 2);
+    };
+    for (const auto &[key, value] : sorted) {
+        mix(key);
+        mix(value);
+    }
+    return hash;
 }
 
 void
@@ -103,33 +125,50 @@ MetricsRegistry::instance()
 }
 
 template <typename T>
-T &
-MetricsRegistry::findOrCreate(std::vector<Entry<T>> &entries,
-                              const std::string &name, const Labels &labels)
+const MetricsRegistry::Entry<T> *
+MetricsRegistry::Table<T>::find(std::size_t hash, std::string_view name,
+                                const Labels &sorted) const
 {
-    const Labels sorted = sortedLabels(labels);
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry<T> &entry : entries)
+    auto [it, end] = index.equal_range(hash);
+    for (; it != end; ++it) {
+        const Entry<T> &entry = entries[it->second];
         if (entry.name == name && entry.labels == sorted)
-            return *entry.instrument;
-    entries.push_back(Entry<T>{name, sorted, std::make_unique<T>()});
-    return *entries.back().instrument;
+            return &entry;
+    }
+    return nullptr;
+}
+
+template <typename T>
+T &
+MetricsRegistry::findOrCreate(Table<T> &table, std::string_view name,
+                              const Labels &labels)
+{
+    Labels scratch;
+    const Labels &sorted = sortedView(labels, scratch);
+    const std::size_t hash = identityHash(name, sorted);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const Entry<T> *entry = table.find(hash, name, sorted))
+        return *entry->instrument;
+    table.index.emplace(hash, table.entries.size());
+    table.entries.push_back(
+        Entry<T>{std::string(name), sorted, std::make_unique<T>()});
+    return *table.entries.back().instrument;
 }
 
 Counter &
-MetricsRegistry::counter(const std::string &name, const Labels &labels)
+MetricsRegistry::counter(std::string_view name, const Labels &labels)
 {
     return findOrCreate(counters_, name, labels);
 }
 
 Gauge &
-MetricsRegistry::gauge(const std::string &name, const Labels &labels)
+MetricsRegistry::gauge(std::string_view name, const Labels &labels)
 {
     return findOrCreate(gauges_, name, labels);
 }
 
 Histogram &
-MetricsRegistry::histogram(const std::string &name, const Labels &labels)
+MetricsRegistry::histogram(std::string_view name, const Labels &labels)
 {
     return findOrCreate(histograms_, name, labels);
 }
@@ -138,12 +177,12 @@ std::uint64_t
 MetricsRegistry::counterValue(const std::string &name,
                               const Labels &labels) const
 {
-    const Labels sorted = sortedLabels(labels);
+    Labels scratch;
+    const Labels &sorted = sortedView(labels, scratch);
+    const std::size_t hash = identityHash(name, sorted);
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry<Counter> &entry : counters_)
-        if (entry.name == name && entry.labels == sorted)
-            return entry.instrument->value();
-    return 0;
+    const Entry<Counter> *entry = counters_.find(hash, name, sorted);
+    return entry ? entry->instrument->value() : 0;
 }
 
 std::uint64_t
@@ -151,7 +190,7 @@ MetricsRegistry::counterTotal(const std::string &name) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::uint64_t total = 0;
-    for (const Entry<Counter> &entry : counters_)
+    for (const Entry<Counter> &entry : counters_.entries)
         if (entry.name == name)
             total += entry.instrument->value();
     return total;
@@ -161,12 +200,12 @@ const Histogram *
 MetricsRegistry::findHistogram(const std::string &name,
                                const Labels &labels) const
 {
-    const Labels sorted = sortedLabels(labels);
+    Labels scratch;
+    const Labels &sorted = sortedView(labels, scratch);
+    const std::size_t hash = identityHash(name, sorted);
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry<Histogram> &entry : histograms_)
-        if (entry.name == name && entry.labels == sorted)
-            return entry.instrument.get();
-    return nullptr;
+    const Entry<Histogram> *entry = histograms_.find(hash, name, sorted);
+    return entry ? entry->instrument.get() : nullptr;
 }
 
 RegistrySnapshot
@@ -175,16 +214,16 @@ MetricsRegistry::snapshot() const
     RegistrySnapshot out;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        out.counters.reserve(counters_.size());
-        for (const Entry<Counter> &entry : counters_)
+        out.counters.reserve(counters_.entries.size());
+        for (const Entry<Counter> &entry : counters_.entries)
             out.counters.emplace_back(displayKey(entry.name, entry.labels),
                                       entry.instrument->value());
-        out.gauges.reserve(gauges_.size());
-        for (const Entry<Gauge> &entry : gauges_)
+        out.gauges.reserve(gauges_.entries.size());
+        for (const Entry<Gauge> &entry : gauges_.entries)
             out.gauges.emplace_back(displayKey(entry.name, entry.labels),
                                     entry.instrument->value());
-        out.histograms.reserve(histograms_.size());
-        for (const Entry<Histogram> &entry : histograms_)
+        out.histograms.reserve(histograms_.entries.size());
+        for (const Entry<Histogram> &entry : histograms_.entries)
             out.histograms.emplace_back(displayKey(entry.name, entry.labels),
                                         entry.instrument->summary());
     }
@@ -201,11 +240,11 @@ void
 MetricsRegistry::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const Entry<Counter> &entry : counters_)
+    for (const Entry<Counter> &entry : counters_.entries)
         entry.instrument->reset();
-    for (const Entry<Gauge> &entry : gauges_)
+    for (const Entry<Gauge> &entry : gauges_.entries)
         entry.instrument->reset();
-    for (const Entry<Histogram> &entry : histograms_)
+    for (const Entry<Histogram> &entry : histograms_.entries)
         entry.instrument->reset();
 }
 
@@ -215,8 +254,8 @@ MetricsRegistry::toJson() const
     std::lock_guard<std::mutex> lock(mutex_);
     std::ostringstream out;
     out << "{\"counters\":[";
-    for (std::size_t i = 0; i < counters_.size(); ++i) {
-        const auto &entry = counters_[i];
+    for (std::size_t i = 0; i < counters_.entries.size(); ++i) {
+        const auto &entry = counters_.entries[i];
         if (i)
             out << ',';
         out << "{\"name\":\"";
@@ -226,8 +265,8 @@ MetricsRegistry::toJson() const
         out << ",\"value\":" << entry.instrument->value() << '}';
     }
     out << "],\"gauges\":[";
-    for (std::size_t i = 0; i < gauges_.size(); ++i) {
-        const auto &entry = gauges_[i];
+    for (std::size_t i = 0; i < gauges_.entries.size(); ++i) {
+        const auto &entry = gauges_.entries[i];
         if (i)
             out << ',';
         out << "{\"name\":\"";
@@ -239,8 +278,8 @@ MetricsRegistry::toJson() const
         out << '}';
     }
     out << "],\"histograms\":[";
-    for (std::size_t i = 0; i < histograms_.size(); ++i) {
-        const auto &entry = histograms_[i];
+    for (std::size_t i = 0; i < histograms_.entries.size(); ++i) {
+        const auto &entry = histograms_.entries[i];
         const Histogram &h = *entry.instrument;
         if (i)
             out << ',';
@@ -307,18 +346,18 @@ MetricsRegistry::prettyTable() const
 
     char buf[192];
     const std::vector<Row> counterRows =
-        collect(counters_, [&](const Counter &c) {
+        collect(counters_.entries, [&](const Counter &c) {
             std::snprintf(buf, sizeof(buf), "%12llu",
                           static_cast<unsigned long long>(c.value()));
             return std::string(buf);
         });
     const std::vector<Row> gaugeRows =
-        collect(gauges_, [&](const Gauge &g) {
+        collect(gauges_.entries, [&](const Gauge &g) {
             std::snprintf(buf, sizeof(buf), "%12.3f", g.value());
             return std::string(buf);
         });
     const std::vector<Row> histogramRows =
-        collect(histograms_, [&](const Histogram &h) {
+        collect(histograms_.entries, [&](const Histogram &h) {
             std::snprintf(buf, sizeof(buf),
                           "n=%-9llu mean=%-11.0f p50=%-11.0f "
                           "p99=%-11.0f p999=%-11.0f max=%llu",

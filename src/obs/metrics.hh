@@ -26,6 +26,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -101,10 +103,9 @@ class MetricsRegistry
   public:
     static MetricsRegistry &instance();
 
-    Counter &counter(const std::string &name, const Labels &labels = {});
-    Gauge &gauge(const std::string &name, const Labels &labels = {});
-    Histogram &histogram(const std::string &name,
-                         const Labels &labels = {});
+    Counter &counter(std::string_view name, const Labels &labels = {});
+    Gauge &gauge(std::string_view name, const Labels &labels = {});
+    Histogram &histogram(std::string_view name, const Labels &labels = {});
 
     /** Value of a counter, or 0 when it was never registered. */
     std::uint64_t counterValue(const std::string &name,
@@ -137,31 +138,48 @@ class MetricsRegistry
         std::unique_ptr<T> instrument;
     };
 
+    /**
+     * One instrument kind: entries in registration order (what the
+     * exporters walk) plus a hash index over (name, sorted labels)
+     * into them, so a lookup hashes and compares a few entries instead
+     * of scanning every series.
+     */
     template <typename T>
-    T &findOrCreate(std::vector<Entry<T>> &entries, const std::string &name,
+    struct Table
+    {
+        std::vector<Entry<T>> entries;
+        std::unordered_multimap<std::size_t, std::size_t> index;
+
+        /** Entry with exactly this identity; nullptr when absent. */
+        const Entry<T> *find(std::size_t hash, std::string_view name,
+                             const Labels &sorted) const;
+    };
+
+    template <typename T>
+    T &findOrCreate(Table<T> &table, std::string_view name,
                     const Labels &labels);
 
     mutable std::mutex mutex_;
-    std::vector<Entry<Counter>> counters_;
-    std::vector<Entry<Gauge>> gauges_;
-    std::vector<Entry<Histogram>> histograms_;
+    Table<Counter> counters_;
+    Table<Gauge> gauges_;
+    Table<Histogram> histograms_;
 };
 
 /** Shorthands for instrumentation sites. */
 inline Counter &
-counter(const std::string &name, const Labels &labels = {})
+counter(std::string_view name, const Labels &labels = {})
 {
     return MetricsRegistry::instance().counter(name, labels);
 }
 
 inline Gauge &
-gauge(const std::string &name, const Labels &labels = {})
+gauge(std::string_view name, const Labels &labels = {})
 {
     return MetricsRegistry::instance().gauge(name, labels);
 }
 
 inline Histogram &
-histogram(const std::string &name, const Labels &labels = {})
+histogram(std::string_view name, const Labels &labels = {})
 {
     return MetricsRegistry::instance().histogram(name, labels);
 }

@@ -1,20 +1,24 @@
 /**
  * @file
  * Unit tests for the common module: Result/Status, GUIDs, byte
- * serialization, statistics, strings, JSON, simulated time, and the
- * deterministic RNG.
+ * serialization, statistics, strings, JSON, simulated time, the
+ * deterministic RNG, and the Fifo queue.
  */
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.hh"
+#include "common/fifo.hh"
 #include "common/guid.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/payload.hh"
 #include "common/result.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -574,6 +578,69 @@ TEST(SparklineTest, ClampsNegativeAndNonFinite)
     // +inf clamps to zero too (non-finite), leaving the finite
     // samples to set the scale.
     EXPECT_EQ(sparkline({inf, 2.0}), "▁█");
+}
+
+// ------------------------------------------------------------------ Fifo
+
+TEST(FifoTest, InterleavedPushPopAcrossCompactionKeepsOrderAndReleases)
+{
+    // Move-only element carrying a pooled Payload.
+    struct Item
+    {
+        std::unique_ptr<std::uint64_t> seq;
+        Payload payload;
+    };
+    static_assert(!std::is_copy_constructible_v<Item>);
+    static_assert(std::is_nothrow_move_constructible_v<Fifo<Item>>);
+
+    payloadPoolTrim();
+    auto live = [] {
+        const PayloadPoolStats stats = payloadPoolStats();
+        return stats.allocations + stats.poolHits - stats.recycles;
+    };
+    const std::uint64_t base = live();
+
+    Fifo<Item> fifo;
+    std::uint64_t pushed = 0;
+    std::uint64_t popped = 0;
+    auto push = [&] {
+        PayloadBuilder builder;
+        builder.buffer().push_back(static_cast<std::uint8_t>(pushed));
+        fifo.push_back(
+            Item{std::make_unique<std::uint64_t>(pushed++), builder.seal()});
+    };
+    auto pop = [&] {
+        ASSERT_FALSE(fifo.empty());
+        EXPECT_EQ(*fifo.front().seq, popped);
+        EXPECT_EQ(fifo.front().payload.data()[0],
+                  static_cast<std::uint8_t>(popped));
+        const std::uint64_t before = live();
+        fifo.pop_front();
+        ++popped;
+        EXPECT_EQ(live(), before - 1) << "pop kept its Payload alive";
+    };
+
+    // Three pushes per two pops: the queue never drains, so the
+    // popped prefix crosses the compaction threshold again and again.
+    for (int round = 0; round < 100; ++round) {
+        push();
+        push();
+        push();
+        pop();
+        pop();
+    }
+    EXPECT_EQ(fifo.size(), 100u);
+    while (!fifo.empty())
+        pop();
+    EXPECT_EQ(popped, pushed);
+    EXPECT_EQ(live(), base);
+
+    // A drained queue reuses its storage from the start.
+    push();
+    EXPECT_EQ(fifo.size(), 1u);
+    pop();
+    EXPECT_TRUE(fifo.empty());
+    EXPECT_EQ(live(), base);
 }
 
 } // namespace

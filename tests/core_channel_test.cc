@@ -854,5 +854,46 @@ TEST_F(ChannelFixture, PollBatchDrainsQueuedMessagesInOrder)
     EXPECT_EQ(channel.value()->pollBatch(0, out, 4), 0u);
 }
 
+TEST_F(ChannelFixture, ThousandQueuedMessagesDrainInOrderViaPollThenHandler)
+{
+    ChannelConfig config;
+    config.targetDevice = deviceSite_->name();
+    auto created = executive_->createChannel(config, hostSite_);
+    ASSERT_TRUE(created.ok());
+    Channel &channel = *created.value();
+    auto device = channel.connectSite(*deviceSite_);
+    ASSERT_TRUE(device.ok());
+
+    // Endpoint 0 has no handler. 1,000 writes overrun the 64-deep
+    // ring, so they wait in the ring's backlog, then in the endpoint
+    // queue.
+    constexpr std::size_t kMessages = 1000;
+    for (std::size_t i = 0; i < kMessages; ++i) {
+        Bytes body{static_cast<std::uint8_t>(i & 0xff),
+                   static_cast<std::uint8_t>(i >> 8)};
+        ASSERT_TRUE(
+            channel.writeFrom(device.value(), Payload(std::move(body))).ok());
+    }
+    sim_.runToCompletion();
+
+    auto index = [](const Payload &message) {
+        return static_cast<std::size_t>(message.data()[0]) |
+               static_cast<std::size_t>(message.data()[1]) << 8;
+    };
+    std::vector<std::size_t> order;
+    std::vector<Payload> polled;
+    EXPECT_EQ(channel.pollBatch(0, polled, kMessages / 2), kMessages / 2);
+    for (const Payload &message : polled)
+        order.push_back(index(message));
+    channel.installHandler(0, [&](const Payload &message, std::size_t) {
+        order.push_back(index(message));
+    });
+
+    ASSERT_EQ(order.size(), kMessages);
+    for (std::size_t i = 0; i < kMessages; ++i)
+        EXPECT_EQ(order[i], i) << "out of order at " << i;
+    EXPECT_FALSE(channel.poll(0).ok());
+}
+
 } // namespace
 } // namespace hydra::core

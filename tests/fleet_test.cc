@@ -298,6 +298,83 @@ TEST(CrossHostChannelTest, DestroyMidFlightOrphansFramesSafely)
     EXPECT_EQ(sink.seqs.size() + fleet.host(1).orphanFrames(), 10u);
 }
 
+TEST(CrossHostChannelTest, MulticastAcrossThreeHostsKeepsPerPairFifo)
+{
+    exec::SimExecutor exec;
+    FleetConfig config;
+    config.hosts = 3;
+    Fleet fleet(exec, config);
+
+    auto &registry = obs::MetricsRegistry::instance();
+    const std::uint64_t wireBase = registry.counterValue(
+        "channel.payload_copies", {{"buffering", "wire"}});
+    const std::uint64_t gapBase = registry.counterValue("fleet.seq_gaps");
+
+    // Creator on host0; one receiver at host1's NIC (device port) now,
+    // a second at host2's host site (host port) once the first has
+    // received traffic, so the per-pair sequence table is re-laid out
+    // holding nonzero tx and rx counts.
+    core::ChannelConfig cfg;
+    cfg.name = "test.fleet.multicast";
+    cfg.type = core::ChannelConfig::Type::Multicast;
+    cfg.targetDevice = fleet.host(1).nic().name();
+    auto created = fleet.host(0).executive().createChannel(
+        cfg, fleet.host(0).runtime().hostSite(), 128);
+    ASSERT_TRUE(created.ok()) << created.error().describe();
+    core::Channel *channel = created.value();
+
+    std::vector<Received> sinks(2);
+    auto attach = [&](core::ExecutionSite &site, Received &sink) {
+        auto endpoint = channel->connectSite(site);
+        ASSERT_TRUE(endpoint.ok()) << endpoint.error().describe();
+        channel->installHandler(
+            endpoint.value(),
+            [&sink](const Payload &message, std::size_t from) {
+                EXPECT_EQ(from, 0u);
+                ByteReader reader(message.data(), message.size());
+                auto seq = reader.readU64();
+                ASSERT_TRUE(seq.ok());
+                sink.seqs.push_back(seq.value());
+            });
+    };
+    core::ExecutionSite *nic1 =
+        fleet.host(1).runtime().siteByName(cfg.targetDevice);
+    ASSERT_NE(nic1, nullptr);
+    attach(*nic1, sinks[0]);
+
+    constexpr std::uint64_t kEarly = 20;
+    constexpr std::uint64_t kLate = 30;
+    for (std::uint64_t i = 0; i < kEarly; ++i)
+        ASSERT_TRUE(channel->write(stampedMessage(i, 128)).ok());
+    exec.runUntil(exec.now() + sim::milliseconds(20));
+    exec.drain();
+    ASSERT_EQ(sinks[0].seqs.size(), kEarly);
+    attach(fleet.host(2).runtime().hostSite(), sinks[1]);
+    ASSERT_EQ(channel->numEndpoints(), 3u);
+    for (std::uint64_t i = kEarly; i < kEarly + kLate; ++i)
+        ASSERT_TRUE(channel->write(stampedMessage(i, 128)).ok());
+    exec.runUntil(exec.now() + sim::milliseconds(50));
+    exec.drain();
+
+    // Every receiver sees every message written after it joined, in
+    // order, with no sequence gap across the re-layout.
+    ASSERT_EQ(sinks[0].seqs.size(), kEarly + kLate);
+    for (std::uint64_t i = 0; i < kEarly + kLate; ++i)
+        EXPECT_EQ(sinks[0].seqs[i], i) << "host1 out of order at " << i;
+    ASSERT_EQ(sinks[1].seqs.size(), kLate);
+    for (std::uint64_t i = 0; i < kLate; ++i)
+        EXPECT_EQ(sinks[1].seqs[i], kEarly + i)
+            << "host2 out of order at " << i;
+    EXPECT_EQ(registry.counterValue("fleet.seq_gaps") - gapBase, 0u);
+    // Exactly one wire copy per remote leg.
+    EXPECT_EQ(registry.counterValue("channel.payload_copies",
+                                    {{"buffering", "wire"}}) -
+                  wireBase,
+              kEarly + 2 * kLate);
+    EXPECT_EQ(fleet.host(1).orphanFrames(), 0u);
+    EXPECT_EQ(fleet.host(2).orphanFrames(), 0u);
+}
+
 // --------------------------------------------------- executive shards
 
 TEST(ExecutiveShardTest, IdIndexedRegistryIsExact)

@@ -1,16 +1,21 @@
 /**
  * @file
- * Tests for the observability subsystem: metrics registry semantics,
- * trace JSON well-formedness, ring-buffer bounding, and the
- * disabled-mode fast path.
+ * Tests for the observability subsystem: metrics registry semantics
+ * (including its hash index under concurrent registration, which the
+ * TSan job runs), trace JSON well-formedness, ring-buffer bounding,
+ * and the disabled-mode fast path.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "common/json.hh"
 #include "json_checker.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -92,6 +97,90 @@ TEST_F(ObsTest, ResetZeroesButKeepsHandles)
     c.increment();
     EXPECT_EQ(obs::MetricsRegistry::instance().counterValue("test.reset"),
               1u);
+}
+
+TEST_F(ObsTest, IndexedLookupKeepsHandlesAndRegistrationOrder)
+{
+    constexpr std::size_t kSeries = 1000;
+    auto &registry = obs::MetricsRegistry::instance();
+    std::vector<obs::Counter *> handles;
+    std::vector<std::string> order;
+    for (std::size_t i = 0; i < kSeries; ++i) {
+        // 7919 is prime, so this visits every id once, out of order.
+        const std::string id = std::to_string(i * 7919 % kSeries);
+        order.push_back(id);
+        handles.push_back(
+            &obs::counter("test.index", {{"id", id}, {"shard", "s" + id}}));
+    }
+    EXPECT_EQ(std::set<obs::Counter *>(handles.begin(), handles.end()).size(),
+              kSeries);
+    for (std::size_t i = 0; i < kSeries; ++i) {
+        const std::string &id = order[i];
+        EXPECT_EQ(&obs::counter("test.index",
+                                {{"id", id}, {"shard", "s" + id}}),
+                  handles[i]);
+        EXPECT_EQ(&obs::counter("test.index",
+                                {{"shard", "s" + id}, {"id", id}}),
+                  handles[i]);
+        handles[i]->add(i + 1);
+    }
+    EXPECT_EQ(registry.counterValue("test.index",
+                                    {{"shard", "s" + order[5]},
+                                     {"id", order[5]}}),
+              6u);
+
+    // The export walks registration order, not hash or key order.
+    auto doc = json::parse(registry.toJson());
+    ASSERT_TRUE(doc.ok());
+    const json::Value *counters = doc.value().find("counters");
+    ASSERT_NE(counters, nullptr);
+    std::vector<std::string> exported;
+    for (const json::Value &entry : counters->array) {
+        if (entry.find("name")->string != "test.index")
+            continue;
+        exported.push_back(entry.find("labels")->find("id")->string);
+    }
+    EXPECT_EQ(exported, order);
+}
+
+TEST_F(ObsTest, ConcurrentRegistrationYieldsOneHandlePerSeries)
+{
+    constexpr std::size_t kThreads = 8;
+    constexpr std::size_t kSeries = 200;
+    constexpr std::size_t kStride = 25;
+    // Thread t registers series [t * kStride, t * kStride + kSeries):
+    // each series is claimed by several threads at once, odd threads
+    // with their labels in reverse order.
+    std::vector<std::vector<obs::Counter *>> seen(
+        kThreads, std::vector<obs::Counter *>(kSeries));
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([t, &seen] {
+            for (std::size_t j = 0; j < kSeries; ++j) {
+                const std::string id = std::to_string(t * kStride + j);
+                obs::Labels labels{{"id", id}, {"kind", "race"}};
+                if (t % 2)
+                    std::swap(labels[0], labels[1]);
+                obs::Counter &c = obs::counter("test.index.race", labels);
+                c.increment();
+                seen[t][j] = &c;
+            }
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+
+    std::size_t claims = 0;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        for (std::size_t j = 0; j < kSeries; ++j) {
+            const std::string id = std::to_string(t * kStride + j);
+            obs::Counter &c = obs::counter("test.index.race",
+                                           {{"id", id}, {"kind", "race"}});
+            EXPECT_EQ(seen[t][j], &c) << "thread " << t << " id " << id;
+            ++claims;
+        }
+    EXPECT_EQ(obs::MetricsRegistry::instance().counterTotal(
+                  "test.index.race"),
+              claims);
 }
 
 // ----------------------------------------------------------- gauges
