@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Determinism regression check for the sim executor: two runs of the
 # TiVo integration scenario with the same seed must produce
-# byte-identical metrics JSON, span listings, and profiler output.
+# byte-identical metrics JSON, Perfetto trace (span slices with their
+# trace/span/parent ids), flight recording, and profiler output.
 # Registered in ctest as `determinism_sim_executor`; each run is a
 # fresh process, so the metrics registry, span id counter, and
 # profiler sample store start from zero both times.
@@ -30,7 +31,7 @@ run() {
             --seconds 8 --seed 42 \
             --metrics-format=json \
             --metrics-out metrics.json \
-            --spans-out spans.json \
+            --trace-out trace.json \
             --flight-out flight.json --flight-interval-ms 500 \
             --profile-out profile.folded --profile-interval-ms 250 \
             > stdout.txt)
@@ -44,9 +45,9 @@ cmp "$SCRATCH/a/metrics.json" "$SCRATCH/b/metrics.json" || {
     diff "$SCRATCH/a/metrics.json" "$SCRATCH/b/metrics.json" | head >&2
     exit 1
 }
-cmp "$SCRATCH/a/spans.json" "$SCRATCH/b/spans.json" || {
-    echo "FAIL: --executor=sim span output differs between runs" >&2
-    diff "$SCRATCH/a/spans.json" "$SCRATCH/b/spans.json" | head >&2
+cmp "$SCRATCH/a/trace.json" "$SCRATCH/b/trace.json" || {
+    echo "FAIL: --executor=sim trace output differs between runs" >&2
+    diff "$SCRATCH/a/trace.json" "$SCRATCH/b/trace.json" | head >&2
     exit 1
 }
 cmp "$SCRATCH/a/flight.json" "$SCRATCH/b/flight.json" || {
@@ -65,7 +66,7 @@ cmp "$SCRATCH/a/stdout.txt" "$SCRATCH/b/stdout.txt" || {
     exit 1
 }
 
-echo "OK: sim executor is deterministic (metrics, spans, flight"
+echo "OK: sim executor is deterministic (metrics, trace, flight"
 echo "    recording, profile, and scenario output byte-identical)"
 
 # Chaos section: the seeded fault injector must not cost determinism.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "chaos/chaos.hh"
 #include "common/logging.hh"
 #include "obs/attribution.hh"
 #include "obs/metrics.hh"
@@ -135,6 +136,31 @@ Device::reset(sim::SimTime downtime)
         LOG_INFO << name() << ": device back up (reset #" << resets_
                  << ")";
     });
+}
+
+void
+scheduleChaosResets(exec::Executor &executor,
+                    const std::vector<Device *> &devices)
+{
+    auto &engine = chaos::ChaosEngine::instance();
+    if (!engine.enabled())
+        return;
+    for (const chaos::ScheduledReset &reset : engine.spec().resets) {
+        Device *target = nullptr;
+        for (Device *candidate : devices)
+            if (candidate && candidate->name() == reset.device)
+                target = candidate;
+        if (!target) {
+            LOG_WARN << "chaos: no device named '" << reset.device
+                     << "'; reset skipped";
+            continue;
+        }
+        executor.scheduleAt(reset.at, [target, at = reset.at,
+                                       downtime = reset.downtime]() {
+            chaos::ChaosEngine::instance().recordFault("device_reset", at);
+            target->reset(downtime);
+        });
+    }
 }
 
 } // namespace hydra::dev

@@ -163,6 +163,16 @@ class Device
     std::vector<ResetListener> resetListeners_;
 };
 
+/**
+ * Arm the --chaos reset schedule (chaos::ChaosSpec::resets) against
+ * @p devices: each scheduled reset hits the device whose name()
+ * matches, recording a "device_reset" fault and calling reset() at
+ * its virtual time. A reset naming no device in @p devices is skipped
+ * with a warning. Null entries are ignored; no-op while chaos is off.
+ */
+void scheduleChaosResets(exec::Executor &executor,
+                         const std::vector<Device *> &devices);
+
 } // namespace hydra::dev
 
 #endif // HYDRA_DEV_DEVICE_HH

@@ -275,52 +275,4 @@ Tracer::writeFile(const std::string &path) const
     return out.good();
 }
 
-void
-Tracer::writeSpansJson(std::ostream &out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    out << "{\"spans\":[";
-    const std::size_t n = ring_.size();
-    const std::size_t start = n < capacity_ ? 0 : total_ % capacity_;
-    bool first = true;
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceEvent &event = ring_[(start + i) % n];
-        if (event.phase != 'X' || event.spanId == 0)
-            continue;
-        if (!first)
-            out << ',';
-        first = false;
-        out << "{\"name\":";
-        json::writeString(out, event.name);
-        out << ",\"cat\":";
-        json::writeString(out, event.category);
-        std::string site;
-        for (const LaneName &lane : lanes_) {
-            if (lane.lane.pid == event.pid && lane.lane.tid == event.tid) {
-                site = lane.process + "/" + lane.thread;
-                break;
-            }
-        }
-        out << ",\"site\":";
-        json::writeString(out, site);
-        out << ",\"ts_ns\":" << event.ts << ",\"dur_ns\":" << event.dur
-            << ",\"trace_id\":" << event.traceId
-            << ",\"span_id\":" << event.spanId
-            << ",\"parent_id\":" << event.parentId << '}';
-    }
-    out << "],\"otherData\":{\"clock\":\"simulated\",\"overwritten\":"
-        << (total_ > n ? total_ - n : 0) << "}}";
-}
-
-bool
-Tracer::writeSpansFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    writeSpansJson(out);
-    out.flush();
-    return out.good();
-}
-
 } // namespace hydra::obs

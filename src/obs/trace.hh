@@ -115,11 +115,6 @@ class Tracer
     /** writeJson to @p path; false on I/O failure. */
     bool writeFile(const std::string &path) const;
 
-    /** Flat span listing (span events only), for offline analysis. */
-    void writeSpansJson(std::ostream &out) const;
-    /** writeSpansJson to @p path; false on I/O failure. */
-    bool writeSpansFile(const std::string &path) const;
-
   private:
     Tracer() = default;
 

@@ -1,7 +1,5 @@
 #include "tivo/harness.hh"
 
-#include "chaos/chaos.hh"
-#include "common/logging.hh"
 #include "obs/attribution.hh"
 #include "obs/flight.hh"
 #include "obs/profiler.hh"
@@ -252,34 +250,10 @@ Testbed::run()
     measureStart_ = config_.warmup;
 
     // Deterministic chaos: execute the --chaos reset schedule against
-    // this testbed's devices (matched by name). The reset itself is
-    // the fault; the runtime's reset listeners drive the recovery.
-    auto &chaosEngine = chaos::ChaosEngine::instance();
-    if (chaosEngine.enabled()) {
-        for (const chaos::ScheduledReset &reset :
-             chaosEngine.spec().resets) {
-            dev::Device *target = nullptr;
-            for (dev::Device *candidate :
-                 {static_cast<dev::Device *>(serverNic_.get()),
-                  static_cast<dev::Device *>(clientNic_.get()),
-                  static_cast<dev::Device *>(clientDisk_.get()),
-                  static_cast<dev::Device *>(gpu_.get())})
-                if (candidate && candidate->name() == reset.device)
-                    target = candidate;
-            if (!target) {
-                LOG_WARN << "chaos: no device named '" << reset.device
-                         << "' in this scenario; reset skipped";
-                continue;
-            }
-            exec_->scheduleAt(
-                reset.at, [target, at = reset.at,
-                           downtime = reset.downtime]() {
-                    chaos::ChaosEngine::instance().recordFault(
-                        "device_reset", at);
-                    target->reset(downtime);
-                });
-        }
-    }
+    // this testbed's devices. The reset itself is the fault; the
+    // runtime's reset listeners drive the recovery.
+    dev::scheduleChaosResets(*exec_, {serverNic_.get(), clientNic_.get(),
+                                      clientDisk_.get(), gpu_.get()});
 
     // Kick off the workload.
     if (userClient_) {

@@ -2,11 +2,11 @@
  * @file
  * Tests for causal span tracing: parent/child context semantics,
  * trace-id inheritance across channel sends and proxy calls, the
- * flow-event / span-listing JSON exports, and the HYDRA_TRACING=OFF
- * no-op branch. Everything here runs in both build modes; the
- * propagation tests are compiled only when tracing is built in, and
- * the OFF build instead verifies that the whole API collapses to
- * no-ops.
+ * Perfetto JSON export (span slices, their causal args, and flow
+ * events), and the HYDRA_TRACING=OFF no-op branch. Everything here
+ * runs in both build modes; the propagation tests are compiled only
+ * when tracing is built in, and the OFF build instead verifies that
+ * the whole API collapses to no-ops.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "core/call.hh"
 #include "core/executive.hh"
 #include "core/offcode.hh"
@@ -328,6 +329,8 @@ TEST_F(SpanFixture, FlowEventJsonIsWellFormed)
 
 TEST_F(SpanFixture, SpanListingJsonIsWellFormed)
 {
+    // A nested pair at fixed times: its slices must carry the whole
+    // causal triple and the exact timing.
     {
         obs::Span root;
         root.open("test", "host", "root", "test", 100);
@@ -338,15 +341,39 @@ TEST_F(SpanFixture, SpanListingJsonIsWellFormed)
     }
 
     std::ostringstream out;
-    obs::Tracer::instance().writeSpansJson(out);
+    obs::Tracer::instance().writeJson(out);
     const std::string json = out.str();
     JsonChecker checker(json);
     EXPECT_TRUE(checker.valid()) << json;
-    EXPECT_NE(json.find("\"name\":\"root\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\":\"child\""), std::string::npos);
-    EXPECT_NE(json.find("\"ts_ns\""), std::string::npos);
-    EXPECT_NE(json.find("\"dur_ns\""), std::string::npos);
-    EXPECT_NE(json.find("\"trace_id\""), std::string::npos);
+
+    auto parsed = json::parse(json);
+    ASSERT_TRUE(parsed.ok()) << json;
+    const json::Value *events = parsed.value().find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    const json::Value *child = nullptr;
+    for (const json::Value &event : events->array)
+        if (event.find("name")->string == "child")
+            child = &event;
+    ASSERT_NE(child, nullptr) << json;
+    const json::Value *childArgs = child->find("args");
+    ASSERT_NE(childArgs, nullptr);
+    const json::Value *root = nullptr;
+    for (const json::Value &event : events->array) {
+        const json::Value *args = event.find("args");
+        if (args && args->find("span_id") &&
+            args->find("span_id")->asU64() ==
+                childArgs->find("parent_id")->asU64())
+            root = &event;
+    }
+    ASSERT_NE(root, nullptr) << json;
+    EXPECT_EQ(root->find("name")->string, "root");
+    EXPECT_NE(root->find("args")->find("span_id")->asU64(), 0u);
+    EXPECT_EQ(root->find("args")->find("trace_id")->asU64(),
+              childArgs->find("trace_id")->asU64());
+    EXPECT_DOUBLE_EQ(root->find("ts")->number, 0.100);
+    EXPECT_DOUBLE_EQ(root->find("dur")->number, 0.100);
+    EXPECT_DOUBLE_EQ(child->find("ts")->number, 0.150);
+    EXPECT_DOUBLE_EQ(child->find("dur")->number, 0.030);
 }
 
 TEST_F(SpanFixture, DisabledTracerOpensNoSpans)

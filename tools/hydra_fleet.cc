@@ -9,14 +9,8 @@
  * percentiles (p50/p99/p999), payload-copy accounting, and per-host
  * CPU (host CPU + NIC firmware busy time over the window).
  *
- * Usage:
- *   hydra_fleet [--hosts N] [--streams N] [--rate MSGS_PER_SEC]
- *               [--bytes N] [--duration-ms N] [--tick-us N]
- *               [--executor sim|threaded] [--churn N]
- *               [--remote-only] [--drivers] [--seed N]
- *               [--background-load] [--json]
- *               [--metrics] [--metrics-out FILE]
- *               [--chaos SEED[:spec]]
+ * Flags are declared once in main()'s cli::FlagSet; an unknown flag or
+ * a malformed value prints the usage text generated from it (exit 2).
  *
  * --chaos arms the deterministic fault injector (same grammar as
  * hydra_sim). Scheduled resets match fleet NICs by name ("host0-nic",
@@ -24,12 +18,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
+#include <vector>
 
-#include "chaos/chaos.hh"
+#include "cli.hh"
+#include "dev/device.hh"
 #include "exec/executor.hh"
 #include "fleet/fleet.hh"
 #include "fleet/loadgen.hh"
@@ -38,38 +31,6 @@
 using namespace hydra;
 
 namespace {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--hosts N] [--streams N] [--rate MSGS_PER_SEC]\n"
-        "          [--bytes N] [--duration-ms N] [--tick-us N]\n"
-        "          [--executor sim|threaded] [--churn N]\n"
-        "          [--remote-only] [--drivers] [--seed N]\n"
-        "          [--background-load] [--json]\n"
-        "          [--metrics] [--metrics-out FILE]\n"
-        "          [--chaos SEED[:drop=P,dup=P,corrupt=P,slow=P,"
-        "stall=P,poolfail=P,ringfull=P,reset@MS=dev[/ms]]]\n",
-        argv0);
-    return 2;
-}
-
-bool
-parseU64(const char *value, std::uint64_t &out)
-{
-    if (!value || *value == '\0')
-        return false;
-    std::uint64_t parsed = 0;
-    for (const char *p = value; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        parsed = parsed * 10 + static_cast<std::uint64_t>(*p - '0');
-    }
-    out = parsed;
-    return true;
-}
 
 void
 printTable(const fleet::LoadgenReport &report)
@@ -167,103 +128,40 @@ main(int argc, char **argv)
     bool json = false;
     bool printMetrics = false;
     std::string metricsOut;
-    std::uint64_t durationMs = 100;
-    std::uint64_t tickUs = 100;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char *value = i + 1 < argc ? argv[i + 1] : nullptr;
-        std::uint64_t parsed = 0;
-        if (arg == "--hosts" && parseU64(value, parsed) && parsed > 0) {
-            fleetConfig.hosts = parsed;
-            ++i;
-        } else if (arg == "--streams" && parseU64(value, parsed) &&
-                   parsed > 0) {
-            load.streams = parsed;
-            ++i;
-        } else if (arg == "--rate" && parseU64(value, parsed)) {
-            load.offeredMsgsPerSec = static_cast<double>(parsed);
-            ++i;
-        } else if (arg == "--bytes" && parseU64(value, parsed) &&
-                   parsed >= 8) {
-            load.messageBytes = parsed;
-            ++i;
-        } else if (arg == "--duration-ms" && parseU64(value, parsed) &&
-                   parsed > 0) {
-            durationMs = parsed;
-            ++i;
-        } else if (arg == "--tick-us" && parseU64(value, parsed) &&
-                   parsed > 0) {
-            tickUs = parsed;
-            ++i;
-        } else if (arg == "--churn" && parseU64(value, parsed)) {
-            load.churnPerTick = parsed;
-            ++i;
-        } else if (arg == "--seed" && parseU64(value, parsed)) {
-            fleetConfig.seed = parsed;
-            ++i;
-        } else if (arg == "--executor" && value) {
-            if (!exec::parseExecutorKind(value, kind))
-                return usage(argv[0]);
-            ++i;
-        } else if (arg == "--remote-only") {
-            load.remoteOnly = true;
-        } else if (arg == "--drivers") {
-            load.useDrivers = true;
-        } else if (arg == "--background-load") {
-            fleetConfig.backgroundLoad = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--metrics") {
-            printMetrics = true;
-        } else if (arg == "--metrics-out" && value) {
-            metricsOut = value;
-            ++i;
-        } else if (arg == "--chaos" && value) {
-            auto spec = chaos::parseChaosSpec(value);
-            if (!spec) {
-                std::fprintf(stderr, "%s: bad --chaos spec: %s\n",
-                             argv[0],
-                             spec.error().describe().c_str());
-                return usage(argv[0]);
-            }
-            chaos::ChaosEngine::instance().configure(spec.value());
-            ++i;
-        } else {
-            return usage(argv[0]);
-        }
-    }
-    load.duration = sim::milliseconds(durationMs);
-    load.tick = sim::microseconds(tickUs);
+    cli::FlagSet flags("hydra_fleet");
+    flags.value("--hosts", "N", cli::count(fleetConfig.hosts, 1));
+    flags.value("--streams", "N", cli::count(load.streams, 1));
+    flags.value("--rate", "MSGS_PER_SEC", [&](const std::string &value) {
+        std::uint64_t rate = 0;
+        if (!cli::parseUnsigned(value, rate))
+            return false;
+        load.offeredMsgsPerSec = static_cast<double>(rate);
+        return true;
+    });
+    flags.value("--bytes", "N", cli::count(load.messageBytes, 8));
+    flags.value("--duration-ms", "N",
+                cli::duration(load.duration, sim::kMillisecond, 1));
+    flags.value("--tick-us", "N",
+                cli::duration(load.tick, sim::kMicrosecond, 1));
+    flags.value("--churn", "N", cli::count(load.churnPerTick));
+    flags.toggle("--remote-only", load.remoteOnly);
+    flags.toggle("--drivers", load.useDrivers);
+    flags.toggle("--background-load", fleetConfig.backgroundLoad);
+    flags.toggle("--json", json);
+    flags.toggle("--metrics", printMetrics);
+    cli::addRunFlags(flags, kind, fleetConfig.seed, metricsOut);
+    if (!flags.parse(argc, argv))
+        return 2;
 
     auto executor = exec::makeExecutor(kind);
     fleet::Fleet fleet(*executor, fleetConfig);
 
-    // Chaos reset schedule: match fleet NICs by device name.
-    auto &chaosEngine = chaos::ChaosEngine::instance();
-    if (chaosEngine.enabled()) {
-        for (const chaos::ScheduledReset &reset :
-             chaosEngine.spec().resets) {
-            dev::ProgrammableNic *target = nullptr;
-            for (std::size_t h = 0; h < fleet.hostCount(); ++h)
-                if (fleet.host(h).nic().name() == reset.device)
-                    target = &fleet.host(h).nic();
-            if (!target) {
-                std::fprintf(stderr,
-                             "hydra_fleet: chaos: no NIC named '%s'; "
-                             "reset skipped\n",
-                             reset.device.c_str());
-                continue;
-            }
-            executor->scheduleAt(
-                reset.at, [target, at = reset.at,
-                           downtime = reset.downtime]() {
-                    chaos::ChaosEngine::instance().recordFault(
-                        "device_reset", at);
-                    target->reset(downtime);
-                });
-        }
-    }
+    // Chaos reset schedule: scheduled resets name fleet NICs.
+    std::vector<dev::Device *> nics;
+    for (std::size_t h = 0; h < fleet.hostCount(); ++h)
+        nics.push_back(&fleet.host(h).nic());
+    dev::scheduleChaosResets(*executor, nics);
 
     const fleet::LoadgenReport report = fleet::runOpenLoop(fleet, load);
 
@@ -276,12 +174,13 @@ main(int argc, char **argv)
         std::printf("\n%s\n",
                     obs::MetricsRegistry::instance().toJson().c_str());
     if (!metricsOut.empty()) {
-        std::ofstream out(metricsOut);
-        if (!out) {
-            std::fprintf(stderr, "cannot write %s\n", metricsOut.c_str());
+        if (!cli::writeArtifact(flags.tool(), metricsOut,
+                                [](std::ostream &out) {
+                                    out << obs::MetricsRegistry::instance()
+                                               .toJson()
+                                        << "\n";
+                                }))
             return 1;
-        }
-        out << obs::MetricsRegistry::instance().toJson() << "\n";
         if (!json)
             std::printf("(wrote metrics to %s)\n", metricsOut.c_str());
     }

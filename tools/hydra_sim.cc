@@ -8,20 +8,8 @@
  * a downstream user reaches for to explore parameter sensitivity
  * without writing code.
  *
- * Usage:
- *   hydra_sim [--server simple|sendfile|onloaded|offloaded|none]
- *             [--client receiver|user-space|offloaded|none]
- *             [--executor sim|threaded] [--batch-max N]
- *             [--seconds N] [--seed N] [--period-ms N]
- *             [--chunk-bytes N] [--drop P] [--quiet-host]
- *             [--no-bus-multicast] [--histogram]
- *             [--metrics] [--metrics-format table|json]
- *             [--metrics-out FILE] [--trace-out FILE]
- *             [--spans-out FILE] [--introspect-out FILE]
- *             [--flight-out FILE] [--flight-interval-ms N]
- *             [--profile-out FILE] [--profile-interval-ms N]
- *             [--slo FILE] [--slo-strict]
- *             [--chaos SEED[:spec]]
+ * Flags are declared once in main()'s cli::FlagSet; an unknown flag or
+ * a malformed value prints the usage text generated from it (exit 2).
  *
  * --chaos arms the deterministic fault injector. The spec grammar is
  * `SEED[:key=value,...]` with keys drop/dup/corrupt/slow/stall/
@@ -32,13 +20,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "chaos/chaos.hh"
+#include "cli.hh"
 #include "core/runtime.hh"
 #include "obs/flight.hh"
 #include "obs/metrics.hh"
@@ -51,51 +38,6 @@ using namespace hydra;
 using namespace hydra::tivo;
 
 namespace {
-
-int
-usage(const char *argv0)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [--server simple|sendfile|onloaded|offloaded|none]\n"
-        "          [--client receiver|user-space|offloaded|none]\n"
-        "          [--executor sim|threaded] [--batch-max N]\n"
-        "          [--seconds N] [--seed N] [--period-ms N]\n"
-        "          [--chunk-bytes N] [--drop P] [--quiet-host]\n"
-        "          [--no-bus-multicast] [--histogram]\n"
-        "          [--metrics] [--metrics-format table|json]\n"
-        "          [--metrics-out FILE] [--trace-out FILE]\n"
-        "          [--spans-out FILE] [--introspect-out FILE]\n"
-        "          [--flight-out FILE] [--flight-interval-ms N]\n"
-        "          [--profile-out FILE] [--profile-interval-ms N]\n"
-        "          [--slo FILE] [--slo-strict]\n"
-        "          [--chaos SEED[:drop=P,dup=P,corrupt=P,slow=P,"
-        "stall=P,poolfail=P,ringfull=P,reset@MS=dev[/ms]]]\n",
-        argv0);
-    return 2;
-}
-
-/**
- * Strict parser for interval flags: a positive base-10 millisecond
- * count, nothing else. "-5", "0", "1.5", "10x", and "" all fail —
- * std::strtoull would silently accept or wrap most of those.
- */
-bool
-parseIntervalMs(const char *value, std::uint64_t &out)
-{
-    if (!value || *value == '\0')
-        return false;
-    std::uint64_t parsed = 0;
-    for (const char *p = value; *p != '\0'; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        parsed = parsed * 10 + static_cast<std::uint64_t>(*p - '0');
-    }
-    if (parsed == 0)
-        return false;
-    out = parsed;
-    return true;
-}
 
 bool
 parseServer(const std::string &name, ServerKind &out)
@@ -290,193 +232,68 @@ main(int argc, char **argv)
     std::string metricsFormat = "table";
     std::string metricsOut;
     std::string traceOut;
-    std::string spansOut;
     std::string introspectOut;
     std::string flightOut;
-    std::uint64_t flightIntervalMs = 0;
     std::string profileOut;
-    std::uint64_t profileIntervalMs = 0;
     std::string sloPath;
     bool sloStrict = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--server") {
-            const char *value = next();
-            if (!value || !parseServer(value, config.server))
-                return usage(argv[0]);
-        } else if (arg == "--client") {
-            const char *value = next();
-            if (!value || !parseClient(value, config.client))
-                return usage(argv[0]);
-        } else if (arg == "--executor" ||
-                   arg.rfind("--executor=", 0) == 0) {
-            std::string value;
-            if (arg == "--executor") {
-                const char *v = next();
-                if (!v)
-                    return usage(argv[0]);
-                value = v;
-            } else {
-                value = arg.substr(std::strlen("--executor="));
-            }
-            if (!exec::parseExecutorKind(value, config.executor))
-                return usage(argv[0]);
-        } else if (arg == "--batch-max") {
-            const char *value = next();
-            std::uint64_t parsed = 0;
-            // Reuses the strict positive-integer parser: a zero or
-            // malformed quantum is a usage error, not "use default".
-            if (!value || !parseIntervalMs(value, parsed))
-                return usage(argv[0]);
-            config.batchMax = static_cast<std::size_t>(parsed);
-        } else if (arg == "--seconds") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            config.duration = sim::seconds(
-                static_cast<std::uint64_t>(std::strtoull(value, nullptr,
-                                                         10)));
-        } else if (arg == "--seed") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            config.seed = std::strtoull(value, nullptr, 10);
-        } else if (arg == "--period-ms") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            config.sendPeriod = sim::milliseconds(
-                static_cast<std::uint64_t>(std::strtoull(value, nullptr,
-                                                         10)));
-        } else if (arg == "--chunk-bytes") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            config.chunkBytes = static_cast<std::size_t>(
-                std::strtoull(value, nullptr, 10));
-        } else if (arg == "--drop") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            config.dropProbability = std::strtod(value, nullptr);
-        } else if (arg == "--quiet-host") {
-            config.quietHost = true;
-        } else if (arg == "--no-bus-multicast") {
-            config.busMulticast = false;
-        } else if (arg == "--histogram") {
-            histogram = true;
-        } else if (arg == "--metrics") {
-            printMetrics = true;
-        } else if (arg == "--metrics-format" ||
-                   arg.rfind("--metrics-format=", 0) == 0) {
-            std::string value;
-            if (arg == "--metrics-format") {
-                const char *v = next();
-                if (!v)
-                    return usage(argv[0]);
-                value = v;
-            } else {
-                value = arg.substr(std::strlen("--metrics-format="));
-            }
-            if (value != "table" && value != "json")
-                return usage(argv[0]);
-            metricsFormat = value;
-            printMetrics = true;
-        } else if (arg == "--metrics-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            metricsOut = value;
-        } else if (arg == "--trace-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            traceOut = value;
-        } else if (arg == "--spans-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            spansOut = value;
-        } else if (arg == "--introspect-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            introspectOut = value;
-        } else if (arg == "--flight-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            flightOut = value;
-        } else if (arg == "--flight-interval-ms") {
-            const char *value = next();
-            if (!value || !parseIntervalMs(value, flightIntervalMs)) {
-                std::fprintf(stderr,
-                             "%s: --flight-interval-ms wants a positive "
-                             "integer, got '%s'\n",
-                             argv[0], value ? value : "");
-                return usage(argv[0]);
-            }
-        } else if (arg == "--profile-out") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            profileOut = value;
-        } else if (arg == "--profile-interval-ms") {
-            const char *value = next();
-            if (!value || !parseIntervalMs(value, profileIntervalMs)) {
-                std::fprintf(stderr,
-                             "%s: --profile-interval-ms wants a positive "
-                             "integer, got '%s'\n",
-                             argv[0], value ? value : "");
-                return usage(argv[0]);
-            }
-        } else if (arg == "--slo") {
-            const char *value = next();
-            if (!value)
-                return usage(argv[0]);
-            sloPath = value;
-        } else if (arg == "--slo-strict") {
-            sloStrict = true;
-        } else if (arg == "--chaos" || arg.rfind("--chaos=", 0) == 0) {
-            std::string value;
-            if (arg == "--chaos") {
-                const char *v = next();
-                if (!v)
-                    return usage(argv[0]);
-                value = v;
-            } else {
-                value = arg.substr(std::strlen("--chaos="));
-            }
-            auto spec = chaos::parseChaosSpec(value);
-            if (!spec) {
-                std::fprintf(stderr, "%s: bad --chaos spec: %s\n",
-                             argv[0],
-                             spec.error().describe().c_str());
-                return usage(argv[0]);
-            }
-            chaos::ChaosEngine::instance().configure(spec.value());
-        } else {
-            return usage(argv[0]);
-        }
-    }
+    cli::FlagSet flags("hydra_sim");
+    flags.value("--server", "simple|sendfile|onloaded|offloaded|none",
+                [&](const std::string &value) {
+                    return parseServer(value, config.server);
+                });
+    flags.value("--client", "receiver|user-space|offloaded|none",
+                [&](const std::string &value) {
+                    return parseClient(value, config.client);
+                });
+    // A zero quantum is a usage error, not "use the engine default".
+    flags.value("--batch-max", "N", cli::count(config.batchMax, 1));
+    flags.value("--seconds", "N",
+                cli::duration(config.duration, sim::kSecond));
+    flags.value("--period-ms", "N",
+                cli::duration(config.sendPeriod, sim::kMillisecond, 1));
+    flags.value("--chunk-bytes", "N", cli::count(config.chunkBytes, 1));
+    flags.value("--drop", "P", cli::probability(config.dropProbability));
+    flags.toggle("--quiet-host", config.quietHost);
+    flags.toggle("--no-bus-multicast", config.busMulticast, false);
+    flags.toggle("--histogram", histogram);
+    flags.toggle("--metrics", printMetrics);
+    flags.value("--metrics-format", "table|json",
+                [&](const std::string &value) {
+                    if (value != "table" && value != "json")
+                        return false;
+                    metricsFormat = value;
+                    printMetrics = true;
+                    return true;
+                });
+    flags.value("--trace-out", "FILE", cli::text(traceOut));
+    flags.value("--introspect-out", "FILE", cli::text(introspectOut));
+    flags.value("--flight-out", "FILE", cli::text(flightOut));
+    flags.value("--flight-interval-ms", "N",
+                cli::duration(config.flightInterval, sim::kMillisecond, 1));
+    flags.value("--profile-out", "FILE", cli::text(profileOut));
+    flags.value("--profile-interval-ms", "N",
+                cli::duration(config.profileInterval, sim::kMillisecond,
+                              1));
+    flags.value("--slo", "FILE", cli::text(sloPath));
+    flags.toggle("--slo-strict", sloStrict);
+    cli::addRunFlags(flags, config.executor, config.seed, metricsOut);
+    if (!flags.parse(argc, argv))
+        return 2;
 
     // Asking for flight output implies a sensible default cadence;
     // SLO rules are evaluated on the flight cadence, so --slo does too.
-    if ((!flightOut.empty() || !sloPath.empty()) && flightIntervalMs == 0)
-        flightIntervalMs = 1000;
-    config.flightInterval = sim::milliseconds(flightIntervalMs);
+    if ((!flightOut.empty() || !sloPath.empty()) &&
+        config.flightInterval == 0)
+        config.flightInterval = sim::milliseconds(1000);
 
     // Asking for profile output implies a default sampling cadence.
-    if (!profileOut.empty() && profileIntervalMs == 0)
-        profileIntervalMs = 100;
-    config.profileInterval = sim::milliseconds(profileIntervalMs);
-    if (!profileOut.empty())
-        obs::Profiler::instance().enable(
-            sim::milliseconds(profileIntervalMs));
+    if (!profileOut.empty()) {
+        if (config.profileInterval == 0)
+            config.profileInterval = sim::milliseconds(100);
+        obs::Profiler::instance().enable(config.profileInterval);
+    }
 
     if (!sloPath.empty()) {
         std::ifstream spec(sloPath);
@@ -496,7 +313,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (!traceOut.empty() || !spansOut.empty()) {
+    if (!traceOut.empty()) {
         obs::Tracer::instance().enable();
 #if !HYDRA_OBS_TRACING
         std::fprintf(stderr,
@@ -586,17 +403,15 @@ main(int argc, char **argv)
                 "\nmetrics:\n%s",
                 obs::MetricsRegistry::instance().prettyTable().c_str());
     }
+    const std::string &tool = flags.tool();
     if (!metricsOut.empty()) {
-        std::ofstream out(metricsOut);
-        if (!out) {
-            std::fprintf(stderr, "hydra_sim: cannot write %s\n",
-                         metricsOut.c_str());
+        if (!cli::writeArtifact(tool, metricsOut, [](std::ostream &out) {
+                out << obs::MetricsRegistry::instance().toJson() << '\n';
+            }))
             return 1;
-        }
-        out << obs::MetricsRegistry::instance().toJson() << '\n';
         std::printf("\n(wrote metrics to %s)\n", metricsOut.c_str());
     }
-    if (!traceOut.empty() || !spansOut.empty()) {
+    if (!traceOut.empty()) {
         const std::uint64_t overwritten =
             obs::Tracer::instance().eventsOverwritten();
         if (overwritten > 0)
@@ -605,44 +420,27 @@ main(int argc, char **argv)
                 "hydra_sim: warning: trace ring overflowed; the oldest "
                 "%llu events were dropped (obs.trace.dropped_events)\n",
                 static_cast<unsigned long long>(overwritten));
-    }
-    if (!traceOut.empty()) {
-        if (!obs::Tracer::instance().writeFile(traceOut)) {
-            std::fprintf(stderr, "hydra_sim: cannot write %s\n",
-                         traceOut.c_str());
+        if (!cli::writeArtifact(tool, traceOut, [](std::ostream &out) {
+                obs::Tracer::instance().writeJson(out);
+            }))
             return 1;
-        }
         std::printf("(wrote trace to %s — load it at ui.perfetto.dev)\n",
                     traceOut.c_str());
     }
-    if (!spansOut.empty()) {
-        if (!obs::Tracer::instance().writeSpansFile(spansOut)) {
-            std::fprintf(stderr, "hydra_sim: cannot write %s\n",
-                         spansOut.c_str());
-            return 1;
-        }
-        std::printf("(wrote span listing to %s)\n", spansOut.c_str());
-    }
     if (!flightOut.empty()) {
-        std::ofstream out(flightOut);
-        if (!out) {
-            std::fprintf(stderr, "hydra_sim: cannot write %s\n",
-                         flightOut.c_str());
+        if (!cli::writeArtifact(tool, flightOut, [](std::ostream &out) {
+                out << obs::FlightRecorder::instance().toJson() << '\n';
+            }))
             return 1;
-        }
-        out << obs::FlightRecorder::instance().toJson() << '\n';
         std::printf("(wrote flight recording to %s — view with "
                     "hydra_top %s)\n",
                     flightOut.c_str(), flightOut.c_str());
     }
     if (!profileOut.empty()) {
-        std::ofstream out(profileOut);
-        if (!out) {
-            std::fprintf(stderr, "hydra_sim: cannot write %s\n",
-                         profileOut.c_str());
+        if (!cli::writeArtifact(tool, profileOut, [](std::ostream &out) {
+                out << obs::Profiler::instance().foldedStacks();
+            }))
             return 1;
-        }
-        out << obs::Profiler::instance().foldedStacks();
         std::printf("(wrote %llu profile samples to %s — folded-stack "
                     "format, flamegraph-ready)\n",
                     static_cast<unsigned long long>(
@@ -650,17 +448,14 @@ main(int argc, char **argv)
                     profileOut.c_str());
     }
     if (!introspectOut.empty()) {
-        std::ofstream out(introspectOut);
-        if (!out) {
-            std::fprintf(stderr, "hydra_sim: cannot write %s\n",
-                         introspectOut.c_str());
+        if (!cli::writeArtifact(tool, introspectOut, [&](std::ostream &out) {
+                out << "{\"server\":"
+                    << queryIntrospection(testbed, testbed.serverRuntime())
+                    << ",\"client\":"
+                    << queryIntrospection(testbed, testbed.clientRuntime())
+                    << "}\n";
+            }))
             return 1;
-        }
-        out << "{\"server\":"
-            << queryIntrospection(testbed, testbed.serverRuntime())
-            << ",\"client\":"
-            << queryIntrospection(testbed, testbed.clientRuntime())
-            << "}\n";
         std::printf("(wrote introspection to %s — view with "
                     "hydra_top %s)\n",
                     introspectOut.c_str(), introspectOut.c_str());
