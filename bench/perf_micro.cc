@@ -121,17 +121,19 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess);
 
 /**
- * The hit path: one OS housekeeping tick's shape on the 256K/64/8 L2,
- * a 64 KiB hot set (hits once warm) plus a 1344 B stream that always
- * misses. BM_CacheAccess's 4 KiB stride lands in 8 sets and only
- * misses. Items are cache lines.
+ * One OS housekeeping tick's shape on the 256K/64/8 L2: a 64 KiB hot
+ * set (hits once warm) plus a 1344 B stream that always misses. With
+ * @p copyBytes > 0, a kernel copy of that size (read source, write
+ * destination) runs between ticks. Items are cache lines.
  */
 void
-BM_CacheHousekeepingTick(benchmark::State &state)
+runHousekeepingTicks(benchmark::State &state, std::size_t copyBytes)
 {
     hw::CacheModel cache(256 * 1024, 64, 8);
     const hw::Addr hot = 0;
     const hw::Addr stream = 1 << 20;
+    const hw::Addr copySrc = 8 << 20;
+    const hw::Addr copyDst = copySrc + copyBytes;
     const std::size_t hotBytes = 64 * 1024;
     const std::size_t streamPerTick = 1344;
     const std::size_t streamBytes = 4 * 1024 * 1024;
@@ -142,12 +144,39 @@ BM_CacheHousekeepingTick(benchmark::State &state)
         offset += streamPerTick;
         if (offset + streamPerTick > streamBytes)
             offset = 0;
+        if (copyBytes > 0) {
+            cache.access(copySrc, copyBytes, false);
+            cache.access(copyDst, copyBytes, true);
+        }
     }
     benchmark::DoNotOptimize(cache.totals());
     state.SetItemsProcessed(static_cast<std::int64_t>(
         cache.totals().accesses));
 }
+
+/**
+ * The hit path: the hot set is re-touched unchanged but for the 21
+ * sets the stream passed through, so the model replays only those.
+ * BM_CacheAccess's 4 KiB stride lands in 8 sets and only misses.
+ */
+void
+BM_CacheHousekeepingTick(benchmark::State &state)
+{
+    runHousekeepingTicks(state, 0);
+}
 BENCHMARK(BM_CacheHousekeepingTick);
+
+/**
+ * The worst case for replay: a 16 KiB copy between ticks puts its
+ * source in sets 0-255 and its destination in 256-511, so every set
+ * is dirty and each re-touch walks the whole hot set.
+ */
+void
+BM_CacheHousekeepingTickDirty(benchmark::State &state)
+{
+    runHousekeepingTicks(state, 16 * 1024);
+}
+BENCHMARK(BM_CacheHousekeepingTickDirty);
 
 void
 BM_IlpTivoLayout(benchmark::State &state)

@@ -65,9 +65,12 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # plus the sim-engine pipeline rows (the deterministic executor's
     # per-hop dispatch cost; the threaded rows are excluded — real
     # threads on a shared box are too noisy for a regression gate)
-    # against the committed baseline. Generous 2x threshold -- this
-    # catches "the fast path regressed to deep copies", not
-    # machine-to-machine noise.
+    # and the L2 model rows (BM_CacheHousekeepingTick replays only the
+    # sets the stream dirtied; a fall-back to the full per-line walk is
+    # several times slower) against the committed baseline. Generous
+    # 2x threshold -- this catches "the fast path regressed to deep
+    # copies" or "the cache stopped replaying", not machine-to-machine
+    # noise.
     # Fleet end-to-end smoke first: the registry-size ladder (10k/100k
     # streams, threaded executor) plus the 1-vs-4-host scaling bar.
     # The binary exits nonzero if a run fails to deliver cleanly or
@@ -77,7 +80,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # Note: the bundled google-benchmark wants a bare double here (no
     # trailing time unit).
     "$BUILD_DIR/bench/perf_micro" \
-        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0' \
+        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0|BM_CacheAccess|BM_CacheHousekeepingTick' \
         --benchmark_min_time=0.1 \
         --benchmark_format=json > "$OUT"
     echo "bench JSON written to $OUT"

@@ -41,6 +41,14 @@ struct CacheStats
  * Each set is a row of `ways` line numbers in one flat array, ordered
  * most recently used first; empty slots hold a sentinel and sit at the
  * tail, so a miss fills a free slot before it evicts the LRU line.
+ *
+ * Clean-set replay: a range access that puts between one and `ways`
+ * lines in every set leaves each set's lines of the range MRU first in
+ * reverse access order, so running the same range again on a set
+ * nothing else touched since is all hits and changes nothing. The
+ * model remembers the last such range and a bitmap of the sets changed
+ * since; a repeat of that range walks only the marked sets and counts
+ * the rest as hits.
  */
 class CacheModel
 {
@@ -81,11 +89,21 @@ class CacheModel
     /** Marks an empty slot; no line number reaches it (lines >= 2 B). */
     static constexpr Addr kEmpty = ~Addr{0};
 
+    /** Re-run the remembered range on its dirty sets only. */
+    void replay();
+    /** Mark the sets of @p count lines from line @p first dirty. */
+    void markDirty(Addr first, Addr count);
+
     unsigned lineShift_;
     Addr setMask_;
     std::size_t ways_;
     /** numSets() rows of ways_ line numbers, MRU first. */
     std::vector<Addr> lines_;
+    /** Line numbers of the remembered range; kEmpty until one is. */
+    Addr replayFirst_ = kEmpty;
+    Addr replayLast_ = kEmpty;
+    /** One bit per set changed since the remembered range last ran. */
+    std::vector<std::uint64_t> dirty_;
     CacheStats totals_;
     CacheStats windowBase_;
 };

@@ -125,6 +125,57 @@ TEST(CacheTest, InvalidatedSlotRefillsBeforeEvictingLru)
     EXPECT_EQ(cache.totals().misses, 6u);
 }
 
+// The L2 geometry with the OS housekeeping hot set: 64 KiB is two
+// lines in each of the 512 sets, so re-touching it replays only the
+// sets something else changed.
+constexpr std::size_t kL2Bytes = 256 * 1024;
+constexpr std::size_t kHotBytes = 64 * 1024;
+
+TEST(CacheTest, SnoopedHotLineCostsOneMissOnRetouch)
+{
+    CacheModel cache(kL2Bytes, 64, 8);
+    cache.access(0, kHotBytes, false);
+    cache.access(0, kHotBytes, false);
+    EXPECT_EQ(cache.totals().misses, kHotBytes / 64);
+    cache.snoopInvalidate(64 * 300, 64);
+    cache.access(0, kHotBytes, false);
+    EXPECT_EQ(cache.totals().misses, kHotBytes / 64 + 1);
+    EXPECT_EQ(cache.totals().accesses, 3 * kHotBytes / 64);
+}
+
+TEST(CacheTest, FlushThenRetouchMissesEveryHotLine)
+{
+    CacheModel cache(kL2Bytes, 64, 8);
+    cache.access(0, kHotBytes, false);
+    cache.access(0, kHotBytes, false);
+    cache.flush();
+    cache.beginWindow();
+    cache.access(0, kHotBytes, false);
+    EXPECT_EQ(cache.windowStats().misses, cache.numSets() * 2);
+}
+
+TEST(CacheTest, RangeOverWaysPerSetThrashesOnRetouch)
+{
+    // Nine lines per set on an 8-way cache: LRU evicts each line just
+    // before its next use, so every pass misses on every line.
+    CacheModel cache(kL2Bytes, 64, 8);
+    const std::size_t bytes = cache.numSets() * 9 * 64;
+    for (int pass = 0; pass < 3; ++pass)
+        cache.access(0, bytes, false);
+    EXPECT_EQ(cache.totals().accesses, 3 * bytes / 64);
+    EXPECT_EQ(cache.totals().misses, 3 * bytes / 64);
+}
+
+TEST(CacheTest, WindowStatsCountReplayedLines)
+{
+    CacheModel cache(kL2Bytes, 64, 8);
+    cache.access(0, kHotBytes, false);
+    cache.beginWindow();
+    cache.access(0, kHotBytes, false); // replayed: no set is dirty
+    EXPECT_EQ(cache.windowStats().accesses, kHotBytes / 64);
+    EXPECT_EQ(cache.windowStats().misses, 0u);
+}
+
 TEST(CacheTest, RejectsBadGeometry)
 {
     EXPECT_THROW(CacheModel(4096, 0, 4), std::invalid_argument);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <map>
 #include <string>
@@ -357,57 +358,138 @@ class CacheDifferentialTest
     : public ::testing::TestWithParam<
           std::tuple<CacheGeometry, std::uint64_t>>
 {
+  protected:
+    CacheDifferentialTest()
+        : geo_(std::get<0>(GetParam())),
+          cache_(geo_.capacity, geo_.line, geo_.ways),
+          reference_(geo_.capacity, geo_.line, geo_.ways)
+    {
+    }
+
+    /**
+     * Applies one operation to the model and the reference, picked by
+     * @p op in [0, 1): 80% access, 15% snoop, 1% flush, 4% new
+     * measurement window. The model's miss delta must match the
+     * reference's after every operation, not only in the final total.
+     */
+    void
+    apply(double op, hw::Addr addr, std::size_t size, Rng &rng)
+    {
+        const hw::CacheStats before = cache_.totals();
+        if (op < 0.80) {
+            const std::uint64_t misses = reference_.access(addr, size);
+            cache_.access(addr, size, rng.chance(0.5));
+            const std::uint64_t lines =
+                (addr + size - 1) / geo_.line - addr / geo_.line + 1;
+            ASSERT_EQ(cache_.totals().accesses - before.accesses, lines);
+            ASSERT_EQ(cache_.totals().misses - before.misses, misses)
+                << "access " << addr << "+" << size;
+            window_.accesses += lines;
+            window_.misses += misses;
+        } else if (op < 0.95) {
+            reference_.snoopInvalidate(addr, size);
+            cache_.snoopInvalidate(addr, size);
+        } else if (op < 0.96) {
+            reference_.flush();
+            cache_.flush();
+        } else {
+            cache_.beginWindow();
+            window_ = {};
+        }
+        ASSERT_EQ(cache_.windowStats().accesses, window_.accesses);
+        ASSERT_EQ(cache_.windowStats().misses, window_.misses);
+    }
+
+    CacheGeometry geo_;
+    hw::CacheModel cache_;
+    ReferenceCache reference_;
+    hw::CacheStats window_;
 };
 
-/**
- * Random mixes of unaligned multi-line accesses, snoops, flushes and
- * measurement windows: the model's miss delta must match the
- * reference's after every operation, not only in the final total.
- */
+/** Random mixes of unaligned multi-line accesses and the other ops. */
 TEST_P(CacheDifferentialTest, MixedOpsMatchReferenceEveryStep)
 {
     const auto &[geo, seed] = GetParam();
     Rng rng(seed * 7919 + geo.capacity + geo.ways);
-    hw::CacheModel cache(geo.capacity, geo.line, geo.ways);
-    ReferenceCache reference(geo.capacity, geo.line, geo.ways);
 
     // A hot region the cache can mostly hold plus a cold region four
     // times its size; sizes up to four lines, at any byte offset.
     const auto hot = static_cast<std::int64_t>(geo.capacity / 2);
     const auto cold = static_cast<std::int64_t>(geo.capacity * 4);
     const auto maxSize = static_cast<std::int64_t>(geo.line * 4);
-    hw::CacheStats window;
     for (int i = 0; i < 20000; ++i) {
         const auto addr = static_cast<hw::Addr>(
             rng.chance(0.6) ? rng.uniformInt(0, hot)
                             : rng.uniformInt(0, cold));
         const auto size =
             static_cast<std::size_t>(rng.uniformInt(1, maxSize));
-        const hw::CacheStats before = cache.totals();
-        const double op = rng.uniform();
-        if (op < 0.80) {
-            const std::uint64_t misses = reference.access(addr, size);
-            cache.access(addr, size, rng.chance(0.5));
-            const std::uint64_t lines =
-                (addr + size - 1) / geo.line - addr / geo.line + 1;
-            ASSERT_EQ(cache.totals().accesses - before.accesses, lines)
+        ASSERT_NO_FATAL_FAILURE(apply(rng.uniform(), addr, size, rng))
+            << "op " << i;
+    }
+}
+
+/**
+ * The same mix with 45% whole-range accesses around one hot range of
+ * one to `ways` lines per set, which the model remembers and replays
+ * on the sets changed since: the exact range, ranges a line shorter or
+ * longer at either end (these may be remembered in its place), the
+ * same lines from an unaligned start, and a range of ways + 1 lines
+ * per set, which must never take the shortcut.
+ */
+TEST_P(CacheDifferentialTest, RangeReplaysMatchReferenceEveryStep)
+{
+    const auto &[geo, seed] = GetParam();
+    Rng rng(seed * 104729 + geo.capacity + geo.ways);
+
+    const auto sets =
+        static_cast<std::int64_t>(geo.capacity / (geo.line * geo.ways));
+    const auto line = static_cast<std::int64_t>(geo.line);
+    const std::int64_t hotLines =
+        sets * rng.uniformInt(1, static_cast<std::int64_t>(geo.ways));
+    // A first line >= 1: the range's first set varies by seed, and the
+    // variant one line longer at the front stays at address >= 0.
+    const std::int64_t hotFirst = rng.uniformInt(1, sets);
+    const std::int64_t hotEnd = (hotFirst + hotLines) * line;
+    const auto cold = static_cast<std::int64_t>(geo.capacity * 4);
+    for (int i = 0; i < 10000; ++i) {
+        if (!rng.chance(0.45)) {
+            // Other ops, half of them on the hot range's lines.
+            const auto addr = static_cast<hw::Addr>(
+                rng.chance(0.6) ? rng.uniformInt(hotFirst * line, hotEnd)
+                                : rng.uniformInt(0, cold));
+            const auto size =
+                static_cast<std::size_t>(rng.uniformInt(1, line * 4));
+            ASSERT_NO_FATAL_FAILURE(apply(rng.uniform(), addr, size, rng))
                 << "op " << i;
-            ASSERT_EQ(cache.totals().misses - before.misses, misses)
-                << "op " << i << " access " << addr << "+" << size;
-            window.accesses += lines;
-            window.misses += misses;
-        } else if (op < 0.95) {
-            reference.snoopInvalidate(addr, size);
-            cache.snoopInvalidate(addr, size);
-        } else if (op < 0.96) {
-            reference.flush();
-            cache.flush();
-        } else {
-            cache.beginWindow();
-            window = {};
+            continue;
         }
-        ASSERT_EQ(cache.windowStats().accesses, window.accesses);
-        ASSERT_EQ(cache.windowStats().misses, window.misses);
+        std::int64_t first = hotFirst;
+        std::int64_t count = hotLines;
+        switch (rng.chance(0.4) ? 0 : rng.uniformInt(1, 6)) {
+          case 1: ++first; --count; break;
+          case 2: --count; break;
+          case 3: --first; ++count; break;
+          case 4: ++count; break;
+          case 6:
+            count = sets * static_cast<std::int64_t>(geo.ways + 1);
+            break;
+          default: break;
+        }
+        if (count == 0) { // one-line range made shorter
+            first = hotFirst;
+            count = hotLines;
+        }
+        std::int64_t begin = first * line;
+        std::int64_t end = (first + count) * line;
+        if (rng.chance(1.0 / 6)) {
+            // Same lines, unaligned at both ends.
+            begin += rng.uniformInt(0, line - 1);
+            end -= rng.uniformInt(0, std::min(line, end - begin) - 1);
+        }
+        ASSERT_NO_FATAL_FAILURE(apply(0.0, static_cast<hw::Addr>(begin),
+                                      static_cast<std::size_t>(end - begin),
+                                      rng))
+            << "op " << i;
     }
 }
 
