@@ -9,6 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -84,6 +85,70 @@ BM_MpegEncodeDecode(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MpegEncodeDecode);
+
+/** The default 160x120 movie, 900 frames (100 GOPs), encoded once. */
+const std::vector<tivo::EncodedFrame> &
+benchMovieFrames()
+{
+    static const std::vector<tivo::EncodedFrame> frames = [] {
+        tivo::MpegConfig config;
+        tivo::SyntheticVideo source(config, 42);
+        tivo::MpegEncoder encoder(config);
+        std::vector<tivo::EncodedFrame> out;
+        for (std::uint32_t i = 0; i < 900; ++i)
+            out.push_back(encoder.encode(source.frame(i)).value());
+        return out;
+    }();
+    return frames;
+}
+
+/** Decode only: the Decoder Offcode's codec cost per frame. */
+void
+BM_MpegDecode(benchmark::State &state)
+{
+    const auto &frames = benchMovieFrames();
+    tivo::MpegDecoder decoder;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        auto raw = decoder.decode(frames[next]);
+        benchmark::DoNotOptimize(raw);
+        next = (next + 1) % frames.size();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MpegDecode);
+
+/** Stream assembly: one 1 KiB feed (the paper's chunk) plus nextFrame. */
+void
+BM_StreamAssemble(benchmark::State &state)
+{
+    constexpr std::size_t kChunk = 1024;
+    static const Bytes movie = [] {
+        Bytes out;
+        for (const tivo::EncodedFrame &frame : benchMovieFrames()) {
+            const Bytes wire = tivo::serializeFrame(frame);
+            out.insert(out.end(), wire.begin(), wire.end());
+        }
+        return out;
+    }();
+    tivo::StreamAssembler assembler;
+    std::size_t pos = 0;
+    std::int64_t bytes = 0;
+    for (auto _ : state) {
+        const std::size_t n = std::min(kChunk, movie.size() - pos);
+        assembler.feed(movie.data() + pos, n);
+        pos = pos + n == movie.size() ? 0 : pos + n;
+        bytes += static_cast<std::int64_t>(n);
+        while (true) {
+            auto frame = assembler.nextFrame();
+            if (!frame)
+                break;
+            benchmark::DoNotOptimize(frame);
+        }
+    }
+    state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_StreamAssemble);
 
 void
 BM_XmlParseOdf(benchmark::State &state)

@@ -5,8 +5,8 @@
 # Usage:
 #   scripts/check.sh               # default build + all tests
 #   scripts/check.sh --sanitize    # ASan/UBSan build, obs-, hw-,
-#                                  # then channel-labeled tests first,
-#                                  # then the full suite
+#                                  # channel-, then codec-labeled tests
+#                                  # first, then the full suite
 #   scripts/check.sh --no-tracing  # HYDRA_TRACING=OFF build: proves
 #                                  # spans/traces compile out and the
 #                                  # suite still passes without them
@@ -67,10 +67,12 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # threads on a shared box are too noisy for a regression gate)
     # and the L2 model rows (BM_CacheHousekeepingTick replays only the
     # sets the stream dirtied; a fall-back to the full per-line walk is
-    # several times slower) against the committed baseline. Generous
-    # 2x threshold -- this catches "the fast path regressed to deep
-    # copies" or "the cache stopped replaying", not machine-to-machine
-    # noise.
+    # several times slower) and the MPEG decode row (BM_MpegDecode
+    # validates, then decodes in place; a fall-back to per-run vector
+    # inserts and a separate delta buffer is ~4x slower) against the
+    # committed baseline. Generous 2x threshold -- this catches "the
+    # fast path regressed to deep copies" or "the cache stopped
+    # replaying", not machine-to-machine noise.
     # Fleet end-to-end smoke first: the registry-size ladder (10k/100k
     # streams, threaded executor) plus the 1-vs-4-host scaling bar.
     # The binary exits nonzero if a run fails to deliver cleanly or
@@ -80,7 +82,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # Note: the bundled google-benchmark wants a bare double here (no
     # trailing time unit).
     "$BUILD_DIR/bench/perf_micro" \
-        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0|BM_CacheAccess|BM_CacheHousekeepingTick' \
+        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0|BM_CacheAccess|BM_CacheHousekeepingTick|BM_MpegDecode' \
         --benchmark_min_time=0.1 \
         --benchmark_format=json > "$OUT"
     echo "bench JSON written to $OUT"
@@ -137,6 +139,10 @@ if [ "$SANITIZE" -eq 1 ]; then
     # fleet's flat per-pair sequence table (core_channel_test plus
     # fleet_test).
     ctest -L channel --output-on-failure
+    # Then the wire parsers fed hostile input: the MPEG assembler and
+    # validate-then-apply decoder (tivo_mpeg_test) and NFS-lite
+    # (net_test), whose bounds must hold before anything is allocated.
+    ctest -L codec --output-on-failure
 fi
 # Fault-injection + recovery paths first: a broken restart protocol
 # should fail loudly before the full matrix runs.

@@ -48,7 +48,7 @@ ByteWriter::writeF64(double value)
 }
 
 void
-ByteWriter::writeBytes(const Bytes &value)
+ByteWriter::writeBytes(std::span<const std::uint8_t> value)
 {
     writeU32(static_cast<std::uint32_t>(value.size()));
     out_.insert(out_.end(), value.begin(), value.end());
@@ -128,12 +128,21 @@ ByteReader::readF64()
 Result<Bytes>
 ByteReader::readBytes()
 {
+    auto view = readBytesView();
+    if (!view)
+        return view.error();
+    return Bytes(view.value().begin(), view.value().end());
+}
+
+Result<std::span<const std::uint8_t>>
+ByteReader::readBytesView()
+{
     auto len = readU32();
     if (!len)
         return len.error();
     if (!need(len.value()))
         return Error(ErrorCode::OutOfRange, "buffer underrun");
-    Bytes out(in_ + pos_, in_ + pos_ + len.value());
+    const std::span<const std::uint8_t> out(in_ + pos_, len.value());
     pos_ += len.value();
     return out;
 }

@@ -10,6 +10,7 @@
 #define HYDRA_COMMON_BYTES_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +34,7 @@ class ByteWriter
     void writeI64(std::int64_t value);
     void writeF64(double value);
     /** Length-prefixed (u32) byte string. */
-    void writeBytes(const Bytes &value);
+    void writeBytes(std::span<const std::uint8_t> value);
     /** Length-prefixed (u32) UTF-8 string. */
     void writeString(std::string_view value);
 
@@ -65,6 +66,8 @@ class ByteReader
     Result<std::int64_t> readI64();
     Result<double> readF64();
     Result<Bytes> readBytes();
+    /** Length-prefixed (u32) byte string as a view into the input. */
+    Result<std::span<const std::uint8_t>> readBytesView();
     Result<std::string> readString();
 
     std::size_t remaining() const { return size_ - pos_; }

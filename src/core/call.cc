@@ -56,14 +56,23 @@ deserializeReturn(ByteReader reader)
     return ret;
 }
 
+/** [kind u8][len u32]: the framing in front of a @p size byte body. */
+void
+beginFramed(PayloadBuilder &builder, MessageKind kind, std::size_t size)
+{
+    Bytes &out = builder.buffer();
+    out.reserve(out.size() + 5 + size);
+    ByteWriter writer(out);
+    writer.writeU8(static_cast<std::uint8_t>(kind));
+    writer.writeU32(static_cast<std::uint32_t>(size));
+}
+
 /** [kind u8][len u32][body]: frame @p size bytes of @p data. */
 Payload
 encodeFramed(MessageKind kind, const std::uint8_t *data, std::size_t size)
 {
     PayloadBuilder builder;
-    ByteWriter writer(builder.buffer());
-    writer.writeU8(static_cast<std::uint8_t>(kind));
-    writer.writeU32(static_cast<std::uint32_t>(size));
+    beginFramed(builder, kind, size);
     Bytes &out = builder.buffer();
     out.insert(out.end(), data, data + size);
     return builder.seal();
@@ -191,6 +200,12 @@ Payload
 encodeData(const Payload &payload)
 {
     return encodeFramed(MessageKind::Data, payload.data(), payload.size());
+}
+
+void
+beginData(PayloadBuilder &builder, std::size_t body_bytes)
+{
+    beginFramed(builder, MessageKind::Data, body_bytes);
 }
 
 Result<Payload>

@@ -74,6 +74,13 @@ Result<MessageKind> peekKind(const Bytes &wire);
 Payload encodeData(const Bytes &payload);
 Payload encodeData(const Payload &payload);
 
+/**
+ * Start a Data message in @p builder for a body the caller then
+ * appends in place: writes the framing and reserves room for it all.
+ * The caller must append exactly @p body_bytes before seal().
+ */
+void beginData(PayloadBuilder &builder, std::size_t body_bytes);
+
 /** Unwrap a Data message: a zero-copy slice of the same buffer. */
 Result<Payload> decodeData(const Payload &wire);
 

@@ -42,10 +42,10 @@ Gpu::acceleratedDecode(std::size_t output_bytes)
 }
 
 void
-Gpu::presentFrame(const Bytes &frame)
+Gpu::presentFrame(std::span<const std::uint8_t> frame)
 {
     ++framesPresented_;
-    lastFrame_ = frame;
+    lastFrame_.assign(frame.begin(), frame.end());
     presentTimes_.push_back(exec_.now());
 }
 

@@ -8,6 +8,7 @@
 #define HYDRA_DEV_GPU_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hh"
@@ -48,7 +49,7 @@ class Gpu : public Device
     sim::SimTime acceleratedDecode(std::size_t output_bytes);
 
     /** Write a decoded frame into the framebuffer (display). */
-    void presentFrame(const Bytes &frame);
+    void presentFrame(std::span<const std::uint8_t> frame);
 
     std::uint64_t framesPresented() const { return framesPresented_; }
     const Bytes &lastFrame() const { return lastFrame_; }

@@ -16,23 +16,25 @@ struct Request
     std::string file;
     std::uint64_t offset = 0;
     std::uint32_t length = 0;
-    Bytes data;
+    /** Write data: the caller's bytes, or a view into the request. */
+    std::span<const std::uint8_t> data;
 };
 
-Bytes
+Payload
 encodeRequest(const Request &req)
 {
-    Bytes out;
-    ByteWriter writer(out);
+    PayloadBuilder builder;
+    ByteWriter writer(builder.buffer());
     writer.writeU8(static_cast<std::uint8_t>(req.op));
     writer.writeU64(req.xid);
     writer.writeString(req.file);
     writer.writeU64(req.offset);
     writer.writeU32(req.length);
     writer.writeBytes(req.data);
-    return out;
+    return builder.seal();
 }
 
+/** Decode @p wire; out.data views @p wire, which must outlive it. */
 bool
 decodeRequest(const Payload &wire, Request &out)
 {
@@ -42,7 +44,7 @@ decodeRequest(const Payload &wire, Request &out)
     auto file = reader.readString();
     auto offset = reader.readU64();
     auto length = reader.readU32();
-    auto data = reader.readBytes();
+    auto data = reader.readBytesView();
     if (!op || !xid || !file || !offset || !length || !data)
         return false;
     out.op = static_cast<NfsOp>(op.value());
@@ -50,25 +52,8 @@ decodeRequest(const Payload &wire, Request &out)
     out.file = std::move(file).value();
     out.offset = offset.value();
     out.length = length.value();
-    out.data = std::move(data).value();
+    out.data = data.value();
     return true;
-}
-
-Bytes
-encodeReply(std::uint64_t xid, NfsOp orig_op, bool ok, const Bytes &payload,
-            std::string_view error_message)
-{
-    Bytes out;
-    ByteWriter writer(out);
-    writer.writeU8(static_cast<std::uint8_t>(ok ? NfsOp::ReplyOk
-                                                : NfsOp::ReplyError));
-    writer.writeU64(xid);
-    writer.writeU8(static_cast<std::uint8_t>(orig_op));
-    if (ok)
-        writer.writeBytes(payload);
-    else
-        writer.writeString(error_message);
-    return out;
 }
 
 } // namespace
@@ -119,65 +104,80 @@ NfsServer::onRequest(const Packet &request)
     }
     ++requestsServed_;
 
-    bool ok = true;
-    Bytes payload;
-    std::string error_message;
+    // The reply carries `result` (a view into the file for a Read, or
+    // a scalar encoded into `scalar`) or, on failure, `error`.
+    const char *error = nullptr;
+    std::span<const std::uint8_t> result;
+    Bytes scalar;
+    ByteWriter scalarWriter(scalar);
 
     auto it = files_.find(req.file);
     switch (req.op) {
       case NfsOp::Lookup:
-        ok = it != files_.end();
-        if (!ok)
-            error_message = "no such file";
+        if (it == files_.end())
+            error = "no such file";
         break;
       case NfsOp::GetSize:
         if (it == files_.end()) {
-            ok = false;
-            error_message = "no such file";
+            error = "no such file";
         } else {
-            ByteWriter writer(payload);
-            writer.writeU64(it->second.size());
+            scalarWriter.writeU64(it->second.size());
+            result = scalar;
         }
         break;
       case NfsOp::Read:
         if (it == files_.end()) {
-            ok = false;
-            error_message = "no such file";
+            error = "no such file";
         } else {
             const Bytes &content = it->second;
             const std::uint64_t start =
                 std::min<std::uint64_t>(req.offset, content.size());
             const std::uint64_t end =
                 std::min<std::uint64_t>(start + req.length, content.size());
-            payload.assign(content.begin() +
-                               static_cast<std::ptrdiff_t>(start),
-                           content.begin() +
-                               static_cast<std::ptrdiff_t>(end));
+            result = std::span(content).subspan(start, end - start);
         }
         break;
       case NfsOp::Write: {
+        // The end offset is wire data: bound it before resizing.
+        if (req.offset > kNfsMaxFileBytes ||
+            req.data.size() > kNfsMaxFileBytes - req.offset) {
+            error = "write beyond maximum file size";
+            break;
+        }
         Bytes &content = files_[req.file]; // creates on first write
         const std::uint64_t end = req.offset + req.data.size();
         if (content.size() < end)
             content.resize(end);
         std::copy(req.data.begin(), req.data.end(),
                   content.begin() + static_cast<std::ptrdiff_t>(req.offset));
-        ByteWriter writer(payload);
-        writer.writeU32(static_cast<std::uint32_t>(req.data.size()));
+        scalarWriter.writeU32(static_cast<std::uint32_t>(req.data.size()));
+        result = scalar;
         break;
       }
       default:
-        ok = false;
-        error_message = "bad op";
+        error = "bad op";
         break;
     }
+
+    // Reply: [status u8][xid u64][request op u8], then the
+    // length-prefixed result or the error string.
+    PayloadBuilder builder;
+    ByteWriter writer(builder.buffer());
+    writer.writeU8(static_cast<std::uint8_t>(error ? NfsOp::ReplyError
+                                                   : NfsOp::ReplyOk));
+    writer.writeU64(req.xid);
+    writer.writeU8(static_cast<std::uint8_t>(req.op));
+    if (error)
+        writer.writeString(error);
+    else
+        writer.writeBytes(result);
 
     Packet reply;
     reply.src = node_;
     reply.dst = request.src;
     reply.srcPort = kNfsPort;
     reply.dstPort = request.srcPort;
-    reply.payload = encodeReply(req.xid, req.op, ok, payload, error_message);
+    reply.payload = builder.seal();
     net_.send(std::move(reply));
 }
 
@@ -200,7 +200,7 @@ NfsClient::~NfsClient()
 std::uint64_t
 NfsClient::sendRequest(NfsOp op, const std::string &file,
                        std::uint64_t offset, std::uint32_t length,
-                       const Bytes *data)
+                       std::span<const std::uint8_t> data)
 {
     Request req;
     req.op = op;
@@ -208,8 +208,7 @@ NfsClient::sendRequest(NfsOp op, const std::string &file,
     req.file = file;
     req.offset = offset;
     req.length = length;
-    if (data)
-        req.data = *data;
+    req.data = data;
 
     Packet packet;
     packet.src = node_;
@@ -226,7 +225,7 @@ NfsClient::read(const std::string &file, std::uint64_t offset,
                 std::uint32_t length, ReadCallback done)
 {
     const std::uint64_t xid =
-        sendRequest(NfsOp::Read, file, offset, length, nullptr);
+        sendRequest(NfsOp::Read, file, offset, length);
     Pending pending;
     pending.op = NfsOp::Read;
     pending.onRead = std::move(done);
@@ -238,7 +237,7 @@ NfsClient::write(const std::string &file, std::uint64_t offset,
                  const Bytes &data, WriteCallback done)
 {
     const std::uint64_t xid =
-        sendRequest(NfsOp::Write, file, offset, 0, &data);
+        sendRequest(NfsOp::Write, file, offset, 0, data);
     Pending pending;
     pending.op = NfsOp::Write;
     pending.onWrite = std::move(done);
@@ -249,7 +248,7 @@ void
 NfsClient::getSize(const std::string &file, SizeCallback done)
 {
     const std::uint64_t xid =
-        sendRequest(NfsOp::GetSize, file, 0, 0, nullptr);
+        sendRequest(NfsOp::GetSize, file, 0, 0);
     Pending pending;
     pending.op = NfsOp::GetSize;
     pending.onSize = std::move(done);

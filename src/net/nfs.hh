@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -36,6 +37,13 @@ enum class NfsOp : std::uint8_t {
     ReplyOk = 100,
     ReplyError = 101,
 };
+
+/**
+ * Largest file a Write may create or extend (1 GiB). The write's end
+ * offset comes from the wire, so the server bounds it before resizing
+ * and answers ReplyError beyond it.
+ */
+constexpr std::uint64_t kNfsMaxFileBytes = 1ull << 30;
 
 /** In-memory file server bound to a network node. */
 class NfsServer
@@ -110,7 +118,7 @@ class NfsClient
     void onReply(const Packet &reply);
     std::uint64_t sendRequest(NfsOp op, const std::string &file,
                               std::uint64_t offset, std::uint32_t length,
-                              const Bytes *data);
+                              std::span<const std::uint8_t> data = {});
 
     Network &net_;
     NodeId node_;

@@ -34,36 +34,8 @@ openStageSpan(obs::Span &span, core::ExecutionSite &site,
               started);
 }
 
-/** Serialized raw-frame header for the Decoder -> Display channel. */
-Bytes
-serializeRawFrame(const RawFrame &frame)
-{
-    Bytes out;
-    ByteWriter writer(out);
-    writer.writeU32(frame.width);
-    writer.writeU32(frame.height);
-    writer.writeU32(frame.sequence);
-    writer.writeBytes(frame.pixels);
-    return out;
-}
-
-Result<RawFrame>
-deserializeRawFrame(const Payload &wire)
-{
-    ByteReader reader(wire.data(), wire.size());
-    auto width = reader.readU32();
-    auto height = reader.readU32();
-    auto seq = reader.readU32();
-    auto pixels = reader.readBytes();
-    if (!width || !height || !seq || !pixels)
-        return Error(ErrorCode::ParseError, "bad raw frame");
-    RawFrame frame;
-    frame.width = width.value();
-    frame.height = height.value();
-    frame.sequence = seq.value();
-    frame.pixels = std::move(pixels).value();
-    return frame;
-}
+/** Display message body header: width, height, sequence, pixel count. */
+constexpr std::size_t kFrameHeaderBytes = 16;
 
 /** Credit grant payload for the server File flow control. */
 Bytes
@@ -487,8 +459,7 @@ DecoderOffcode::onData(const Payload &payload, core::ChannelHandle from)
         span.end(finished);
 
         if (toDisplay_) {
-            toDisplay_->write(
-                core::encodeData(serializeRawFrame(frame.value())));
+            toDisplay_->write(encodeFrameMessage(frame.value()));
         }
     }
 }
@@ -496,6 +467,37 @@ DecoderOffcode::onData(const Payload &payload, core::ChannelHandle from)
 // --------------------------------------------------------------------
 // DisplayOffcode
 // --------------------------------------------------------------------
+
+Payload
+encodeFrameMessage(const RawFrame &frame)
+{
+    PayloadBuilder builder;
+    core::beginData(builder, kFrameHeaderBytes + frame.pixels.size());
+    ByteWriter writer(builder.buffer());
+    writer.writeU32(frame.width);
+    writer.writeU32(frame.height);
+    writer.writeU32(frame.sequence);
+    writer.writeBytes(frame.pixels);
+    return builder.seal();
+}
+
+Result<FrameView>
+parseFrameMessage(const Payload &body)
+{
+    ByteReader reader(body.data(), body.size());
+    auto width = reader.readU32();
+    auto height = reader.readU32();
+    auto seq = reader.readU32();
+    auto pixels = reader.readBytesView();
+    if (!width || !height || !seq || !pixels)
+        return Error(ErrorCode::ParseError, "bad raw frame");
+    FrameView frame;
+    frame.width = width.value();
+    frame.height = height.value();
+    frame.sequence = seq.value();
+    frame.pixels = body.slice(kFrameHeaderBytes, pixels.value().size());
+    return frame;
+}
 
 DisplayOffcode::DisplayOffcode(TivoEnvPtr env)
     : Offcode("tivo.Display"), env_(std::move(env))
@@ -506,7 +508,7 @@ void
 DisplayOffcode::onData(const Payload &payload, core::ChannelHandle from)
 {
     (void)from;
-    auto frame = deserializeRawFrame(payload);
+    auto frame = parseFrameMessage(payload);
     if (!frame) {
         LOG_WARN << "Display: bad frame: " << frame.error().describe();
         return;
@@ -515,13 +517,14 @@ DisplayOffcode::onData(const Payload &payload, core::ChannelHandle from)
     ++framesPresented_;
     obs::counter("tivo.frames_presented").increment();
     const std::uint32_t seq = frame.value().sequence;
+    const Payload &pixels = frame.value().pixels;
     const sim::SimTime started = site().machine().executor().now();
 
     if (env_->gpu && site().device() == env_->gpu) {
         obs::Span span;
         openStageSpan(span, site(), "Display.present", started);
         span.end(site().run(300));
-        env_->gpu->presentFrame(frame.value().pixels);
+        env_->gpu->presentFrame(pixels);
         if (env_->onFramePresented)
             env_->onFramePresented(seq);
         return;
@@ -532,13 +535,11 @@ DisplayOffcode::onData(const Payload &payload, core::ChannelHandle from)
         obs::Span span;
         openStageSpan(span, site(), "Display.present", started);
         span.end(site().run(1500));
-        env_->gpu->dma().start(
-            frame.value().pixels.size(),
-            [this, pixels = frame.value().pixels, seq]() {
-                env_->gpu->presentFrame(pixels);
-                if (env_->onFramePresented)
-                    env_->onFramePresented(seq);
-            });
+        env_->gpu->dma().start(pixels.size(), [this, pixels, seq]() {
+            env_->gpu->presentFrame(pixels);
+            if (env_->onFramePresented)
+                env_->onFramePresented(seq);
+        });
     } else if (env_->onFramePresented) {
         env_->onFramePresented(seq);
     }

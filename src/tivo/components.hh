@@ -148,6 +148,25 @@ class DecoderOffcode : public core::Offcode
     std::uint64_t decodeErrors_ = 0;
 };
 
+/**
+ * Decoder -> Display message: a framed Data message whose body is
+ * [width u32][height u32][sequence u32][pixel count u32][pixels].
+ * Built in one pooled buffer, with no intermediate copy of the frame.
+ */
+Payload encodeFrameMessage(const RawFrame &frame);
+
+/** A Decoder -> Display message body parsed in place. */
+struct FrameView
+{
+    std::uint32_t width = 0;
+    std::uint32_t height = 0;
+    std::uint32_t sequence = 0;
+    Payload pixels; ///< zero-copy slice of the message
+};
+
+/** Parse the body (after decodeData) of a Decoder -> Display message. */
+Result<FrameView> parseFrameMessage(const Payload &body);
+
 /** Display: raw frames -> GPU framebuffer. */
 class DisplayOffcode : public core::Offcode
 {

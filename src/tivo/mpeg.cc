@@ -1,6 +1,7 @@
 #include "tivo/mpeg.hh"
 
 #include <cassert>
+#include <cstring>
 
 namespace hydra::tivo {
 
@@ -28,23 +29,66 @@ rleEncode(const Bytes &input)
     return out;
 }
 
-Result<Bytes>
-rleDecode(const Bytes &input, std::size_t expected_size)
+/**
+ * Validate pass over (count, value) pairs: even length, no zero run,
+ * and runs that cover exactly @p expected_size bytes. Reads only the
+ * payload, so hostile dimensions fail here before any allocation.
+ */
+Status
+validateRle(const Bytes &input, std::uint64_t expected_size)
 {
-    Bytes out;
-    out.reserve(expected_size);
     if (input.size() % 2 != 0)
         return Error(ErrorCode::ParseError, "odd RLE payload");
+    std::uint64_t total = 0;
     for (std::size_t i = 0; i < input.size(); i += 2) {
-        const std::uint8_t run = input[i];
-        const std::uint8_t value = input[i + 1];
-        if (run == 0)
+        if (input[i] == 0)
             return Error(ErrorCode::ParseError, "zero-length RLE run");
-        out.insert(out.end(), run, value);
+        total += input[i];
     }
-    if (out.size() != expected_size)
+    if (total != expected_size)
         return Error(ErrorCode::ParseError, "RLE size mismatch");
-    return out;
+    return Status::success();
+}
+
+/** Apply pass for I frames: expand validated runs into @p out. */
+void
+expandRle(const Bytes &input, std::uint8_t *out)
+{
+    for (std::size_t i = 0; i < input.size(); i += 2) {
+        std::memset(out, input[i + 1], input[i]);
+        out += input[i];
+    }
+}
+
+/**
+ * Apply pass for delta frames: add validated runs into @p ref, byte
+ * by byte mod 256. Eight bytes go at once (SWAR): adding the low
+ * seven bits of each byte cannot carry into the next byte, and the
+ * top bits are restored by XOR.
+ */
+void
+addRle(const Bytes &input, std::uint8_t *ref)
+{
+    constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+    constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+    for (std::size_t i = 0; i < input.size(); i += 2) {
+        std::size_t run = input[i];
+        const std::uint8_t value = input[i + 1];
+        if (value == 0) {
+            ref += run;
+            continue;
+        }
+        const std::uint64_t splat = 0x0101010101010101ull * value;
+        for (; run >= 8; run -= 8, ref += 8) {
+            std::uint64_t word;
+            std::memcpy(&word, ref, sizeof(word));
+            word = ((word & kLow7) + (splat & kLow7)) ^
+                   ((word ^ splat) & kHigh);
+            std::memcpy(ref, &word, sizeof(word));
+        }
+        for (; run > 0; --run, ++ref)
+            *ref = static_cast<std::uint8_t>(*ref + value);
+    }
 }
 
 } // namespace
@@ -157,34 +201,30 @@ MpegDecoder::reset()
 Result<RawFrame>
 MpegDecoder::decode(const EncodedFrame &frame)
 {
-    const std::size_t expected =
-        static_cast<std::size_t>(frame.width) * frame.height;
+    const std::uint64_t expected =
+        static_cast<std::uint64_t>(frame.width) * frame.height;
+    const bool intra = frame.type == FrameType::I;
+    if (!intra && (!hasReference_ || reference_.size() != expected))
+        return Error(ErrorCode::ParseError,
+                     "delta frame without matching reference");
+    Status valid = validateRle(frame.payload, expected);
+    if (!valid)
+        return valid.error();
+
+    // Decode into the reference in place; the caller gets a copy.
+    if (intra) {
+        reference_.resize(expected);
+        expandRle(frame.payload, reference_.data());
+    } else {
+        addRle(frame.payload, reference_.data());
+    }
+    hasReference_ = true;
 
     RawFrame out;
     out.width = frame.width;
     out.height = frame.height;
     out.sequence = frame.sequence;
-
-    if (frame.type == FrameType::I) {
-        auto pixels = rleDecode(frame.payload, expected);
-        if (!pixels)
-            return pixels.error();
-        out.pixels = std::move(pixels).value();
-    } else {
-        if (!hasReference_ || reference_.size() != expected)
-            return Error(ErrorCode::ParseError,
-                         "delta frame without matching reference");
-        auto delta = rleDecode(frame.payload, expected);
-        if (!delta)
-            return delta.error();
-        out.pixels.resize(expected);
-        for (std::size_t i = 0; i < expected; ++i)
-            out.pixels[i] = static_cast<std::uint8_t>(
-                reference_[i] + delta.value()[i]);
-    }
-
-    reference_ = out.pixels;
-    hasReference_ = true;
+    out.pixels = reference_;
     return out;
 }
 
@@ -220,39 +260,48 @@ StreamAssembler::nextFrame()
     // Header: magic(2) type(1) seq(4) w(4) h(4) payload_len(4).
     constexpr std::size_t kHeaderBytes = 19;
 
-    // Resynchronize on the frame magic, so a consumer that joins the
-    // stream mid-frame skips to the next frame boundary.
-    while (buffer_.size() - pos_ >= 2 &&
-           !(buffer_[pos_] == (kFrameMagic & 0xff) &&
-             buffer_[pos_ + 1] == (kFrameMagic >> 8)))
-        ++pos_;
+    while (true) {
+        // Resynchronize on the frame magic, so a consumer that joins
+        // the stream mid-frame skips to the next frame boundary.
+        while (buffer_.size() - pos_ >= 2 &&
+               !(buffer_[pos_] == (kFrameMagic & 0xff) &&
+                 buffer_[pos_ + 1] == (kFrameMagic >> 8)))
+            ++pos_;
 
-    if (buffer_.size() - pos_ < kHeaderBytes)
-        return Error(ErrorCode::NotFound, "incomplete header");
+        if (buffer_.size() - pos_ < kHeaderBytes)
+            return Error(ErrorCode::NotFound, "incomplete header");
 
-    Bytes view(buffer_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               buffer_.end());
-    ByteReader reader(view);
-    auto magic = reader.readU16();
-    if (!magic || magic.value() != kFrameMagic)
-        return Error(ErrorCode::ParseError, "bad frame magic");
-    auto type = reader.readU8();
-    auto seq = reader.readU32();
-    auto width = reader.readU32();
-    auto height = reader.readU32();
-    auto payload = reader.readBytes();
-    if (!payload)
-        return Error(ErrorCode::NotFound, "incomplete frame payload");
+        const std::uint8_t *header = buffer_.data() + pos_;
+        ByteReader reader(header + 2, kHeaderBytes - 2);
+        const auto type = reader.readU8().value();
+        const std::uint32_t seq = reader.readU32().value();
+        const std::uint32_t width = reader.readU32().value();
+        const std::uint32_t height = reader.readU32().value();
+        const std::uint32_t length = reader.readU32().value();
 
-    EncodedFrame frame;
-    frame.type = static_cast<FrameType>(type.value());
-    frame.sequence = seq.value();
-    frame.width = width.value();
-    frame.height = height.value();
-    frame.payload = std::move(payload).value();
+        // No valid frame has an odd RLE payload or more than one run
+        // per pixel; such a header is corruption (or magic bytes
+        // inside a payload), not a frame worth waiting for.
+        const std::uint64_t pixels =
+            static_cast<std::uint64_t>(width) * height;
+        if (length % 2 != 0 || pixels > kMaxFramePixels ||
+            length > 2 * pixels) {
+            ++pos_;
+            continue;
+        }
+        if (buffer_.size() - pos_ - kHeaderBytes < length)
+            return Error(ErrorCode::NotFound, "incomplete frame payload");
 
-    pos_ += kHeaderBytes + frame.payload.size();
-    return frame;
+        EncodedFrame frame;
+        frame.type = static_cast<FrameType>(type);
+        frame.sequence = seq;
+        frame.width = width;
+        frame.height = height;
+        frame.payload.assign(header + kHeaderBytes,
+                             header + kHeaderBytes + length);
+        pos_ += kHeaderBytes + length;
+        return frame;
+    }
 }
 
 Bytes

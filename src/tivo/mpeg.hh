@@ -99,6 +99,8 @@ class MpegDecoder
     /**
      * Decode one frame. P/B frames require the reference from a
      * previously decoded frame; decoding an I frame resets state.
+     * The payload is validated before anything is allocated or
+     * written, so a rejected frame leaves the reference untouched.
      */
     Result<RawFrame> decode(const EncodedFrame &frame);
 
@@ -113,6 +115,14 @@ class MpegDecoder
 Bytes serializeFrame(const EncodedFrame &frame);
 
 /**
+ * Largest width*height a stream header may declare (4096 x 4096).
+ * With the RLE bound (at most one 2-byte run per pixel) this caps a
+ * header's payload length, so one corrupted length field cannot make
+ * the assembler wait for megabytes that will never arrive.
+ */
+constexpr std::uint64_t kMaxFramePixels = 4096ull * 4096ull;
+
+/**
  * Incremental stream parser: feed arbitrary byte chunks (the paper
  * streams 1 kB chunks that ignore frame boundaries) and retrieve
  * complete frames as they form.
@@ -125,7 +135,12 @@ class StreamAssembler
     void feed(const Bytes &chunk) { feed(chunk.data(), chunk.size()); }
     void feed(const Payload &chunk) { feed(chunk.data(), chunk.size()); }
 
-    /** Pop the next complete frame, if any. */
+    /**
+     * Pop the next complete frame, if any. A header whose payload
+     * length is odd or above 2 * width * height, or whose width *
+     * height is above kMaxFramePixels, cannot be a valid frame: the
+     * assembler skips one byte and resynchronizes on the next magic.
+     */
     Result<EncodedFrame> nextFrame();
 
     /** Bytes buffered but not yet consumed. */

@@ -255,6 +255,126 @@ TEST_F(NfsTest, TwoClientsDistinctReplyPorts)
     EXPECT_EQ(done, 2);
 }
 
+/** An NFS-lite request in its wire layout, built field by field. */
+Bytes
+handBuiltRequest(NfsOp op, std::uint64_t xid, const std::string &file,
+                 std::uint64_t offset, std::uint32_t length,
+                 const Bytes &data)
+{
+    Bytes out;
+    ByteWriter writer(out);
+    writer.writeU8(static_cast<std::uint8_t>(op));
+    writer.writeU64(xid);
+    writer.writeString(file);
+    writer.writeU64(offset);
+    writer.writeU32(length);
+    writer.writeBytes(data);
+    return out;
+}
+
+/** Collects every datagram that reaches @p node : @p port. */
+void
+capture(Network &net, NodeId node, Port port, std::vector<Bytes> &into)
+{
+    EXPECT_TRUE(net.bind(node, port, [&into](const Packet &p) {
+                       into.emplace_back(p.payload.begin(),
+                                         p.payload.end());
+                   }).ok());
+}
+
+TEST_F(NfsTest, RequestBytesMatchWireLayout)
+{
+    // A bare handler on a third node stands in for the server.
+    const NodeId fake = net_.addNode("fake-nas");
+    NfsClient client(net_, clientNode_, fake, 40001);
+    std::vector<Bytes> seen;
+    capture(net_, fake, kNfsPort, seen);
+
+    client.write("f", 5, Bytes{0xaa, 0xbb}, [](Status) {});
+    client.read("f", 2, 10, [](Result<Bytes>) {});
+    sim_.runToCompletion();
+
+    // [op u8][xid u64][file: len u32 + bytes][offset u64][length u32]
+    // [data: len u32 + bytes]
+    const Bytes write = {3, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'f',
+                         5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                         2, 0, 0, 0, 0xaa, 0xbb};
+    const Bytes read = {2, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 'f',
+                        2, 0, 0, 0, 0, 0, 0, 0, 10, 0, 0, 0,
+                        0, 0, 0, 0};
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0], write);
+    EXPECT_EQ(seen[1], read);
+}
+
+TEST_F(NfsTest, ReplyBytesMatchWireLayout)
+{
+    server_->putFile("f", Bytes{10, 20, 30, 40});
+    std::vector<Bytes> replies;
+    capture(net_, clientNode_, 40002, replies);
+    auto ask = [&](Bytes request) {
+        Packet packet;
+        packet.src = clientNode_;
+        packet.dst = serverNode_;
+        packet.srcPort = 40002;
+        packet.dstPort = kNfsPort;
+        packet.payload = Payload(std::move(request));
+        net_.send(std::move(packet));
+    };
+    ask(handBuiltRequest(NfsOp::Read, 7, "f", 1, 2, {}));
+    ask(handBuiltRequest(NfsOp::GetSize, 8, "f", 0, 0, {}));
+    ask(handBuiltRequest(NfsOp::Write, 9, "f", 3, 0, {50, 60}));
+    ask(handBuiltRequest(NfsOp::Lookup, 10, "no", 0, 0, {}));
+    sim_.runToCompletion();
+
+    // [status u8][xid u64][request op u8], then the length-prefixed
+    // result (ReplyOk = 100) or the error string (ReplyError = 101).
+    const Bytes read = {100, 7, 0, 0, 0, 0, 0, 0, 0, 2,
+                        2, 0, 0, 0, 20, 30};
+    const Bytes size = {100, 8, 0, 0, 0, 0, 0, 0, 0, 4,
+                        8, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0};
+    const Bytes write = {100, 9, 0, 0, 0, 0, 0, 0, 0, 3,
+                         4, 0, 0, 0, 2, 0, 0, 0};
+    Bytes lookup = {101, 10, 0, 0, 0, 0, 0, 0, 0, 1, 12, 0, 0, 0};
+    for (char c : std::string("no such file"))
+        lookup.push_back(static_cast<std::uint8_t>(c));
+    ASSERT_EQ(replies.size(), 4u);
+    EXPECT_EQ(replies[0], read);
+    EXPECT_EQ(replies[1], size);
+    EXPECT_EQ(replies[2], write);
+    EXPECT_EQ(replies[3], lookup);
+    EXPECT_EQ(server_->fileContent("f").value(),
+              (Bytes{10, 20, 30, 50, 60}));
+}
+
+TEST_F(NfsTest, WriteBeyondMaxFileSizeIsRejected)
+{
+    // The write's end offset is wire data: a corrupted or hostile
+    // offset must not size the file.
+    std::vector<Bytes> replies;
+    capture(net_, clientNode_, 40003, replies);
+    auto ask = [&](std::uint64_t offset, const Bytes &data) {
+        Packet packet;
+        packet.src = clientNode_;
+        packet.dst = serverNode_;
+        packet.srcPort = 40003;
+        packet.dstPort = kNfsPort;
+        packet.payload = Payload(
+            handBuiltRequest(NfsOp::Write, 1, "f", offset, 0, data));
+        net_.send(std::move(packet));
+    };
+    ask(~std::uint64_t{0} - 1, Bytes{1, 2, 3, 4}); // end overflows
+    ask(kNfsMaxFileBytes, Bytes{1});               // one past the max
+    ask(kNfsMaxFileBytes - 1, Bytes{1, 2});        // straddles the max
+    sim_.runToCompletion();
+
+    ASSERT_EQ(replies.size(), 3u);
+    for (const Bytes &reply : replies)
+        EXPECT_EQ(reply[0], static_cast<std::uint8_t>(NfsOp::ReplyError));
+    EXPECT_FALSE(server_->hasFile("f"));
+    EXPECT_EQ(server_->requestsServed(), 3u);
+}
+
 // ---------------------------------------------------------------- Fig. 1 model
 
 TEST(TcpModelTest, RatioDecreasesWithPacketSize)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/sim_executor.hh"
 #include "tivo/harness.hh"
 
 namespace hydra::tivo {
@@ -23,6 +24,81 @@ offloadedConfig()
     config.warmup = sim::seconds(2);
     config.movieFrames = 96;
     return config;
+}
+
+TEST(ComponentTest, DisplayMessageMatchesWireLayout)
+{
+    RawFrame frame;
+    frame.width = 3;
+    frame.height = 2;
+    frame.sequence = 7;
+    frame.pixels = {1, 2, 3, 4, 5, 6};
+
+    // A Data message ([kind 3][body length u32]) around the body
+    // [width u32][height u32][sequence u32][pixel count u32][pixels].
+    const Bytes expected = {3, 22, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0,
+                            7, 0, 0, 0, 6, 0, 0, 0, 1, 2, 3, 4, 5, 6};
+    const Payload wire = encodeFrameMessage(frame);
+    EXPECT_EQ(wire, expected);
+
+    auto body = core::decodeData(wire);
+    ASSERT_TRUE(body.ok());
+    auto parsed = parseFrameMessage(body.value());
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value().width, 3u);
+    EXPECT_EQ(parsed.value().height, 2u);
+    EXPECT_EQ(parsed.value().sequence, 7u);
+    EXPECT_EQ(parsed.value().pixels, frame.pixels);
+    // The pixels are a slice of the message, not a copy.
+    EXPECT_EQ(parsed.value().pixels.data(), wire.data() + 21);
+
+    // A body that promises more pixels than it carries is rejected.
+    EXPECT_FALSE(parseFrameMessage(body.value().slice(0, 20)).ok());
+}
+
+TEST(ComponentTest, DisplayHostFallbackDmasTheFrameSlice)
+{
+    // No GPU attached to the runtime, so the layout places Display on
+    // the host, which DMAs each frame to the framebuffer. The DMA
+    // completion must present the pixels the message carried.
+    exec::SimExecutor executor;
+    hw::Machine machine(executor, hw::MachineConfig{});
+    dev::Gpu gpu(executor, machine.bus());
+    core::Runtime runtime(machine);
+    auto env = std::make_shared<TivoEnv>();
+    env->gpu = &gpu;
+    std::vector<std::uint32_t> presented;
+    env->onFramePresented = [&](std::uint32_t seq) {
+        presented.push_back(seq);
+    };
+    ASSERT_TRUE(registerTivoOffcodes(runtime, env, TivoRole::Client).ok());
+
+    Result<core::OffcodeHandle> display = Error(ErrorCode::Internal);
+    runtime.createOffcode("tivo.Display",
+                          [&](Result<core::OffcodeHandle> deployed) {
+                              display = std::move(deployed);
+                          });
+    executor.runUntil(sim::milliseconds(100));
+    ASSERT_TRUE(display.ok());
+    ASSERT_TRUE(display.value().site->isHost());
+
+    auto channel = runtime.executive().createChannel(core::ChannelConfig{},
+                                                     runtime.hostSite());
+    ASSERT_TRUE(channel.ok());
+    ASSERT_TRUE(
+        channel.value()->connectOffcode(*display.value().offcode).ok());
+
+    RawFrame frame;
+    frame.width = 4;
+    frame.height = 2;
+    frame.sequence = 9;
+    frame.pixels = {8, 7, 6, 5, 4, 3, 2, 1};
+    ASSERT_TRUE(channel.value()->write(encodeFrameMessage(frame)).ok());
+    executor.runUntil(sim::milliseconds(200));
+
+    EXPECT_EQ(gpu.framesPresented(), 1u);
+    EXPECT_EQ(gpu.lastFrame(), frame.pixels);
+    EXPECT_EQ(presented, (std::vector<std::uint32_t>{9}));
 }
 
 TEST(ComponentTest, FileOffcodeReadAndSizeMethods)

@@ -2,10 +2,14 @@
  * @file
  * Tests for the MpegLite codec: GOP structure, lossless round trips,
  * stream framing, and the chunk-oriented assembler the Streamer and
- * Decoder components rely on.
+ * Decoder components rely on. Hostile input: corrupted stream headers,
+ * hostile frame dimensions, and a differential test of the in-place
+ * decoder against a reference copy of the straightforward one.
  */
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "tivo/mpeg.hh"
 
@@ -199,6 +203,277 @@ TEST(MpegTest, SerializedFrameHasParseableHeader)
     EXPECT_EQ(frame.value().height, 48u);
     EXPECT_EQ(frame.value().payload, encoded.value().payload);
     EXPECT_EQ(assembler.bufferedBytes(), 0u);
+}
+
+/** Byte offsets of each frame header in a serialized stream. */
+std::vector<std::size_t>
+frameOffsets(const Bytes &stream)
+{
+    std::vector<std::size_t> out;
+    std::size_t pos = 0;
+    while (pos + 19 <= stream.size()) {
+        out.push_back(pos);
+        ByteReader reader(stream.data() + pos + 15, 4);
+        pos += 19 + reader.readU32().value();
+    }
+    return out;
+}
+
+/** Feed @p stream in 1 KiB chunks; count frames that decode exactly. */
+std::size_t
+decodeInChunks(const Bytes &stream, const MpegConfig &config,
+               StreamAssembler &assembler)
+{
+    MpegDecoder decoder;
+    SyntheticVideo source(config, 42);
+    std::size_t exact = 0;
+    for (std::size_t pos = 0; pos < stream.size(); pos += 1024) {
+        const std::size_t n = std::min<std::size_t>(1024,
+                                                    stream.size() - pos);
+        assembler.feed(stream.data() + pos, n);
+        while (true) {
+            auto frame = assembler.nextFrame();
+            if (!frame.ok())
+                break;
+            auto raw = decoder.decode(frame.value());
+            if (!raw.ok()) {
+                decoder.reset(); // resync on the next I frame
+                continue;
+            }
+            if (raw.value().pixels ==
+                source.frame(raw.value().sequence).pixels)
+                ++exact;
+        }
+    }
+    return exact;
+}
+
+TEST(MpegTest, CorruptLengthFieldDoesNotStallTheStream)
+{
+    // chaos corrupt=P flips one byte; in the top byte of a payload
+    // length (header byte 18) it declares a 16 MB frame. The
+    // assembler must reject that header instead of waiting for it.
+    MpegConfig config; // default 160x120
+    Bytes stream = encodeMovie(config, 300, 42);
+    const std::vector<std::size_t> offsets = frameOffsets(stream);
+    ASSERT_EQ(offsets.size(), 300u);
+    stream[offsets[20] + 18] ^= 0x01; // bit 24 of frame 20's length
+
+    StreamAssembler assembler;
+    const std::size_t exact = decodeInChunks(stream, config, assembler);
+    // Frame 20 and the deltas until the next I frame (27) are lost.
+    EXPECT_GE(exact, 300u - config.gopLength);
+    EXPECT_EQ(assembler.bufferedBytes(), 0u);
+}
+
+TEST(MpegTest, AssemblerSkipsHeadersNoFrameCanHave)
+{
+    const MpegConfig config = smallConfig();
+    SyntheticVideo source(config, 1);
+    MpegEncoder encoder(config);
+    const Bytes good = serializeFrame(encoder.encode(source.frame(0)).value());
+
+    auto header = [](std::uint32_t width, std::uint32_t height,
+                     std::uint32_t length) {
+        Bytes out;
+        ByteWriter writer(out);
+        writer.writeU16(0x4d4c);
+        writer.writeU8(static_cast<std::uint8_t>(FrameType::I));
+        writer.writeU32(0);
+        writer.writeU32(width);
+        writer.writeU32(height);
+        writer.writeU32(length);
+        return out;
+    };
+    const std::vector<Bytes> bad = {
+        header(64, 48, 101),                // odd payload length
+        header(64, 48, 2 * 64 * 48 + 2),    // more runs than pixels
+        header(8192, 8192, 2),              // above kMaxFramePixels
+        header(0xffffffffu, 0xffffffffu, 2) // hostile dimensions
+    };
+    for (const Bytes &prefix : bad) {
+        StreamAssembler assembler;
+        assembler.feed(prefix);
+        assembler.feed(good);
+        auto frame = assembler.nextFrame();
+        ASSERT_TRUE(frame.ok());
+        EXPECT_EQ(frame.value().width, 64u);
+        EXPECT_EQ(assembler.bufferedBytes(), 0u);
+    }
+
+    // The largest valid payload (one run per pixel) is accepted.
+    EncodedFrame worst;
+    worst.width = 4;
+    worst.height = 2;
+    for (int i = 0; i < 8; ++i) {
+        worst.payload.push_back(1);
+        worst.payload.push_back(static_cast<std::uint8_t>(i));
+    }
+    StreamAssembler assembler;
+    assembler.feed(serializeFrame(worst));
+    auto frame = assembler.nextFrame();
+    ASSERT_TRUE(frame.ok());
+    EXPECT_EQ(frame.value().payload, worst.payload);
+}
+
+TEST(MpegTest, DecoderRejectsHostileDimensionsWithoutThrowing)
+{
+    EncodedFrame frame;
+    frame.type = FrameType::I;
+    frame.width = 0xffffffffu;
+    frame.height = 0xffffffffu;
+    frame.payload = {255, 7, 255, 7};
+
+    MpegDecoder decoder;
+    Result<RawFrame> decoded = Error(ErrorCode::Internal);
+    EXPECT_NO_THROW(decoded = decoder.decode(frame));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, ErrorCode::ParseError);
+
+    // One flipped top byte: a 2 GB frame from a 4 KB payload.
+    frame.width = 160 | 0x80000000u;
+    frame.height = 120;
+    EXPECT_NO_THROW(decoded = decoder.decode(frame));
+    EXPECT_FALSE(decoded.ok());
+}
+
+/**
+ * The decoder this codec shipped with first: expand every run into a
+ * fresh vector, then add deltas byte by byte. Kept as the oracle for
+ * the validate-then-apply decoder.
+ */
+class OracleDecoder
+{
+  public:
+    Result<RawFrame>
+    decode(const EncodedFrame &frame)
+    {
+        const std::size_t expected =
+            static_cast<std::size_t>(frame.width) * frame.height;
+        RawFrame out;
+        out.width = frame.width;
+        out.height = frame.height;
+        out.sequence = frame.sequence;
+        if (frame.type == FrameType::I) {
+            auto pixels = rleDecode(frame.payload, expected);
+            if (!pixels)
+                return pixels.error();
+            out.pixels = std::move(pixels).value();
+        } else {
+            if (!hasReference_ || reference_.size() != expected)
+                return Error(ErrorCode::ParseError, "no reference");
+            auto delta = rleDecode(frame.payload, expected);
+            if (!delta)
+                return delta.error();
+            out.pixels.resize(expected);
+            for (std::size_t i = 0; i < expected; ++i)
+                out.pixels[i] = static_cast<std::uint8_t>(
+                    reference_[i] + delta.value()[i]);
+        }
+        reference_ = out.pixels;
+        hasReference_ = true;
+        return out;
+    }
+
+    void
+    reset()
+    {
+        reference_.clear();
+        hasReference_ = false;
+    }
+
+  private:
+    static Result<Bytes>
+    rleDecode(const Bytes &input, std::size_t expected_size)
+    {
+        Bytes out;
+        out.reserve(expected_size);
+        if (input.size() % 2 != 0)
+            return Error(ErrorCode::ParseError, "odd RLE payload");
+        for (std::size_t i = 0; i < input.size(); i += 2) {
+            if (input[i] == 0)
+                return Error(ErrorCode::ParseError, "zero run");
+            out.insert(out.end(), input[i], input[i + 1]);
+        }
+        if (out.size() != expected_size)
+            return Error(ErrorCode::ParseError, "size mismatch");
+        return out;
+    }
+
+    Bytes reference_;
+    bool hasReference_ = false;
+};
+
+/** Damage @p payload the ways a corrupted stream does. */
+void
+mutate(Bytes &payload, std::mt19937_64 &rng)
+{
+    if (payload.size() < 4)
+        return;
+    std::uniform_int_distribution<std::size_t> pair(0,
+                                                    payload.size() / 2 - 1);
+    switch (rng() % 6) {
+      case 0: // odd length
+        payload.pop_back();
+        break;
+      case 1: // zero run
+        payload[2 * pair(rng)] = 0;
+        break;
+      case 2: // one byte short
+        if (payload[0] > 1)
+            --payload[0];
+        else
+            payload.erase(payload.begin(), payload.begin() + 2);
+        break;
+      case 3: // one byte long
+        payload.push_back(1);
+        payload.push_back(static_cast<std::uint8_t>(rng()));
+        break;
+      default: // random bit flips (may stay valid with other pixels)
+        for (int flips = 1 + static_cast<int>(rng() % 3); flips > 0;
+             --flips)
+            payload[rng() % payload.size()] ^=
+                static_cast<std::uint8_t>(1u << (rng() % 8));
+        break;
+    }
+}
+
+TEST(MpegTest, InPlaceDecoderMatchesOracleOnValidAndMutatedFrames)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        std::mt19937_64 rng(seed);
+        MpegConfig config;
+        config.width = 1 + static_cast<std::uint32_t>(rng() % 97);
+        config.height = 1 + static_cast<std::uint32_t>(rng() % 65);
+        config.gopLength = 1 + static_cast<std::uint32_t>(rng() % 12);
+        config.pSpacing = 1 + static_cast<std::uint32_t>(rng() % 4);
+        SyntheticVideo source(config, seed);
+        MpegEncoder encoder(config);
+        MpegDecoder decoder;
+        OracleDecoder oracle;
+
+        for (std::uint32_t i = 0; i < 120; ++i) {
+            EncodedFrame frame = encoder.encode(source.frame(i)).value();
+            if (rng() % 4 == 0)
+                mutate(frame.payload, rng);
+            auto got = decoder.decode(frame);
+            auto want = oracle.decode(frame);
+            ASSERT_EQ(got.ok(), want.ok())
+                << "seed " << seed << " frame " << i;
+            if (want.ok()) {
+                ASSERT_EQ(got.value().pixels, want.value().pixels)
+                    << "seed " << seed << " frame " << i;
+                EXPECT_EQ(got.value().sequence, i);
+            }
+            // A rejected frame leaves both references as they were, so
+            // the next delta applies to the same pixels. Now and then
+            // the consumer resets, as the Decoder Offcode does.
+            if (!want.ok() && rng() % 2 == 0) {
+                decoder.reset();
+                oracle.reset();
+            }
+        }
+    }
 }
 
 } // namespace
