@@ -69,8 +69,12 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # sets the stream dirtied; a fall-back to the full per-line walk is
     # several times slower) and the MPEG decode row (BM_MpegDecode
     # validates, then decodes in place; a fall-back to per-run vector
-    # inserts and a separate delta buffer is ~4x slower) against the
-    # committed baseline. Generous 2x threshold -- this catches "the
+    # inserts and a separate delta buffer is ~4x slower) and the
+    # event-kernel row with a Packet-sized (88 B) capture
+    # (BM_SimulatorDispatch/capture:88: the callback runs in place
+    # from the timer slab; a fall-back to heap-allocated closures or
+    # heap-sifted callbacks is ~2x slower) against the committed
+    # baseline. Generous 2x threshold -- this catches "the
     # fast path regressed to deep copies" or "the cache stopped
     # replaying", not machine-to-machine noise.
     # Fleet end-to-end smoke first: the registry-size ladder (10k/100k
@@ -82,7 +86,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # Note: the bundled google-benchmark wants a bare double here (no
     # trailing time unit).
     "$BUILD_DIR/bench/perf_micro" \
-        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0|BM_CacheAccess|BM_CacheHousekeepingTick|BM_MpegDecode' \
+        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0|BM_CacheAccess|BM_CacheHousekeepingTick|BM_MpegDecode|BM_SimulatorDispatch/capture:88' \
         --benchmark_min_time=0.1 \
         --benchmark_format=json > "$OUT"
     echo "bench JSON written to $OUT"

@@ -18,18 +18,32 @@ ByteWriter::writeU16(std::uint16_t value)
     out_.push_back(static_cast<std::uint8_t>(value >> 8));
 }
 
+namespace {
+
+/** Append @p value little-endian: one resize, then indexed stores. */
+template <typename T>
+void
+appendLittleEndian(Bytes &out, T value)
+{
+    const std::size_t at = out.size();
+    out.resize(at + sizeof(T));
+    std::uint8_t *dst = out.data() + at;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        dst[i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+} // namespace
+
 void
 ByteWriter::writeU32(std::uint32_t value)
 {
-    for (int shift = 0; shift < 32; shift += 8)
-        out_.push_back(static_cast<std::uint8_t>(value >> shift));
+    appendLittleEndian(out_, value);
 }
 
 void
 ByteWriter::writeU64(std::uint64_t value)
 {
-    for (int shift = 0; shift < 64; shift += 8)
-        out_.push_back(static_cast<std::uint8_t>(value >> shift));
+    appendLittleEndian(out_, value);
 }
 
 void

@@ -389,6 +389,40 @@ class RingChannel : public Channel
     }
 
   private:
+    /**
+     * The messages one DMA chain carries, held until completion. A
+     * single write (the common case) sits inline; only a batch takes
+     * a vector, so an unbatched send allocates nothing.
+     */
+    class ChainMessages
+    {
+      public:
+        explicit ChainMessages(std::span<const Payload> messages)
+        {
+            if (messages.size() == 1)
+                single_ = messages.front();
+            else
+                batch_.assign(messages.begin(), messages.end());
+        }
+
+        explicit ChainMessages(std::vector<Payload> &&batch)
+            : batch_(std::move(batch))
+        {
+        }
+
+        std::span<const Payload>
+        view() const
+        {
+            if (batch_.empty())
+                return {&single_, 1};
+            return batch_;
+        }
+
+      private:
+        Payload single_;
+        std::vector<Payload> batch_;
+    };
+
     /** A sender's (possibly partial) batch awaiting descriptors. */
     struct BacklogEntry
     {
@@ -450,27 +484,25 @@ class RingChannel : public Channel
         if (fit == 0)
             return;
         dst_state.inFlight += fit;
-        startDma(from, to,
-                 std::vector<Payload>(messages.begin(),
-                                      messages.begin() + fit),
-                 charge_bus, sent_at, ctx);
+        startDma(from, to, ChainMessages(messages.first(fit)), charge_bus,
+                 sent_at, ctx);
     }
 
     void
-    startDma(std::size_t from, std::size_t to,
-             std::vector<Payload> messages, bool charge_bus,
-             sim::SimTime sent_at, const obs::SpanContext &ctx)
+    startDma(std::size_t from, std::size_t to, ChainMessages messages,
+             bool charge_bus, sim::SimTime sent_at,
+             const obs::SpanContext &ctx)
     {
         ExecutionSite *src = endpoints_[from].site;
         ExecutionSite *dst = endpoints_[to].site;
         std::size_t bytes = 0;
-        for (const Payload &message : messages)
+        for (const Payload &message : messages.view())
             bytes += message.size();
 
         // The completion closure holds references, not copies.
         auto finish = [this, from, to, sent_at, ctx,
                        msgs = std::move(messages)]() {
-            completeDelivery(from, to, msgs, sent_at, ctx);
+            completeDelivery(from, to, msgs.view(), sent_at, ctx);
         };
 
         // Pick the bus-mastering engine: the device side of the pair.
@@ -495,7 +527,7 @@ class RingChannel : public Channel
 
     void
     completeDelivery(std::size_t from, std::size_t to,
-                     const std::vector<Payload> &messages,
+                     std::span<const Payload> messages,
                      sim::SimTime sent_at, const obs::SpanContext &ctx)
     {
         ExecutionSite *dst = endpoints_[to].site;
@@ -567,7 +599,8 @@ class RingChannel : public Channel
                                      entry.messages.begin() + avail);
             }
             dst_state.inFlight += launch.messages.size();
-            startDma(launch.from, to, std::move(launch.messages), true,
+            startDma(launch.from, to,
+                     ChainMessages(std::move(launch.messages)), true,
                      launch.sentAt, launch.ctx);
         }
     }

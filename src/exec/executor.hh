@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/time.hh"
+#include "exec/callback.hh"
 
 namespace hydra::exec {
 
@@ -52,7 +53,7 @@ constexpr SiteId kMainSite = 0;
 class Executor
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = exec::Callback;
 
     Executor() = default;
     virtual ~Executor() = default;

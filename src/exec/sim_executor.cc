@@ -53,7 +53,7 @@ SimExecutor::SimExecutor()
 }
 
 TaskId
-SimExecutor::scheduleAt(Time when, Callback fn)
+SimExecutor::enqueue(Time when, Callback &&fn)
 {
     assert(when >= now_);
     const TaskId id = timers_.push(when, std::move(fn));
@@ -71,16 +71,16 @@ SimExecutor::cancel(TaskId id)
 bool
 SimExecutor::dispatch(Time until)
 {
-    TimerQueue::Timer timer;
-    if (!timers_.popDue(until, timer))
+    TimerQueue::Key key;
+    if (!timers_.popDue(until, key))
         return false;
-    assert(timer.when >= now_);
-    now_ = timer.when;
+    assert(key.when >= now_);
+    now_ = key.when;
     ++dispatched_;
     KernelMetrics &metrics = kernelMetrics();
     metrics.dispatched.increment();
     metrics.queueDepth.set(static_cast<double>(timers_.size()));
-    timer.fn();
+    timers_.fire(key.slot);
     return true;
 }
 
@@ -142,11 +142,11 @@ SimExecutor::post(SiteId site, Callback fn)
         if (chaosEngine.slowPost(now, amount))
             when += amount;
         if (when > now) {
-            scheduleAt(when, std::move(fn));
+            enqueue(when, std::move(fn));
             return;
         }
     }
-    schedule(0, std::move(fn));
+    enqueue(now_, std::move(fn));
 }
 
 void

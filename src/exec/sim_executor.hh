@@ -29,10 +29,14 @@ class SimExecutor final : public Executor
     TaskId
     schedule(Time delay, Callback fn) override
     {
-        return scheduleAt(now_ + delay, std::move(fn));
+        return enqueue(now_ + delay, std::move(fn));
     }
 
-    TaskId scheduleAt(Time when, Callback fn) override;
+    TaskId
+    scheduleAt(Time when, Callback fn) override
+    {
+        return enqueue(when, std::move(fn));
+    }
 
     TaskId
     schedulePeriodic(Time period, std::function<bool()> fn) override
@@ -58,7 +62,10 @@ class SimExecutor final : public Executor
     std::size_t pendingEvents() const override { return timers_.size(); }
 
   private:
-    /** Fire the earliest timer if it is due by @p until. */
+    /** Queue @p fn at @p when (>= now); the one path into the heap. */
+    TaskId enqueue(Time when, Callback &&fn);
+
+    /** Fire the earliest timer, in place, if it is due by @p until. */
     bool dispatch(Time until);
 
     TimerQueue timers_;

@@ -89,7 +89,7 @@ ThreadedExecutor::scheduleAt(Time when, Callback fn)
     // the coordinator's inbox.
     const TaskId id = timers_.allocateId();
     std::lock_guard<std::mutex> lock(injectMutex_);
-    injectedTimers_.push_back(TimerQueue::Timer{when, id, std::move(fn)});
+    injectedTimers_.push_back(InjectedTimer{when, id, std::move(fn)});
     injectedCount_.fetch_add(1, std::memory_order_release);
     return id;
 }
@@ -121,7 +121,7 @@ ThreadedExecutor::moveInjected()
 {
     if (injectedCount_.load(std::memory_order_acquire) == 0)
         return;
-    std::vector<TimerQueue::Timer> timers;
+    std::vector<InjectedTimer> timers;
     std::vector<TaskId> cancels;
     {
         std::lock_guard<std::mutex> lock(injectMutex_);
@@ -129,11 +129,11 @@ ThreadedExecutor::moveInjected()
         cancels.swap(injectedCancels_);
         injectedCount_.store(0, std::memory_order_release);
     }
-    for (TimerQueue::Timer &timer : timers) {
+    for (InjectedTimer &timer : timers) {
         // A worker may have raced the clock; never schedule into the
         // past.
-        timer.when = std::max(timer.when, now());
-        timers_.push(std::move(timer));
+        timers_.push(std::max(timer.when, now()), timer.id,
+                     std::move(timer.fn));
     }
     for (TaskId id : cancels)
         timers_.cancel(id);
@@ -470,16 +470,16 @@ ThreadedExecutor::sampleSiteOccupancy()
 bool
 ThreadedExecutor::dispatchDueTimer(Time until)
 {
-    TimerQueue::Timer timer;
-    if (!timers_.popDue(until, timer))
+    TimerQueue::Key key;
+    if (!timers_.popDue(until, key))
         return false;
-    assert(timer.when >= now());
-    now_.store(timer.when, std::memory_order_release);
+    assert(key.when >= now());
+    now_.store(key.when, std::memory_order_release);
     const std::uint64_t n = dispatched_.fetch_add(1, std::memory_order_relaxed);
     if ((n & kOccupancySampleMask) == 0)
         sampleSiteOccupancy();
     metrics().timerEvents.increment();
-    timer.fn();
+    timers_.fire(key.slot);
     return true;
 }
 

@@ -11,8 +11,9 @@
  *    fn) hands fn to that worker through a mutex-free SPSC ring —
  *    one ring per (producer, site) pair, so device-to-device
  *    pipelines never contend on a shared queue. Rings carry
- *    std::function closures which in turn carry refcounted Payload
- *    buffers, so cross-thread handoff moves a pointer, not bytes.
+ *    exec::Callback closures (inline captures, no heap) which in
+ *    turn carry refcounted Payload buffers, so cross-thread handoff
+ *    moves a pointer, not bytes.
  *  - Workers that schedule timers or cancel tasks inject them into
  *    the coordinator through a mutex-guarded inbox (cold path); the
  *    coordinator drains it between timer dispatches.
@@ -217,8 +218,16 @@ class ThreadedExecutor final : public Executor
     std::atomic<std::uint64_t> dispatched_{0};
 
     // --- cross-thread injection into the coordinator (cold path) ---
+    /** A worker's timer awaiting the coordinator's heap. */
+    struct InjectedTimer
+    {
+        Time when = 0;
+        TaskId id = 0;
+        Callback fn;
+    };
+
     mutable std::mutex injectMutex_;
-    std::vector<TimerQueue::Timer> injectedTimers_;
+    std::vector<InjectedTimer> injectedTimers_;
     std::vector<TaskId> injectedCancels_;
     std::atomic<std::size_t> injectedCount_{0};
 

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 
 namespace hydra::exec {
+
+static_assert(std::is_trivially_copyable_v<TimerQueue::Key>,
+              "heap maintenance copies keys, never callbacks");
 
 namespace {
 
@@ -11,7 +15,7 @@ namespace {
 struct Later
 {
     bool
-    operator()(const TimerQueue::Timer &a, const TimerQueue::Timer &b) const
+    operator()(const TimerQueue::Key &a, const TimerQueue::Key &b) const
     {
         if (a.when != b.when)
             return a.when > b.when;
@@ -22,19 +26,19 @@ struct Later
 } // namespace
 
 void
-TimerQueue::push(Timer timer)
+TimerQueue::push(Time when, TaskId id, Callback &&fn)
 {
-    heap_.push_back(std::move(timer));
+    heap_.push_back(Key{when, id, callbacks_.hold(std::move(fn))});
     std::push_heap(heap_.begin(), heap_.end(), Later());
 }
 
-TimerQueue::Timer
+TimerQueue::Key
 TimerQueue::popTop()
 {
     std::pop_heap(heap_.begin(), heap_.end(), Later());
-    Timer timer = std::move(heap_.back());
+    const Key key = heap_.back();
     heap_.pop_back();
-    return timer;
+    return key;
 }
 
 TaskId
@@ -102,19 +106,19 @@ TimerQueue::pruneCancelled()
         return;
     std::unordered_set<TaskId> live;
     live.reserve(heap_.size());
-    for (const Timer &timer : heap_)
-        live.insert(timer.id);
+    for (const Key &key : heap_)
+        live.insert(key.id);
     std::erase_if(cancelled_,
                   [&live](TaskId id) { return !live.count(id); });
 }
 
 bool
-TimerQueue::popDue(Time until, Timer &out)
+TimerQueue::popDue(Time until, Key &out)
 {
     while (!heap_.empty()) {
-        const Timer &top = heap_.front();
+        const Key &top = heap_.front();
         if (!cancelled_.empty() && cancelled_.erase(top.id)) {
-            popTop();
+            callbacks_.release(popTop().slot);
             continue;
         }
         if (top.when > until)

@@ -2,13 +2,18 @@
  * @file
  * TimerQueue: the virtual-time event queue both engines dispatch from.
  *
- * A min-heap on (when, id). Ids rise monotonically, so events at equal
- * timestamps fire in scheduling order, which keeps sim runs
- * deterministic for a fixed seed. Cancellation leaves a tombstone the
- * pop path consumes; tombstones for events that already fired are
- * pruned once they outgrow the queue, and ids never handed out are
- * ignored. Periodic series re-arm through a registry keyed by series
- * id, so a callback may cancel its own series.
+ * A min-heap of trivially copyable (when, id, slot) keys. Ids rise
+ * monotonically, so events at equal timestamps fire in scheduling
+ * order, which keeps sim runs deterministic for a fixed seed. The
+ * callbacks themselves wait in an address-stable CallbackSlab: push()
+ * moves each one into its cell once, heap maintenance only shuffles
+ * 24-byte keys, and the engine runs the callback in place with fire().
+ *
+ * Cancellation leaves a tombstone the pop path consumes; tombstones
+ * for events that already fired are pruned once they outgrow the
+ * queue, and ids never handed out are ignored. Periodic series re-arm
+ * through a registry keyed by series id, so a callback may cancel its
+ * own series.
  *
  * Only allocateId() is thread-safe; everything else belongs to the
  * engine's driving thread. Workers of the threaded engine take ids
@@ -24,6 +29,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "exec/callback.hh"
 #include "exec/executor.hh"
 
 namespace hydra::exec {
@@ -32,14 +38,14 @@ namespace hydra::exec {
 class TimerQueue
 {
   public:
-    using Callback = Executor::Callback;
+    using Slot = CallbackSlab::Slot;
 
-    /** One scheduled event. */
-    struct Timer
+    /** Heap entry of one scheduled event; its callback sits in slot. */
+    struct Key
     {
         Time when = 0;
         TaskId id = 0;
-        Callback fn;
+        Slot slot = 0;
     };
 
     TimerQueue() = default;
@@ -53,15 +59,15 @@ class TimerQueue
         return nextId_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /** Queue @p timer, whose id came from allocateId(). */
-    void push(Timer timer);
+    /** Queue @p fn at @p when under @p id, which came from allocateId(). */
+    void push(Time when, TaskId id, Callback &&fn);
 
     /** Queue @p fn at @p when under a fresh id; returns the id. */
     TaskId
-    push(Time when, Callback fn)
+    push(Time when, Callback &&fn)
     {
         const TaskId id = allocateId();
-        push(Timer{when, id, std::move(fn)});
+        push(when, id, std::move(fn));
         return id;
     }
 
@@ -75,10 +81,23 @@ class TimerQueue
     void cancel(TaskId id);
 
     /**
-     * Move the earliest live timer into @p out if it is due by
-     * @p until, consuming tombstones on the way; false otherwise.
+     * Pop the earliest live timer's key into @p out if it is due by
+     * @p until, consuming tombstones on the way; false otherwise. The
+     * popped timer's callback stays in its slot until fire().
      */
-    bool popDue(Time until, Timer &out);
+    bool popDue(Time until, Key &out);
+
+    /**
+     * Run the callback of a popped key in place, then free its slot.
+     * The slot stays held while the callback runs, so timers it
+     * pushes never reuse (and overwrite) the running closure.
+     */
+    void
+    fire(Slot slot)
+    {
+        callbacks_.at(slot)();
+        callbacks_.release(slot);
+    }
 
     /** Queued timers, cancelled-but-unpopped ones included. */
     std::size_t size() const { return heap_.size(); }
@@ -97,15 +116,12 @@ class TimerQueue
 
     void arm(TaskId series, Time when);
     void firePeriodic(TaskId series);
-    Timer popTop();
+    Key popTop();
     void pruneCancelled();
 
-    /**
-     * Min-heap on (when, id) kept by std::push_heap/std::pop_heap so
-     * dispatch can move a timer (and its captured state) out of the
-     * container instead of copying it.
-     */
-    std::vector<Timer> heap_;
+    /** Min-heap on (when, id), kept by std::push_heap/std::pop_heap. */
+    std::vector<Key> heap_;
+    CallbackSlab callbacks_;
     std::unordered_set<TaskId> cancelled_;
     std::unordered_map<TaskId, Periodic> periodics_;
     std::atomic<TaskId> nextId_{1};

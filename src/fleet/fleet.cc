@@ -115,7 +115,8 @@ class RemoteChannel : public core::Channel
                           "message exceeds wire frame limit");
         }
 
-        ensureRoutes();
+        if (!allRouted_)
+            ensureRoutes();
 
         ++stats_.messagesSent;
         stats_.bytesSent += message.size();
@@ -160,6 +161,7 @@ class RemoteChannel : public core::Channel
                     config_.maxMessageBytes + kWireHeaderBytes);
             wires_.push_back(wire);
             growSeqs();
+            allRouted_ = false;
         }
         // Outside the channel lock: route registration takes the
         // host's fabric lock, which delivery holds while calling back
@@ -219,7 +221,9 @@ class RemoteChannel : public core::Channel
      * binds the id; by the time a remote endpoint attaches (or the
      * first write happens) the id is final. Routes register one host
      * at a time outside the channel lock (see addEndpoint), with no
-     * temporary list of hosts.
+     * temporary list of hosts. A pass that finds every host routed
+     * sets allRouted_, so writes skip the scan until the next
+     * endpoint joins.
      */
     void
     ensureRoutes()
@@ -237,6 +241,7 @@ class RemoteChannel : public core::Channel
                         fresh = wire.host;
                         break;
                     }
+                allRouted_ = fresh == nullptr;
             }
             if (!fresh)
                 return;
@@ -350,6 +355,8 @@ class RemoteChannel : public core::Channel
     std::vector<PairSeq> seqs_;
     /** Hosts whose fabric tables carry our id (dtor unregisters). */
     std::vector<Host *> routedHosts_;
+    /** Every wire's host is in routedHosts_ (cleared by addEndpoint). */
+    bool allRouted_ = false;
 };
 
 namespace {

@@ -112,19 +112,33 @@ DmaEngine::start(std::uint64_t bytes, Bus::Callback done)
 {
     ++transfers_;
     const sim::SimTime startedAt = exec_.now();
+    exec::CallbackSlab::Slot slot;
+    {
+        std::lock_guard<std::mutex> lock(pendingMutex_);
+        slot = pending_.hold(std::move(done));
+    }
     // Descriptor fetch/setup happens on the device before the payload
     // crosses the bus.
-    exec_.schedule(
-        perDescriptorCost_,
-        [this, bytes, startedAt, done = std::move(done)]() mutable {
-            bus_.transfer(
-                bytes,
-                [this, startedAt, done = std::move(done)]() mutable {
-                    if (transferNs_)
-                        transferNs_->record(exec_.now() - startedAt);
-                    done();
-                });
-        });
+    exec_.schedule(perDescriptorCost_, [this, bytes, startedAt, slot]() {
+        bus_.transfer(bytes,
+                      [this, startedAt, slot]() { complete(slot, startedAt); });
+    });
+}
+
+void
+DmaEngine::complete(exec::CallbackSlab::Slot slot, sim::SimTime startedAt)
+{
+    if (transferNs_)
+        transferNs_->record(exec_.now() - startedAt);
+    // Take the completion out under the lock and run it outside: it
+    // may start the next DMA on this engine.
+    Bus::Callback done;
+    {
+        std::lock_guard<std::mutex> lock(pendingMutex_);
+        done = std::move(pending_.at(slot));
+        pending_.release(slot);
+    }
+    done();
 }
 
 } // namespace hydra::hw

@@ -13,12 +13,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 
-#include "exec/executor.hh"
 #include "common/time.hh"
+#include "exec/callback.hh"
+#include "exec/executor.hh"
 
 namespace hydra::obs {
 class Histogram;
@@ -42,7 +42,7 @@ struct BusStats
 class Bus
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = exec::Callback;
 
     /**
      * @param bandwidth_gbps Payload bandwidth in gigabits per second.
@@ -98,7 +98,12 @@ class DmaEngine
     DmaEngine(exec::Executor &executor, Bus &bus,
               sim::SimTime per_descriptor_cost, std::string owner = {});
 
-    /** Start a DMA of @p bytes; @p done fires at completion. */
+    /**
+     * Start a DMA of @p bytes; @p done fires at completion. The engine
+     * parks @p done in one of its own slots for the transfer's
+     * lifetime, so the descriptor-fetch and bus-crossing events carry
+     * only the slot number, never a nested copy of the closure.
+     */
     void start(std::uint64_t bytes, Bus::Callback done);
 
     std::uint64_t
@@ -108,11 +113,17 @@ class DmaEngine
     }
 
   private:
+    /** Bus-crossing completion: record the latency, run the slot. */
+    void complete(exec::CallbackSlab::Slot slot, sim::SimTime startedAt);
+
     exec::Executor &exec_;
     Bus &bus_;
     sim::SimTime perDescriptorCost_;
     /** Atomic: fleet driver threads start DMAs concurrently. */
     std::atomic<std::uint64_t> transfers_{0};
+    /** In-flight completions; locked, as transfers start on any thread. */
+    std::mutex pendingMutex_;
+    exec::CallbackSlab pending_;
     /** `dma.transfer_ns{device=owner}`; nullptr when anonymous. */
     obs::Histogram *transferNs_ = nullptr;
 };

@@ -39,11 +39,13 @@ namespace hydra::obs {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /**
- * Monotonic event counter. add() is a relaxed fetch_add: uncontended
- * (the common case — most counters have one writer) it costs the same
- * as a plain store on x86, and under the threaded executor concurrent
- * writers never lose increments, which the payload-conservation
- * invariants (allocations == recycles + live) depend on.
+ * Monotonic event counter. add() is a relaxed fetch_add, which x86
+ * still executes as a locked read-modify-write: uncontended (the
+ * common case — most counters have one writer) it measured ≈4 ns
+ * against ≈0.2–0.4 ns for a plain store on a 4-vCPU AMD EPYC VM. The
+ * atomic stays because under the threaded executor concurrent writers
+ * never lose increments, which the payload-conservation invariants
+ * (allocations == recycles + live) depend on.
  */
 class Counter
 {
