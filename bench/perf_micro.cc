@@ -889,7 +889,10 @@ BENCHMARK(BM_FleetOpenLoop)
  * create + connectSite + installHandler, on a 4-host fleet that holds
  * 10k live streams (so registry lookups see a realistic population).
  * remote:1 streams cross hosts (the fleet's remote provider); remote:0
- * stay on one host (a DMA ring from host to NIC). Not gated.
+ * stay on one host (a DMA ring from host to NIC). In the
+ * check.sh --bench-smoke filter: a fall-back to node-based id maps,
+ * per-create registry lookups or per-channel side allocations shows
+ * up here first.
  */
 void
 BM_ChannelLifecycle(benchmark::State &state)

@@ -73,10 +73,12 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # event-kernel row with a Packet-sized (88 B) capture
     # (BM_SimulatorDispatch/capture:88: the callback runs in place
     # from the timer slab; a fall-back to heap-allocated closures or
-    # heap-sifted callbacks is ~2x slower) against the committed
-    # baseline. Generous 2x threshold -- this catches "the
-    # fast path regressed to deep copies" or "the cache stopped
-    # replaying", not machine-to-machine noise.
+    # heap-sifted callbacks is ~2x slower) and the channel control
+    # plane (BM_ChannelLifecycle/remote:0|1: one stream's destroy +
+    # create + connect + install) against the committed baseline.
+    # Generous 2x threshold -- this catches "the fast path regressed
+    # to deep copies" or "the cache stopped replaying", not
+    # machine-to-machine noise.
     # Fleet end-to-end smoke first: the registry-size ladder (10k/100k
     # streams, threaded executor) plus the 1-vs-4-host scaling bar.
     # The binary exits nonzero if a run fails to deliver cleanly or
@@ -86,7 +88,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # Note: the bundled google-benchmark wants a bare double here (no
     # trailing time unit).
     "$BUILD_DIR/bench/perf_micro" \
-        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0|BM_CacheAccess|BM_CacheHousekeepingTick|BM_MpegDecode|BM_SimulatorDispatch/capture:88' \
+        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_ChannelBatchThroughput|BM_ChannelLowLoad|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0|BM_CacheAccess|BM_CacheHousekeepingTick|BM_MpegDecode|BM_SimulatorDispatch/capture:88|BM_ChannelLifecycle' \
         --benchmark_min_time=0.1 \
         --benchmark_format=json > "$OUT"
     echo "bench JSON written to $OUT"

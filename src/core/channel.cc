@@ -31,9 +31,6 @@ ChannelHandle::install(std::function<void(const Payload &)> handler)
 
 Channel::Channel(ChannelConfig config) : config_(std::move(config))
 {
-    // Unicast channels never grow past two endpoints: size them once.
-    if (config_.type == ChannelConfig::Type::Unicast)
-        endpoints_.reserve(2);
 }
 
 Channel::~Channel() = default;
@@ -137,10 +134,7 @@ Channel::addEndpoint(ExecutionSite &site)
     // The first endpoint is the creator's: bind the latency series
     // here (not in the constructor) so it carries the creator's host.
     if (endpoints_.empty() && !config_.name.empty())
-        deliveryLatency_ =
-            &obs::histogram("channel.delivery_latency_ns",
-                            {{"channel", config_.name},
-                             {"host", site.machine().name()}});
+        deliveryLatency_ = &site.deliveryLatency(config_.name);
     endpoints_.emplace_back().site = &site;
     return endpoints_.size() - 1;
 }

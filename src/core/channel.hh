@@ -25,6 +25,7 @@
 #include "common/fifo.hh"
 #include "common/payload.hh"
 #include "common/result.hh"
+#include "common/small_vector.hh"
 #include "core/site.hh"
 #include "obs/span.hh"
 
@@ -294,7 +295,8 @@ class Channel
 
     ChannelConfig config_;
     ChannelStats stats_;
-    std::vector<Endpoint> endpoints_;
+    /** Two inline slots: a unicast channel never allocates here. */
+    SmallVector<Endpoint, 2> endpoints_;
     /** Atomic: a fleet driver thread may close (via the executive's
      * destroy path) while the coordinator is mid-delivery. */
     std::atomic<bool> closed_{false};

@@ -1,5 +1,7 @@
 #include "core/executive.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 
@@ -104,7 +106,7 @@ ChannelExecutive::createChannel(const ChannelConfig &config,
     Channel *raw = channel.get();
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        channels_.emplace(id, std::move(channel));
+        channels_.insert(id, std::move(channel));
     }
     active_.fetch_add(1, std::memory_order_relaxed);
     return raw;
@@ -120,11 +122,11 @@ ChannelExecutive::destroyChannel(Channel *channel)
     ChannelId id = kInvalidChannel;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[owned, held] : channels_)
-            if (held.get() == channel) {
-                id = owned;
-                break;
-            }
+        channels_.forEach(
+            [&](ChannelId owned, const std::unique_ptr<Channel> &held) {
+                if (held.get() == channel)
+                    id = owned;
+            });
     }
     return destroyChannelById(id);
 }
@@ -135,12 +137,9 @@ ChannelExecutive::destroyChannelById(ChannelId id)
     std::unique_ptr<Channel> owned;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = channels_.find(id);
-        if (it == channels_.end())
+        if (!channels_.erase(id, &owned))
             return Status(ErrorCode::NotFound,
                           "channel not owned by executive");
-        owned = std::move(it->second);
-        channels_.erase(it);
     }
     active_.fetch_sub(1, std::memory_order_relaxed);
     // Close (and free) outside the lock: close() may touch sites and
@@ -155,22 +154,32 @@ Channel *
 ChannelExecutive::findChannel(ChannelId id) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = channels_.find(id);
-    return it == channels_.end() ? nullptr : it->second.get();
+    const std::unique_ptr<Channel> *owned = channels_.find(id);
+    return owned ? owned->get() : nullptr;
+}
+
+std::vector<Channel *>
+ChannelExecutive::snapshot() const
+{
+    std::vector<Channel *> channels;
+    std::lock_guard<std::mutex> lock(mutex_);
+    channels.reserve(channels_.size());
+    channels_.forEach([&](ChannelId, const std::unique_ptr<Channel> &owned) {
+        channels.push_back(owned.get());
+    });
+    // Slot order depends on the table's capacity; id order does not.
+    std::sort(channels.begin(), channels.end(),
+              [](const Channel *a, const Channel *b) {
+                  return a->id() < b->id();
+              });
+    return channels;
 }
 
 std::size_t
 ChannelExecutive::detachOffcode(const Offcode &offcode)
 {
-    std::vector<Channel *> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        snapshot.reserve(channels_.size());
-        for (auto &[id, channel] : channels_)
-            snapshot.push_back(channel.get());
-    }
     std::size_t detached = 0;
-    for (Channel *channel : snapshot)
+    for (Channel *channel : snapshot())
         detached += channel->detachOffcode(offcode);
     return detached;
 }
@@ -178,15 +187,8 @@ ChannelExecutive::detachOffcode(const Offcode &offcode)
 std::size_t
 ChannelExecutive::rebindOffcode(const Offcode &from, Offcode &to)
 {
-    std::vector<Channel *> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        snapshot.reserve(channels_.size());
-        for (auto &[id, channel] : channels_)
-            snapshot.push_back(channel.get());
-    }
     std::size_t rebound = 0;
-    for (Channel *channel : snapshot)
+    for (Channel *channel : snapshot())
         rebound += channel->rebindOffcode(from, to);
     return rebound;
 }
@@ -196,8 +198,10 @@ ChannelExecutive::queuedFor(const Offcode &offcode) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::size_t queued = 0;
-    for (const auto &[id, channel] : channels_)
-        queued += channel->queuedFor(offcode);
+    channels_.forEach(
+        [&](ChannelId, const std::unique_ptr<Channel> &channel) {
+            queued += channel->queuedFor(offcode);
+        });
     return queued;
 }
 

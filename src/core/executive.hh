@@ -7,9 +7,13 @@
  * Fleet model (DESIGN.md §14): one executive instance is one *shard*
  * — every host runs its own, owning exactly the channels created on
  * that host. Shards are independently locked, so channel churn on one
- * host never contends with another host's, and the registry is
- * indexed by ChannelId, so destroyChannel is O(1) instead of a raw-
- * pointer scan of every live channel. Cross-host targets resolve
+ * host never contends with another host's. The registry is a flat
+ * IdTable keyed by ChannelId (common/id_table.hh): ids come from one
+ * ascending counter, so churn — destroy the oldest id, create the
+ * newest — walks neighbouring slots instead of a node-based map's
+ * scattered heap nodes, and destroyChannelById is O(1). Id 0
+ * (kInvalidChannel) is never owned: findChannel(0) is nullptr and
+ * destroyChannelById(0) is NotFound. Cross-host targets resolve
  * through an optional secondary site lookup (installed by
  * fleet::Fleet) and are served by a provider that frames messages
  * over NIC/network packets.
@@ -24,9 +28,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_table.hh"
 #include "core/providers.hh"
 
 namespace hydra::obs {
@@ -76,7 +80,7 @@ class ChannelExecutive
     Status destroyChannel(Channel *channel);
 
     /** Destroy by id (what a routing table stores). O(1): the
-     * registry is keyed by the channel's id. */
+     * registry is keyed by the channel's id. Id 0 is NotFound. */
     Status destroyChannelById(ChannelId id);
 
     /** Look up an owned channel by id; nullptr when not this shard's. */
@@ -88,8 +92,9 @@ class ChannelExecutive
      * messages queue); rebindOffcode hands them to a successor
      * instance and replays the queued backlog; queuedFor reports the
      * backlog held for a (possibly wedged) Offcode across all owned
-     * channels. All three snapshot the channel set under the shard
-     * lock and then operate unlocked — handler drains may re-enter
+     * channels. detachOffcode and rebindOffcode snapshot the channel
+     * set under the shard lock, in ascending id order (creation
+     * order), and then operate unlocked — handler drains may re-enter
      * the executive (an Offcode's onChannelConnected may create
      * channels), and the shard mutex is not recursive.
      */
@@ -112,6 +117,9 @@ class ChannelExecutive
     const std::string &shardName() const { return shard_; }
 
   private:
+    /** Owned channels in ascending id order, taken under the lock. */
+    std::vector<Channel *> snapshot() const;
+
     std::function<ExecutionSite *(const std::string &)> siteLookup_;
     std::function<ExecutionSite *(const std::string &)> remoteLookup_;
     /** A provider plus its `channel.created{provider=...}` handle,
@@ -128,7 +136,7 @@ class ChannelExecutive
 
     /** Guards channels_; providers are registered at bring-up only. */
     mutable std::mutex mutex_;
-    std::unordered_map<ChannelId, std::unique_ptr<Channel>> channels_;
+    IdTable<std::unique_ptr<Channel>> channels_;
     std::atomic<std::size_t> active_{0};
     std::string shard_;
 };

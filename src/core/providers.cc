@@ -4,6 +4,7 @@
 
 #include "chaos/chaos.hh"
 #include "common/logging.hh"
+#include "common/small_vector.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 
@@ -233,8 +234,6 @@ class RingChannel : public Channel
         : Channel(std::move(config)), exec_(executor),
           busMulticast_(bus_multicast)
     {
-        if (config_.type == ChannelConfig::Type::Unicast)
-            state_.reserve(2);
         // Register both buffering-mode copy counters up front so a
         // zero-copy run exports an observable 0, not an absent metric.
         copyMetrics();
@@ -608,7 +607,8 @@ class RingChannel : public Channel
     exec::Executor &exec_;
     bool busMulticast_;
     RingCosts costs_;
-    std::vector<EpState> state_;
+    /** Parallel to endpoints_; inline for a unicast channel. */
+    SmallVector<EpState, 2> state_;
 };
 
 } // namespace

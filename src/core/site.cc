@@ -1,8 +1,22 @@
 #include "core/site.hh"
 
+#include "obs/metrics.hh"
 #include "obs/profiler.hh"
 
 namespace hydra::core {
+
+obs::Histogram &
+ExecutionSite::deliveryLatency(const std::string &channel)
+{
+    std::lock_guard<std::mutex> lock(latencyMutex_);
+    if (!latencySeries_ || latencyChannel_ != channel) {
+        latencySeries_ = &obs::histogram(
+            "channel.delivery_latency_ns",
+            {{"channel", channel}, {"host", machine().name()}});
+        latencyChannel_ = channel;
+    }
+    return *latencySeries_;
+}
 
 HostSite::HostSite(hw::Machine &machine)
     : machine_(machine), name_(machine.name() + ".host")

@@ -13,6 +13,7 @@
 #define HYDRA_CORE_SITE_HH
 
 #include <functional>
+#include <mutex>
 #include <string>
 
 #include "dev/device.hh"
@@ -20,6 +21,7 @@
 #include "common/time.hh"
 
 namespace hydra::obs {
+class Histogram;
 struct SiteActivitySlot;
 } // namespace hydra::obs
 
@@ -54,8 +56,26 @@ class ExecutionSite
      */
     obs::SiteActivitySlot *profilerSlot() const { return profilerSlot_; }
 
+    /**
+     * The `channel.delivery_latency_ns{channel, host}` series of a
+     * channel named @p channel whose creator endpoint is here. A
+     * one-entry cache keyed by the name answers repeated creates of
+     * one stream name (churn) without the registry's label hashing
+     * and lock; a miss registers or finds the series exactly as
+     * obs::histogram does, so series register at the same moment and
+     * in the same order. Registry handles are never freed (reset()
+     * only zeroes them), so the cached pointer stays valid.
+     * Thread-safe.
+     */
+    obs::Histogram &deliveryLatency(const std::string &channel);
+
   protected:
     obs::SiteActivitySlot *profilerSlot_ = nullptr;
+
+  private:
+    std::mutex latencyMutex_;
+    std::string latencyChannel_;
+    obs::Histogram *latencySeries_ = nullptr;
 };
 
 /** Offcode execution on the host CPU under the OS. */

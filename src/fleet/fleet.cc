@@ -5,6 +5,7 @@
 
 #include "common/bytes.hh"
 #include "common/logging.hh"
+#include "common/small_vector.hh"
 #include "obs/metrics.hh"
 #include "common/time.hh"
 
@@ -82,11 +83,6 @@ class RemoteChannel : public core::Channel
                                kWireHeaderBytes
                          : 0)
     {
-        if (config_.type == core::ChannelConfig::Type::Unicast) {
-            wires_.reserve(2);
-            seqs_.reserve(4);
-            routedHosts_.reserve(2);
-        }
     }
 
     ~RemoteChannel() override
@@ -100,7 +96,17 @@ class RemoteChannel : public core::Channel
     Status
     writeFrom(std::size_t from, Payload message) override
     {
-        std::lock_guard<std::recursive_mutex> lock(mutex_);
+        std::unique_lock<std::recursive_mutex> lock(mutex_);
+        // A joined endpoint's host may not carry our route yet. Route
+        // registration takes that host's fabric lock, and delivery
+        // holds the fabric lock while it takes ours (Host::onFabric),
+        // so register with our lock released, then look again: more
+        // endpoints may have joined meanwhile.
+        while (!allRouted_ && id() != core::kInvalidChannel) {
+            lock.unlock();
+            ensureRoutes();
+            lock.lock();
+        }
         if (closed_)
             return Status(ErrorCode::ChannelClosed, "channel closed");
         if (from >= endpoints_.size())
@@ -114,9 +120,6 @@ class RemoteChannel : public core::Channel
             return Status(ErrorCode::MessageTooLarge,
                           "message exceeds wire frame limit");
         }
-
-        if (!allRouted_)
-            ensureRoutes();
 
         ++stats_.messagesSent;
         stats_.bytesSent += message.size();
@@ -220,8 +223,11 @@ class RemoteChannel : public core::Channel
      * Lazy because the creator endpoint attaches before the executive
      * binds the id; by the time a remote endpoint attaches (or the
      * first write happens) the id is final. Routes register one host
-     * at a time outside the channel lock (see addEndpoint), with no
-     * temporary list of hosts. A pass that finds every host routed
+     * at a time outside the channel lock (see addEndpoint and
+     * writeFrom), with no temporary list of hosts; callers must not
+     * hold mutex_. A host joins routedHosts_ only after its route is
+     * in place, so a writer that finds allRouted_ set never sends a
+     * frame ahead of its route. A pass that finds every host routed
      * sets allRouted_, so writes skip the scan until the next
      * endpoint joins.
      */
@@ -235,9 +241,7 @@ class RemoteChannel : public core::Channel
             {
                 std::lock_guard<std::recursive_mutex> lock(mutex_);
                 for (const Wire &wire : wires_)
-                    if (std::find(routedHosts_.begin(), routedHosts_.end(),
-                                  wire.host) == routedHosts_.end()) {
-                        routedHosts_.push_back(wire.host);
+                    if (!routed(wire.host)) {
                         fresh = wire.host;
                         break;
                     }
@@ -245,8 +249,20 @@ class RemoteChannel : public core::Channel
             }
             if (!fresh)
                 return;
+            // Two threads may both register one host; the second
+            // insert rewrites the same entry and is not recorded.
             fresh->addRoute(id(), this);
+            std::lock_guard<std::recursive_mutex> lock(mutex_);
+            if (!routed(fresh))
+                routedHosts_.push_back(fresh);
         }
+    }
+
+    bool
+    routed(const Host *host) const
+    {
+        return std::find(routedHosts_.begin(), routedHosts_.end(), host) !=
+               routedHosts_.end();
     }
 
     /** Same-machine leg of a multicast: zero-copy in-memory enqueue
@@ -350,11 +366,13 @@ class RemoteChannel : public core::Channel
     Host &home_;
     std::size_t wireLimit_;
     std::recursive_mutex mutex_;
-    std::vector<Wire> wires_;
+    // Inline slots hold a unicast channel's state: two wires, a 2x2
+    // sequence table and at most two routed hosts.
+    SmallVector<Wire, 2> wires_;
     /** Flat n x n sequence table, n = wires_.size(); see pairSeq(). */
-    std::vector<PairSeq> seqs_;
+    SmallVector<PairSeq, 4> seqs_;
     /** Hosts whose fabric tables carry our id (dtor unregisters). */
-    std::vector<Host *> routedHosts_;
+    SmallVector<Host *, 2> routedHosts_;
     /** Every wire's host is in routedHosts_ (cleared by addEndpoint). */
     bool allRouted_ = false;
 };
@@ -489,7 +507,7 @@ void
 Host::addRoute(core::ChannelId id, RemoteChannel *channel)
 {
     std::lock_guard<std::mutex> lock(fabricMutex_);
-    routes_[id] = channel;
+    routes_.insert(id, channel);
 }
 
 void
@@ -520,15 +538,15 @@ Host::onFabric(const net::Packet &packet)
     // a concurrent destroyChannel blocks in removeRoute until we are
     // done, so the channel cannot be freed under us.
     std::lock_guard<std::mutex> lock(fabricMutex_);
-    auto it = routes_.find(id.value());
-    if (it == routes_.end()) {
+    RemoteChannel *const *route = routes_.find(id.value());
+    if (!route) {
         ++orphans_;
         remoteMetrics().orphans.increment();
         return;
     }
-    it->second->deliverWire(to.value(), from.value(), seq.value(),
-                            static_cast<sim::SimTime>(sentAt.value()),
-                            body);
+    (*route)->deliverWire(to.value(), from.value(), seq.value(),
+                          static_cast<sim::SimTime>(sentAt.value()),
+                          body);
 }
 
 Fleet::Fleet(exec::Executor &executor, FleetConfig config)
@@ -555,7 +573,14 @@ Fleet::Fleet(exec::Executor &executor, FleetConfig config)
     }
 }
 
-Fleet::~Fleet() = default;
+Fleet::~Fleet()
+{
+    // A remote channel unroutes itself from every host it spans when
+    // its shard destroys it, so close every shard while all hosts,
+    // and their route tables, still exist.
+    for (auto &host : hosts_)
+        host->runtime_.reset();
+}
 
 Host *
 Fleet::hostByName(std::string_view name)

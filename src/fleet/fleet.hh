@@ -20,8 +20,8 @@
  *
  * Wire demultiplexing is QUIC-style: every host binds two well-known
  * fabric ports (device path and host path) and routes inbound frames
- * by the ChannelId carried in the header, so port space never bounds
- * the number of concurrent streams.
+ * by the ChannelId carried in the header through a flat id table, so
+ * port space never bounds the number of concurrent streams.
  */
 
 #ifndef HYDRA_FLEET_FLEET_HH
@@ -31,9 +31,9 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_table.hh"
 #include "core/runtime.hh"
 #include "dev/nic.hh"
 #include "fleet/placement.hh"
@@ -131,10 +131,12 @@ class Host
      * Inbound route table. Held across delivery so a concurrent
      * destroy (removeRoute in ~RemoteChannel) cannot free the channel
      * under the handler; consequently fabric handlers must not
-     * destroy channels of the same host inline.
+     * destroy channels of the same host inline. A flat IdTable: a
+     * stream's create and destroy each touch neighbouring slots, and
+     * a frame naming id 0 finds nothing (an orphan).
      */
     mutable std::mutex fabricMutex_;
-    std::unordered_map<core::ChannelId, RemoteChannel *> routes_;
+    IdTable<RemoteChannel *> routes_;
     std::uint64_t orphans_ = 0;
 };
 

@@ -2,25 +2,31 @@
  * @file
  * Unit tests for the common module: Result/Status, GUIDs, byte
  * serialization, statistics, strings, JSON, simulated time, the
- * deterministic RNG, and the Fifo queue.
+ * deterministic RNG, the Fifo queue, the IdTable and SmallVector.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <type_traits>
+#include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/bytes.hh"
 #include "common/fifo.hh"
 #include "common/guid.hh"
+#include "common/id_table.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/payload.hh"
 #include "common/result.hh"
 #include "common/rng.hh"
+#include "common/small_vector.hh"
 #include "common/stats.hh"
 #include "common/strings.hh"
 #include "common/time.hh"
@@ -641,6 +647,194 @@ TEST(FifoTest, InterleavedPushPopAcrossCompactionKeepsOrderAndReleases)
     pop();
     EXPECT_TRUE(fifo.empty());
     EXPECT_EQ(live(), base);
+}
+
+// --------------------------------------------------------------- IdTable
+
+/** An IdTable next to a std::unordered_map reference; check() holds
+ * them equal: size, every lookup, and the iterated key set. */
+class IdTableDifferential
+{
+  public:
+    void
+    insert(std::uint64_t key, int value)
+    {
+        EXPECT_TRUE(table.insert(key, value));
+        model[key] = value;
+        check();
+    }
+
+    void
+    erase(std::uint64_t key)
+    {
+        int taken = -1;
+        const bool present = model.erase(key) == 1;
+        EXPECT_EQ(table.erase(key, &taken), present) << "key " << key;
+        if (present) {
+            EXPECT_NE(taken, -1);
+        }
+        check();
+    }
+
+    void
+    expectAbsent(std::uint64_t key)
+    {
+        ASSERT_EQ(model.count(key), 0u);
+        EXPECT_EQ(table.find(key), nullptr) << "key " << key;
+        EXPECT_FALSE(table.erase(key)) << "key " << key;
+        check();
+    }
+
+    void
+    check()
+    {
+        ASSERT_EQ(table.size(), model.size());
+        for (const auto &[key, value] : model) {
+            const int *found = table.find(key);
+            ASSERT_NE(found, nullptr) << "key " << key;
+            ASSERT_EQ(*found, value) << "key " << key;
+        }
+        std::vector<std::uint64_t> visited;
+        table.forEach([&](std::uint64_t key, int) { visited.push_back(key); });
+        std::vector<std::uint64_t> live;
+        for (const auto &entry : model)
+            live.push_back(entry.first);
+        std::sort(visited.begin(), visited.end());
+        std::sort(live.begin(), live.end());
+        ASSERT_EQ(visited, live);
+    }
+
+    IdTable<int> table;
+    std::unordered_map<std::uint64_t, int> model;
+};
+
+TEST(IdTableTest, KeyZeroIsNeverStored)
+{
+    IdTable<int> table;
+    EXPECT_EQ(table.find(0), nullptr);
+    EXPECT_FALSE(table.erase(0));
+    EXPECT_FALSE(table.insert(0, 7));
+    EXPECT_TRUE(table.empty());
+    EXPECT_TRUE(table.insert(1, 7));
+    EXPECT_EQ(table.find(0), nullptr);
+    EXPECT_FALSE(table.erase(0));
+    EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(IdTableTest, ChurnMatchesUnorderedMapAcrossSeeds)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        IdTableDifferential diff;
+        std::vector<std::uint64_t> live; // ascending: oldest first
+        std::uint64_t next = 1 + rng.next() % 1000;
+        for (int op = 0; op < 4000 && !::testing::Test::HasFailure();
+             ++op) {
+            // Grow to ~700 live ids, shrink, then grow again, so the
+            // table crosses several capacities while churning.
+            const std::size_t target = op < 1500   ? 700
+                                       : op < 2500 ? 40
+                                                   : 400;
+            const std::uint64_t roll = rng.next() % 100;
+            if (live.size() < target && roll < 60) {
+                diff.insert(next, static_cast<int>(op));
+                live.push_back(next);
+                next += 1 + rng.next() % 3;
+            } else if (!live.empty() && roll < 80) {
+                // Churn: the oldest stream goes first.
+                diff.erase(live.front());
+                live.erase(live.begin());
+            } else if (!live.empty() && roll < 88) {
+                const std::size_t at = rng.next() % live.size();
+                diff.erase(live[at]);
+                live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+            } else if (!live.empty() && roll < 93) {
+                // Overwrite a live id's value.
+                diff.insert(live[rng.next() % live.size()],
+                            static_cast<int>(op + 100000));
+            } else {
+                diff.expectAbsent(0);
+                diff.expectAbsent(next + rng.next() % 1000);
+                if (!live.empty() && live.front() > 1)
+                    diff.expectAbsent(live.front() - 1);
+            }
+        }
+        while (!live.empty() && !::testing::Test::HasFailure()) {
+            diff.erase(live.back());
+            live.pop_back();
+        }
+        EXPECT_TRUE(diff.table.empty());
+    }
+}
+
+TEST(IdTableTest, PowerOfTwoStridesKeepProbesShort)
+{
+    for (const std::uint64_t stride : {4ull, 1024ull, 65536ull}) {
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            SCOPED_TRACE("stride " + std::to_string(stride) + " seed " +
+                         std::to_string(seed));
+            Rng rng(seed);
+            IdTableDifferential diff;
+            const std::uint64_t base = 1 + rng.next() % 4096;
+            std::uint64_t inserted = 0;
+            // At every power-of-two size the table is exactly half
+            // full (it doubles on the next insert).
+            for (std::uint64_t size = 8; size <= 1024; size *= 2) {
+                while (inserted < size)
+                    diff.insert(base + stride * inserted++, 1);
+                EXPECT_LE(diff.table.longestProbe(), 16u)
+                    << "at " << size << " entries";
+            }
+            // Churn along the stride: erase the oldest, insert the next.
+            for (std::uint64_t i = 0; i < 1024; ++i) {
+                diff.erase(base + stride * i);
+                diff.insert(base + stride * inserted++, 2);
+                if (::testing::Test::HasFailure())
+                    return;
+            }
+            EXPECT_LE(diff.table.longestProbe(), 16u) << "after churn";
+            diff.expectAbsent(0);
+            diff.expectAbsent(base + stride * inserted);
+            diff.expectAbsent(base);
+        }
+    }
+}
+
+// ----------------------------------------------------------- SmallVector
+
+TEST(SmallVectorTest, GrowsFromInlineToHeapKeepingElements)
+{
+    auto live = std::make_shared<int>(0);
+    SmallVector<std::shared_ptr<int>, 2> items;
+    for (int i = 0; i < 9; ++i)
+        items.push_back(live);
+    EXPECT_EQ(items.size(), 9u);
+    EXPECT_EQ(live.use_count(), 10);
+    items.resize(3);
+    EXPECT_EQ(live.use_count(), 4);
+    items.resize(5);
+    EXPECT_EQ(items[4], nullptr);
+    items.emplace_back(live);
+    EXPECT_EQ(live.use_count(), 5);
+    items.clear();
+    EXPECT_TRUE(items.empty());
+    EXPECT_EQ(live.use_count(), 1);
+    {
+        SmallVector<std::shared_ptr<int>, 2> inline2;
+        inline2.push_back(live);
+        inline2.push_back(live);
+        EXPECT_EQ(live.use_count(), 3);
+    }
+    EXPECT_EQ(live.use_count(), 1);
+
+    SmallVector<std::string, 2> words;
+    for (int i = 0; i < 5; ++i)
+        words.emplace_back(40, static_cast<char>('a' + i));
+    std::string joined;
+    for (const std::string &word : words)
+        joined += word.front();
+    EXPECT_EQ(joined, "abcde");
 }
 
 } // namespace

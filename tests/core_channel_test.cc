@@ -189,6 +189,80 @@ TEST_F(ChannelFixture, DestroyRemovesChannel)
     EXPECT_FALSE(executive_->destroyChannel(channel.value()).ok());
 }
 
+TEST_F(ChannelFixture, FindChannelOfIdZeroIsNull)
+{
+    ChannelConfig config;
+    auto channel = executive_->createChannel(config, hostSite_);
+    ASSERT_TRUE(channel.ok());
+    ASSERT_NE(channel.value()->id(), kInvalidChannel);
+    EXPECT_EQ(executive_->findChannel(kInvalidChannel), nullptr);
+    EXPECT_EQ(executive_->findChannel(channel.value()->id()),
+              channel.value());
+}
+
+TEST_F(ChannelFixture, DestroyByIdZeroIsNotFound)
+{
+    ChannelConfig config;
+    auto channel = executive_->createChannel(config, hostSite_);
+    ASSERT_TRUE(channel.ok());
+    const Status destroyed = executive_->destroyChannelById(kInvalidChannel);
+    ASSERT_FALSE(destroyed.ok());
+    EXPECT_EQ(destroyed.error().code, ErrorCode::NotFound);
+    EXPECT_EQ(executive_->activeChannels(), 1u);
+    EXPECT_FALSE(channel.value()->closed());
+}
+
+/** Records the id of every channel it is connected to, in order. */
+class ConnectRecorder : public Offcode
+{
+  public:
+    ConnectRecorder() : Offcode("test.Recorder") {}
+
+    void
+    onChannelConnected(ChannelHandle channel) override
+    {
+        ids.push_back(channel.channel->id());
+    }
+
+    std::vector<ChannelId> ids;
+};
+
+TEST_F(ChannelFixture, RebindVisitsChannelsInIdOrder)
+{
+    EchoOffcode failed;
+    place(failed, *deviceSite_);
+    ConnectRecorder successor;
+    place(successor, *deviceSite_);
+
+    // Burn ids first: ids past the registry's capacity wrap to its
+    // low slots, so slot order is not id order. Then enough channels
+    // to grow the registry several times, and destroys in the middle
+    // so entries shift between slots.
+    for (int i = 0; i < 200; ++i) {
+        auto burned = executive_->createChannel(ChannelConfig{}, hostSite_);
+        ASSERT_TRUE(burned.ok());
+        ASSERT_TRUE(executive_->destroyChannel(burned.value()).ok());
+    }
+    std::vector<ChannelId> live;
+    for (int i = 0; i < 100; ++i) {
+        ChannelConfig config;
+        config.targetDevice = deviceSite_->name();
+        auto channel = executive_->createChannel(config, hostSite_);
+        ASSERT_TRUE(channel.ok());
+        ASSERT_TRUE(channel.value()->connectOffcode(failed).ok());
+        live.push_back(channel.value()->id());
+    }
+    for (std::size_t i = 10; i < live.size(); i += 7)
+        ASSERT_TRUE(executive_->destroyChannelById(live[i]).ok());
+    std::erase_if(live, [&](ChannelId id) {
+        return executive_->findChannel(id) == nullptr;
+    });
+
+    EXPECT_EQ(executive_->detachOffcode(failed), live.size());
+    EXPECT_EQ(executive_->rebindOffcode(failed, successor), live.size());
+    EXPECT_EQ(successor.ids, live) << "rebind must visit ascending ids";
+}
+
 TEST_F(ChannelFixture, ProviderNamesListed)
 {
     const auto names = executive_->providerNames();

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.hh"
@@ -298,6 +300,45 @@ TEST(CrossHostChannelTest, DestroyMidFlightOrphansFramesSafely)
     EXPECT_EQ(sink.seqs.size() + fleet.host(1).orphanFrames(), 10u);
 }
 
+TEST(CrossHostChannelTest, FrameForChannelIdZeroIsAnOrphan)
+{
+    exec::SimExecutor exec;
+    FleetConfig config;
+    config.hosts = 2;
+    Fleet fleet(exec, config);
+
+    // A live stream, so host 1's route table is not empty.
+    Received sink;
+    ASSERT_NE(makeCrossHostChannel(fleet, fleet.host(0), fleet.host(1),
+                                   sink),
+              nullptr);
+
+    auto &registry = obs::MetricsRegistry::instance();
+    const std::uint64_t orphanBase =
+        registry.counterValue("fleet.orphan_frames");
+
+    PayloadBuilder builder;
+    ByteWriter writer(builder.buffer());
+    writer.writeU64(core::kInvalidChannel);
+    writer.writeU32(0); // from
+    writer.writeU32(1); // to
+    writer.writeU64(0); // seq
+    writer.writeU64(0); // sentAt
+    builder.buffer().resize(kWireHeaderBytes + 16, 0);
+    net::Packet frame;
+    frame.dst = fleet.host(1).node();
+    frame.dstPort = kFleetDevicePort;
+    frame.srcPort = kFleetDevicePort;
+    frame.payload = builder.seal();
+    ASSERT_TRUE(fleet.host(0).nic().sendFromDevice(std::move(frame)).ok());
+    exec.runUntil(exec.now() + sim::milliseconds(5));
+    exec.drain();
+
+    EXPECT_EQ(fleet.host(1).orphanFrames(), 1u);
+    EXPECT_EQ(registry.counterValue("fleet.orphan_frames") - orphanBase, 1u);
+    EXPECT_TRUE(sink.seqs.empty());
+}
+
 TEST(CrossHostChannelTest, MulticastAcrossThreeHostsKeepsPerPairFifo)
 {
     exec::SimExecutor exec;
@@ -517,6 +558,108 @@ TEST(FleetThreadedTest, CrossHostFifoOnThreadedExecutor)
     ASSERT_EQ(sink.seqs.size(), kMessages);
     for (std::uint64_t i = 0; i < kMessages; ++i)
         EXPECT_EQ(sink.seqs[i], i) << "out of order at " << i;
+}
+
+TEST(FleetThreadedTest, EndpointsJoinWhileAnotherDriverWrites)
+{
+    auto exec = exec::makeExecutor(exec::ExecutorKind::Threaded);
+    FleetConfig config;
+    config.hosts = 4;
+    Fleet fleet(*exec, config);
+
+    // Multicast channels from host 0 to host 1's NIC. Each later gains
+    // endpoints on hosts 2 and 3, so every join brings a host whose
+    // route the channel must still register.
+    constexpr std::size_t kChannels = 8;
+    std::vector<core::Channel *> channels;
+    for (std::size_t c = 0; c < kChannels; ++c) {
+        core::ChannelConfig channelConfig;
+        channelConfig.type = core::ChannelConfig::Type::Multicast;
+        channelConfig.targetDevice = fleet.host(1).nic().name();
+        auto created = fleet.host(0).executive().createChannel(
+            channelConfig, fleet.host(0).runtime().hostSite(), 128);
+        ASSERT_TRUE(created.ok());
+        core::ExecutionSite *site =
+            fleet.host(1).runtime().siteByName(channelConfig.targetDevice);
+        ASSERT_NE(site, nullptr);
+        ASSERT_TRUE(created.value()->connectSite(*site).ok());
+        channels.push_back(created.value());
+    }
+
+    auto &registry = obs::MetricsRegistry::instance();
+    const std::uint64_t gapBase = registry.counterValue("fleet.seq_gaps");
+
+    // Host 0's driver keeps writing into the channel host 2's driver
+    // is joining (at most kMaxWrites per channel); the joiner waits for
+    // one more pass of the writer's loop before each join. Joined
+    // endpoints install no handler (that would race delivery); they
+    // queue, and are polled after the run.
+    constexpr std::uint64_t kJoins = 2 * kChannels;
+    constexpr std::uint64_t kMaxWrites = 512;
+    std::vector<std::uint64_t> sent(kChannels, 0); // host 0's driver only
+    std::atomic<std::uint64_t> passes{0};
+    std::atomic<std::uint64_t> joined{0};
+    std::atomic<bool> failed{false};
+    auto write = [&](std::size_t c) {
+        if (!channels[c]->write(stampedMessage(sent[c]++, 128)).ok())
+            failed = true;
+    };
+    exec->post(fleet.host(0).driverSite(), [&]() {
+        for (std::uint64_t j; (j = joined.load()) < kJoins;
+             passes.fetch_add(1)) {
+            if (sent[j / 2] < kMaxWrites)
+                write(j / 2);
+            else
+                std::this_thread::yield();
+        }
+        // A last write into every channel reaches every endpoint.
+        for (std::size_t c = 0; c < kChannels; ++c)
+            write(c);
+    });
+    exec->post(fleet.host(2).driverSite(), [&]() {
+        for (std::uint64_t j = 0; j < kJoins; ++j) {
+            const std::uint64_t seen = passes.load();
+            while (passes.load() == seen)
+                std::this_thread::yield();
+            Host &host = fleet.host(2 + j % 2);
+            core::ExecutionSite *site =
+                host.runtime().siteByName(host.nic().name());
+            if (!site || !channels[j / 2]->connectSite(*site).ok())
+                failed = true;
+            joined.store(j + 1);
+        }
+    });
+    exec->runUntil(exec->now() + sim::milliseconds(100));
+    exec->drain();
+
+    EXPECT_FALSE(failed.load());
+    ASSERT_EQ(joined.load(), kJoins);
+    // Every receiver saw a gap-free suffix of its channel's writes:
+    // from the first write after it joined through the last one.
+    for (std::size_t c = 0; c < kChannels; ++c) {
+        core::Channel *channel = channels[c];
+        ASSERT_EQ(channel->numEndpoints(), 4u);
+        for (std::size_t ep = 1; ep < channel->numEndpoints(); ++ep) {
+            std::vector<std::uint64_t> seqs;
+            while (auto message = channel->poll(ep)) {
+                ByteReader reader(message.value().data(),
+                                  message.value().size());
+                seqs.push_back(reader.readU64().value());
+            }
+            ASSERT_FALSE(seqs.empty()) << "channel " << c << " ep " << ep;
+            EXPECT_EQ(seqs.back(), sent[c] - 1)
+                << "channel " << c << " ep " << ep;
+            for (std::size_t i = 1; i < seqs.size(); ++i)
+                ASSERT_EQ(seqs[i], seqs[i - 1] + 1)
+                    << "channel " << c << " ep " << ep;
+        }
+        EXPECT_EQ(channel->stats().messagesDropped, 0u);
+        fleet.host(0).executive().destroyChannelById(channel->id());
+    }
+    EXPECT_EQ(registry.counterValue("fleet.seq_gaps") - gapBase, 0u);
+    for (std::size_t h = 0; h < fleet.hostCount(); ++h)
+        EXPECT_EQ(fleet.host(h).orphanFrames(), 0u) << "host " << h;
+    exec->drain();
 }
 
 TEST(FleetThreadedTest, DriverStressWithChurn)
