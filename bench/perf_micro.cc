@@ -846,10 +846,10 @@ BENCHMARK(BM_ProfilerOverhead)
 
 /**
  * Fleet smoke: a saturating open-loop run on 1 vs 4 hosts. real_time
- * guards the wall-clock cost of simulating a fleet (bench_compare's
- * 2x gate); the `vmsgs_per_sec` counter carries the virtual-time
- * goodput, whose hosts:4 / hosts:1 ratio bench_gate.py holds to the
- * >= 2x scaling bar. The sim engine makes the counter deterministic.
+ * guards the wall-clock cost of simulating a fleet (bench_gate.py's
+ * 2x baseline gate); the `vmsgs_per_sec` counter carries the
+ * virtual-time goodput, whose hosts:4 / hosts:1 ratio bench_gate.py
+ * holds to the >= 2x scaling bar. The sim engine makes the counter deterministic.
  */
 void
 BM_FleetOpenLoop(benchmark::State &state)

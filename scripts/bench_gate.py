@@ -1,9 +1,20 @@
 #!/usr/bin/env python3
-"""Telemetry-engine perf gates (DESIGN.md section 11 overhead budget).
+"""Perf gates over google-benchmark JSON runs (DESIGN.md section 11
+overhead budget); the one reader of scripts/bench_baseline.json.
 
-Usage: bench_gate.py BASELINE.json CURRENT.json
+Usage: bench_gate.py BASELINE.json SMOKE.json GATE.json
 
-Three gates on top of bench_compare.py's generic 2x noise gate:
+SMOKE.json is a single pass (one iteration row per benchmark); gate 0
+reads it. GATE.json is a run with repetitions; gates 1-6 read its
+median aggregates.
+
+ 0. Baseline smoke: every benchmark present in both BASELINE.json and
+    SMOKE.json must run in at most 2x the baseline's real_time. The
+    bound is coarse on purpose: it catches "the fast path regressed to
+    deep copies" or "the cache stopped replaying", not
+    machine-to-machine noise. Benchmarks present on only one side are
+    reported but not fatal, so adding a case does not require
+    regenerating the baseline in the same commit.
 
  1. Histogram hot path: every BM_HistogramRecord row must run in at
     most HYDRA_HIST_RECORD_NS_MAX ns per record (default 15). This is
@@ -14,7 +25,7 @@ Three gates on top of bench_compare.py's generic 2x noise gate:
     channel, per-delivery histogram records) is paired with its hist:0
     twin (anonymous channel, uninstrumented) from the SAME run, which
     isolates the telemetry cost from cross-session machine drift
-    (bench_compare.py's coarser baseline gate absorbs that instead).
+    (gate 0's coarser baseline bound absorbs that instead).
     The *geometric mean* of the pair ratios must stay at most
     HYDRA_CHANNEL_RATIO_MAX (default 1.05, i.e. <5% overhead): a
     single 0.1 s pair on a shared 1-CPU VM has a noise floor around
@@ -53,7 +64,7 @@ Three gates on top of bench_compare.py's generic 2x noise gate:
     must keep buying capacity, or the fleet refactor's premise (shard
     the executive, spread the load) has regressed.
 
-All limits are env-overridable for slow or shared machines.
+The limits of gates 1-6 are env-overridable for slow or shared machines.
 """
 
 import json
@@ -63,6 +74,7 @@ import sys
 
 
 KNOWN_COUNTERS = ("p99_ns", "vmsgs_per_sec")
+BASELINE_RATIO_MAX = 2.0
 
 
 def load(path):
@@ -99,15 +111,32 @@ def load(path):
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 4:
         sys.stderr.write(__doc__)
         return 2
     baseline, _ = load(sys.argv[1])
-    current, current_counters = load(sys.argv[2])
+    smoke, _ = load(sys.argv[2])
+    current, current_counters = load(sys.argv[3])
     record_max = float(os.environ.get("HYDRA_HIST_RECORD_NS_MAX", "15"))
     ratio_max = float(os.environ.get("HYDRA_CHANNEL_RATIO_MAX", "1.05"))
 
     failed = []
+
+    print(f"{'benchmark':56s} {'baseline':>12s} {'current':>12s} "
+          f"{'ratio':>7s}")
+    for name in sorted(baseline):
+        if name not in smoke:
+            print(f"{name:56s} {baseline[name]:12.0f} {'absent':>12s}")
+            continue
+        ratio = smoke[name] / baseline[name] if baseline[name] else 1.0
+        ok = ratio <= BASELINE_RATIO_MAX
+        print(f"{name:56s} {baseline[name]:12.0f} {smoke[name]:12.0f} "
+              f"{ratio:7.2f}{'' if ok else ' REGRESSION'}")
+        if not ok:
+            failed.append(f"{name}(baseline)")
+    for name in sorted(set(smoke) - set(baseline)):
+        print(f"{name:56s} {'(new)':>12s} {smoke[name]:12.0f}")
+    print()
 
     record_rows = [n for n in current if n.startswith("BM_HistogramRecord")]
     if not record_rows:

@@ -3,7 +3,12 @@
 # suite. This is the command CI and pre-merge checks run.
 #
 # Usage:
-#   scripts/check.sh               # default build + all tests
+#   scripts/check.sh               # default build + all tests, then
+#                                  # bench/paper_repro at the full 600
+#                                  # simulated s per scenario (fails on
+#                                  # any broken paper shape check);
+#                                  # --sanitize and --no-tracing end
+#                                  # the same way
 #   scripts/check.sh --sanitize    # ASan/UBSan build, obs-, hw-,
 #                                  # channel-, then codec-labeled tests
 #                                  # first, then the full suite
@@ -14,6 +19,8 @@
 #                                  # data-path benches, fail if any is
 #                                  # >2x slower than the checked-in
 #                                  # baseline (scripts/bench_baseline.json)
+#                                  # or breaks a scripts/bench_gate.py
+#                                  # overhead gate
 #   scripts/check.sh --tsan        # ThreadSanitizer build, run the
 #                                  # threaded-executor test label (the
 #                                  # SPSC rings, timer injection, payload
@@ -92,7 +99,6 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
         --benchmark_min_time=0.1 \
         --benchmark_format=json > "$OUT"
     echo "bench JSON written to $OUT"
-    python3 scripts/bench_compare.py scripts/bench_baseline.json "$OUT" 2.0
     # Telemetry-engine budget: histogram record cost stays under
     # ~15 ns, the instrumented channel rows (hist:1) stay within 5%
     # of their uninstrumented hist:0 twins from the same run, and the
@@ -116,7 +122,10 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
         --benchmark_enable_random_interleaving=true \
         --benchmark_report_aggregates_only=true \
         --benchmark_format=json > "$GATE_OUT"
-    python3 scripts/bench_gate.py scripts/bench_baseline.json "$GATE_OUT"
+    # One script reads both runs: the baseline smoke from the first,
+    # the overhead gates from the second.
+    python3 scripts/bench_gate.py scripts/bench_baseline.json "$OUT" \
+        "$GATE_OUT"
     exit 0
 fi
 
@@ -154,3 +163,7 @@ fi
 # should fail loudly before the full matrix runs.
 ctest -L chaos --output-on-failure
 ctest --output-on-failure -j "$(nproc)"
+# The paper's TiVo evaluation at its full 600 simulated seconds per
+# scenario (ctest's `paper` label runs it at 30 s against a golden
+# file): a broken shape check exits 1 and fails this script.
+./bench/paper_repro
