@@ -16,10 +16,11 @@
  *     about how latency scales with per-stream load.
  *
  *  2. Host scaling — virtual-time goodput of 1 host vs 4 hosts at
- *     the same (saturating) offered load and stream count. The fleet
- *     acceptance bar is >= 2x for 4 hosts; measured deterministic
- *     under the sim engine, so this is a property of the model, not
- *     of the machine running the bench.
+ *     the same (saturating) offered load and stream count, measured
+ *     deterministic under the sim engine, so this is a property of
+ *     the model, not of the machine running the bench. Reported
+ *     only: the >= 2x acceptance bar for 4 hosts is held by
+ *     scripts/bench_gate.py on BM_FleetOpenLoop.
  *
  *  3. Registry wall — the first wall an earlier revision hit: the
  *     executive registry was an unordered vector searched by pointer,
@@ -247,7 +248,9 @@ main(int argc, char **argv)
                 one.deliveredPerVirtualSec);
     std::printf("4 hosts: %12.0f msgs/virtual-sec\n",
                 four.deliveredPerVirtualSec);
-    std::printf("scaling: %.2fx (acceptance >= 2x)\n", ratio);
+    std::printf("scaling: %.2fx (gated >= 2x on BM_FleetOpenLoop by "
+                "bench_gate.py)\n",
+                ratio);
 
     // 3. Registry wall (churn before/after the id-indexed registry).
     std::printf("\n== registry wall: destroy+create under churn, "
@@ -321,11 +324,5 @@ main(int argc, char **argv)
         std::printf("\n(wrote %s)\n", jsonOut.c_str());
     }
 
-    if (ratio < 2.0) {
-        std::fprintf(stderr,
-                     "fleet_scale: 4-host scaling %.2fx below 2x bar\n",
-                     ratio);
-        return 1;
-    }
     return 0;
 }

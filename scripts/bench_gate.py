@@ -5,7 +5,7 @@ overhead budget); the one reader of scripts/bench_baseline.json.
 Usage: bench_gate.py BASELINE.json SMOKE.json GATE.json
 
 SMOKE.json is a single pass (one iteration row per benchmark); gate 0
-reads it. GATE.json is a run with repetitions; gates 1-6 read its
+reads it. GATE.json is a run with repetitions; gates 1-5 read its
 median aggregates.
 
  0. Baseline smoke: every benchmark present in both BASELINE.json and
@@ -50,21 +50,15 @@ median aggregates.
     noise floor as headroom). Rows at other site counts (e.g. the
     2-site scaling row) are informational and not gated.
 
- 5. Low-load latency: BM_ChannelLowLoad exports the deterministic
-    virtual-time delivery p99 as the `p99_ns` benchmark counter; the
-    batched:1 / batched:0 counter ratio must stay at most
-    HYDRA_LOWLOAD_P99_MAX (default 1.05). This is the adaptivity
-    invariant: batching must not buy throughput with added latency
-    when the pipe is idle.
-
- 6. Fleet scaling: BM_FleetOpenLoop exports virtual-time goodput of a
+ 5. Fleet scaling: BM_FleetOpenLoop exports virtual-time goodput of a
     saturating open loop as the `vmsgs_per_sec` counter; the hosts:4
     / hosts:1 ratio must stay at least HYDRA_FLEET_SCALE_MIN (default
-    2.0). Like gate 5 this is a virtual-clock property — adding hosts
-    must keep buying capacity, or the fleet refactor's premise (shard
-    the executive, spread the load) has regressed.
+    2.0). This is a virtual-clock property, so the ratio is
+    deterministic: adding hosts must keep buying capacity, or the
+    fleet refactor's premise (shard the executive, spread the load)
+    has regressed. It is the repo's one check of the 4-host bar.
 
-The limits of gates 1-6 are env-overridable for slow or shared machines.
+The limits of gates 1-5 are env-overridable for slow or shared machines.
 """
 
 import json
@@ -73,7 +67,7 @@ import os
 import sys
 
 
-KNOWN_COUNTERS = ("p99_ns", "vmsgs_per_sec")
+KNOWN_COUNTERS = ("vmsgs_per_sec",)
 BASELINE_RATIO_MAX = 2.0
 
 
@@ -201,30 +195,7 @@ def main():
         float(os.environ.get("HYDRA_BATCH_RATIO_MAX", "1.0")),
         require="sites:4")
 
-    # Gate 5: batching must not add delivery latency at low load.
-    # The p99 comes from the sim engine's virtual clock, so the ratio
-    # is deterministic (no noise floor to budget for).
-    p99_max = float(os.environ.get("HYDRA_LOWLOAD_P99_MAX", "1.05"))
-    on = "BM_ChannelLowLoad/batched:1"
-    off = "BM_ChannelLowLoad/batched:0"
-    if (on in current_counters and off in current_counters and
-            "p99_ns" in current_counters[on] and
-            "p99_ns" in current_counters[off]):
-        denom = current_counters[off]["p99_ns"]
-        ratio = (current_counters[on]["p99_ns"] / denom if denom
-                 else 1.0)
-        ok = ratio <= p99_max
-        print(f"{'BM_ChannelLowLoad p99_ns(batched/unbatched)':56s} "
-              f"{ratio:7.3f}x (limit {p99_max:.2f})"
-              f"{'' if ok else ' REGRESSION'}")
-        if not ok:
-            failed.append("BM_ChannelLowLoad(p99)")
-    else:
-        print("bench_gate: BM_ChannelLowLoad p99_ns counters missing "
-              "from current run")
-        failed.append("BM_ChannelLowLoad(absent)")
-
-    # Gate 6: more hosts must keep meaning more capacity. The goodput
+    # Gate 5: more hosts must keep meaning more capacity. The goodput
     # counters come from the sim engine's virtual clock, so the ratio
     # is deterministic.
     scale_min = float(os.environ.get("HYDRA_FLEET_SCALE_MIN", "2.0"))

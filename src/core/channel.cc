@@ -81,30 +81,6 @@ Channel::poll(std::size_t endpoint)
     return message;
 }
 
-std::size_t
-Channel::pollBatch(std::size_t endpoint, std::vector<Payload> &out,
-                   std::size_t max)
-{
-    if (endpoint >= endpoints_.size() || max == 0)
-        return 0;
-    Endpoint &ep = endpoints_[endpoint];
-    if (ep.queue.empty())
-        return 0;
-    // One clock read covers the whole drained backlog; per-item
-    // latency still varies because each entry carries its own sentAt.
-    sim::SimTime deliveredAt = 0;
-    if (deliveryLatency_ && ep.site)
-        deliveredAt = ep.site->machine().executor().now();
-    std::size_t drained = 0;
-    while (drained < max && !ep.queue.empty()) {
-        recordDelivery(ep, ep.queue.front().sentAt, deliveredAt);
-        out.push_back(std::move(ep.queue.front().message));
-        ep.queue.pop_front();
-        ++drained;
-    }
-    return drained;
-}
-
 ExecutionSite *
 Channel::siteOf(std::size_t endpoint) const
 {
@@ -230,39 +206,6 @@ Channel::deliverTo(std::size_t endpoint, const Payload &message,
     // No handler yet: latency resolves when the message is polled or
     // drained by a late-installed handler.
     ep.queue.push_back(Queued{message, obs::activeContext(), sentAt});
-}
-
-void
-Channel::deliverBatchTo(std::size_t endpoint,
-                        std::span<const Payload> messages,
-                        std::size_t from, sim::SimTime sentAt,
-                        sim::SimTime deliveredAt)
-{
-    if (endpoint >= endpoints_.size() || messages.empty())
-        return;
-    Endpoint &ep = endpoints_[endpoint];
-    stats_.messagesDelivered += messages.size();
-    {
-        static obs::Counter &delivered =
-            obs::counter("channel.messages_delivered");
-        delivered.add(messages.size());
-    }
-    if (ep.handler) {
-        // Resolve the clock once for the batch (only a named channel
-        // needs it at all); each message still records individually.
-        if (deliveredAt == 0 && deliveryLatency_ && ep.site)
-            deliveredAt = ep.site->machine().executor().now();
-        for (const Payload &message : messages) {
-            recordDelivery(ep, sentAt, deliveredAt);
-            ep.handler(message, from);
-        }
-        return;
-    }
-    // No handler yet: queue the batch under one captured context;
-    // latency resolves at poll()/pollBatch() or handler install.
-    const obs::SpanContext ctx = obs::activeContext();
-    for (const Payload &message : messages)
-        ep.queue.push_back(Queued{message, ctx, sentAt});
 }
 
 void

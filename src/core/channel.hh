@@ -17,9 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "common/bytes.hh"
 #include "common/fifo.hh"
@@ -139,33 +137,6 @@ class Channel
      */
     virtual Status writeFrom(std::size_t endpoint, Payload message) = 0;
 
-    /** Creator-side batch write (endpoint 0). */
-    Status writeBatch(std::vector<Payload> messages)
-    {
-        return writeBatchFrom(0, messages);
-    }
-
-    /**
-     * Write a batch of messages from one endpoint in a single
-     * transport visit. Semantically equivalent to writing each
-     * message in order; transports override it to amortize per-item
-     * cost (one clock resolve, one scheduled delivery event, one DMA
-     * descriptor chain per batch) while still feeding
-     * channel.delivery_latency_ns per item. Stops at the first
-     * failing message and reports its status; earlier messages stay
-     * sent. Elements are moved from.
-     */
-    virtual Status
-    writeBatchFrom(std::size_t endpoint, std::span<Payload> messages)
-    {
-        for (Payload &message : messages) {
-            Status status = writeFrom(endpoint, std::move(message));
-            if (!status)
-                return status;
-        }
-        return Status::success();
-    }
-
     /** Install a dispatch handler at the creator endpoint. */
     void installCallHandler(Handler handler)
     {
@@ -176,15 +147,6 @@ class Channel
 
     /** Non-blocking read of a queued message (no handler installed). */
     Result<Payload> poll(std::size_t endpoint);
-
-    /**
-     * Batch poll: drain up to @p max queued messages into @p out
-     * (appended), resolving the clock once for the whole backlog
-     * visit while still recording per-item delivery latency. Returns
-     * the number drained (0 when the queue is empty).
-     */
-    std::size_t pollBatch(std::size_t endpoint, std::vector<Payload> &out,
-                          std::size_t max);
 
     /**
      * Attach an Offcode: constructs its endpoint at the Offcode's
@@ -271,18 +233,6 @@ class Channel
     void deliverTo(std::size_t endpoint, const Payload &message,
                    std::size_t from, sim::SimTime sentAt,
                    sim::SimTime deliveredAt = 0);
-
-    /**
-     * Vectored delivery of one sender's batch to one endpoint: stats
-     * and the shared delivered-counter update once for the batch, the
-     * clock resolves at most once, and each message still lands in
-     * the handler (or queue) — and the latency histogram —
-     * individually, in span order.
-     */
-    void deliverBatchTo(std::size_t endpoint,
-                        std::span<const Payload> messages,
-                        std::size_t from, sim::SimTime sentAt,
-                        sim::SimTime deliveredAt = 0);
 
     /** Default dispatch for Offcode endpoints (Calls, Data, Mgmt). */
     void dispatchToOffcode(std::size_t endpoint, const Payload &message,

@@ -1,7 +1,5 @@
 #include "core/providers.hh"
 
-#include <algorithm>
-
 #include "chaos/chaos.hh"
 #include "common/logging.hh"
 #include "common/small_vector.hh"
@@ -147,76 +145,6 @@ class LocalChannel : public Channel
         return Status::success();
     }
 
-    Status
-    writeBatchFrom(std::size_t from, std::span<Payload> messages) override
-    {
-        if (messages.empty())
-            return Status::success();
-        if (closed_)
-            return Status(ErrorCode::ChannelClosed, "channel closed");
-        if (from >= endpoints_.size())
-            return Status(ErrorCode::OutOfRange, "bad endpoint");
-        if (endpoints_.size() < 2)
-            return Status(ErrorCode::ChannelNotConnected,
-                          "no peer endpoint");
-        // Writes are all-or-stop-at-first-failure: send the valid
-        // prefix, then report the offender (matches the base loop).
-        std::size_t valid = 0;
-        std::size_t bytes = 0;
-        while (valid < messages.size() &&
-               messages[valid].size() <= config_.maxMessageBytes)
-            bytes += messages[valid++].size();
-
-        if (valid > 0) {
-            stats_.messagesSent += valid;
-            stats_.bytesSent += bytes;
-            localMetrics().sent.add(valid);
-            localMetrics().bytes.add(bytes);
-
-            // Enqueue compute per message (identical charge to the
-            // unbatched path: run() accrues site busy time without
-            // advancing the clock, so a batch write costs the same
-            // cycles and stamps the same sentAt as N single writes).
-            if (endpoints_[from].site)
-                endpoints_[from].site->run(250 * valid);
-
-            const sim::SimTime sentAt = exec_.now();
-            const obs::SpanContext ctx = obs::activeContext();
-            auto batch = std::make_shared<std::vector<Payload>>();
-            batch->reserve(valid);
-            for (std::size_t i = 0; i < valid; ++i)
-                batch->push_back(std::move(messages[i]));
-            for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
-                if (ep == from)
-                    continue;
-                // ONE scheduled event (and one clock resolve on
-                // arrival) delivers the whole batch to this
-                // destination; every destination shares the same
-                // refcounted buffers.
-                exec_.schedule(
-                    costs_.localLatency,
-                    [this, ep, from, sentAt, ctx, batch]() {
-                        const sim::SimTime deliveredAt = exec_.now();
-                        for (std::size_t i = 0; i < batch->size(); ++i)
-                            localMetrics().latencyNs.record(deliveredAt -
-                                                            sentAt);
-                        obs::ContextScope scope(ctx);
-                        obs::Span span;
-                        ExecutionSite *dst = endpoints_[ep].site;
-                        if (HYDRA_TRACE_ACTIVE() && dst)
-                            span.open(dst->machine().name(), dst->name(),
-                                      "channel.send", "channel", sentAt);
-                        span.end(deliveredAt);
-                        deliverBatchTo(ep, *batch, from, sentAt,
-                                       deliveredAt);
-                    });
-            }
-        }
-        if (valid < messages.size())
-            return Status(ErrorCode::MessageTooLarge, "message too large");
-        return Status::success();
-    }
-
   private:
     exec::Executor &exec_;
     RingCosts costs_;
@@ -311,122 +239,19 @@ class RingChannel : public Channel
             const bool charge =
                 !busMulticast_ || !sharedCrossingCharged ||
                 endpoints_[ep].site->isHost();
-            transport(from, ep, {&message, 1}, charge, sentAt, ctx);
+            transport(from, ep, message, charge, sentAt, ctx);
             if (!endpoints_[ep].site->isHost())
                 sharedCrossingCharged = true;
         }
         return Status::success();
     }
 
-    Status
-    writeBatchFrom(std::size_t from, std::span<Payload> messages) override
-    {
-        if (messages.empty())
-            return Status::success();
-        if (closed_)
-            return Status(ErrorCode::ChannelClosed, "channel closed");
-        if (from >= endpoints_.size())
-            return Status(ErrorCode::OutOfRange, "bad endpoint");
-        if (endpoints_.size() < 2)
-            return Status(ErrorCode::ChannelNotConnected,
-                          "no peer endpoint");
-        std::size_t valid = 0;
-        std::size_t bytes = 0;
-        while (valid < messages.size() &&
-               messages[valid].size() <= config_.maxMessageBytes)
-            bytes += messages[valid++].size();
-
-        if (valid > 0) {
-            stats_.messagesSent += valid;
-            stats_.bytesSent += bytes;
-            ringMetrics().sent.add(valid);
-            ringMetrics().bytes.add(bytes);
-            const sim::SimTime sentAt = exec_.now();
-
-            // Sender-side descriptor preparation: the CPU still
-            // builds one descriptor per message (the batch saves
-            // doorbells and bus turnarounds, not descriptor writes).
-            ExecutionSite *src = endpoints_[from].site;
-            if (src->isHost()) {
-                hw::Machine &machine = src->machine();
-                machine.cpu().runCycles(costs_.hostDescriptorCycles *
-                                        valid);
-                if (config_.buffering ==
-                    ChannelConfig::Buffering::Copying) {
-                    copyMetrics().copying.add(valid);
-                    EpState &st = state_[from];
-                    for (std::size_t i = 0; i < valid; ++i) {
-                        const hw::Addr slot =
-                            st.ringBuffer +
-                            st.slot * config_.maxMessageBytes;
-                        st.slot = (st.slot + 1) % config_.ringDepth;
-                        machine.os().copyBytes(st.userBuffer, slot,
-                                               messages[i].size());
-                    }
-                }
-            } else {
-                src->run(costs_.deviceDescriptorCycles * valid);
-            }
-
-            const obs::SpanContext ctx = obs::activeContext();
-            bool sharedCrossingCharged = false;
-            for (std::size_t ep = 0; ep < endpoints_.size(); ++ep) {
-                if (ep == from)
-                    continue;
-                const bool charge =
-                    !busMulticast_ || !sharedCrossingCharged ||
-                    endpoints_[ep].site->isHost();
-                transport(from, ep, messages.first(valid), charge,
-                          sentAt, ctx);
-                if (!endpoints_[ep].site->isHost())
-                    sharedCrossingCharged = true;
-            }
-        }
-        if (valid < messages.size())
-            return Status(ErrorCode::MessageTooLarge, "message too large");
-        return Status::success();
-    }
-
   private:
-    /**
-     * The messages one DMA chain carries, held until completion. A
-     * single write (the common case) sits inline; only a batch takes
-     * a vector, so an unbatched send allocates nothing.
-     */
-    class ChainMessages
-    {
-      public:
-        explicit ChainMessages(std::span<const Payload> messages)
-        {
-            if (messages.size() == 1)
-                single_ = messages.front();
-            else
-                batch_.assign(messages.begin(), messages.end());
-        }
-
-        explicit ChainMessages(std::vector<Payload> &&batch)
-            : batch_(std::move(batch))
-        {
-        }
-
-        std::span<const Payload>
-        view() const
-        {
-            if (batch_.empty())
-                return {&single_, 1};
-            return batch_;
-        }
-
-      private:
-        Payload single_;
-        std::vector<Payload> batch_;
-    };
-
-    /** A sender's (possibly partial) batch awaiting descriptors. */
+    /** A write waiting for a free descriptor at its destination. */
     struct BacklogEntry
     {
         std::size_t from = 0;
-        std::vector<Payload> messages; ///< share the sender's buffers
+        Payload message; ///< shares the sender's buffer
         sim::SimTime sentAt = 0;
         obs::SpanContext ctx;
     };
@@ -441,67 +266,52 @@ class RingChannel : public Channel
     };
 
     /**
-     * Move one sender's batch from endpoint @p from to @p to. The
-     * prefix that fits the destination's free descriptors travels as
-     * ONE descriptor chain (one DMA program, one bus transaction, one
-     * completion interrupt); the remainder backpressures as a single
-     * backlog entry (reliable) or drops (unreliable).
+     * Move one message from endpoint @p from to @p to. It takes a free
+     * descriptor of the destination's ring if there is one; otherwise
+     * it backpressures into the backlog (reliable) or drops
+     * (unreliable).
      */
     void
-    transport(std::size_t from, std::size_t to,
-              std::span<const Payload> messages, bool charge_bus,
-              sim::SimTime sent_at, const obs::SpanContext &ctx)
+    transport(std::size_t from, std::size_t to, const Payload &message,
+              bool charge_bus, sim::SimTime sent_at,
+              const obs::SpanContext &ctx)
     {
         EpState &dst_state = state_[to];
-        std::size_t avail =
-            config_.ringDepth > dst_state.inFlight
-                ? config_.ringDepth - dst_state.inFlight
-                : 0;
+        bool full = dst_state.inFlight >= config_.ringDepth;
         // Chaos: pretend the consumer has not freed any descriptors
         // this cycle. Only legal while completions are in flight —
         // the backlog drains exclusively from completeDelivery(), so
         // an empty ring forced shut would never reopen.
-        if (avail > 0 && dst_state.inFlight > 0 &&
+        if (!full && dst_state.inFlight > 0 &&
             chaos::ChaosEngine::instance().overflowRing(exec_.now()))
-            avail = 0;
-        const std::size_t fit = std::min(avail, messages.size());
-        if (fit < messages.size()) {
-            const std::size_t excess = messages.size() - fit;
+            full = true;
+        if (full) {
             if (config_.reliable) {
-                BacklogEntry entry;
-                entry.from = from;
-                entry.messages.assign(messages.begin() + fit,
-                                      messages.end());
-                entry.sentAt = sent_at;
-                entry.ctx = ctx;
-                dst_state.backlog.push_back(std::move(entry));
+                dst_state.backlog.push_back(
+                    BacklogEntry{from, message, sent_at, ctx});
             } else {
-                stats_.messagesDropped += excess;
-                ringMetrics().dropped.add(excess);
+                ++stats_.messagesDropped;
+                ringMetrics().dropped.increment();
             }
-        }
-        if (fit == 0)
             return;
-        dst_state.inFlight += fit;
-        startDma(from, to, ChainMessages(messages.first(fit)), charge_bus,
-                 sent_at, ctx);
+        }
+        ++dst_state.inFlight;
+        startDma(from, to, message, charge_bus, sent_at, ctx);
     }
 
     void
-    startDma(std::size_t from, std::size_t to, ChainMessages messages,
+    startDma(std::size_t from, std::size_t to, Payload message,
              bool charge_bus, sim::SimTime sent_at,
              const obs::SpanContext &ctx)
     {
         ExecutionSite *src = endpoints_[from].site;
         ExecutionSite *dst = endpoints_[to].site;
-        std::size_t bytes = 0;
-        for (const Payload &message : messages.view())
-            bytes += message.size();
+        const std::size_t bytes = message.size();
 
-        // The completion closure holds references, not copies.
+        // The completion closure holds a reference, not a copy.
         auto finish = [this, from, to, sent_at, ctx,
-                       msgs = std::move(messages)]() {
-            completeDelivery(from, to, msgs.view(), sent_at, ctx);
+                       msg = std::move(message)]() {
+            completeDelivery(from, to, msg, sent_at, ctx);
         };
 
         // Pick the bus-mastering engine: the device side of the pair.
@@ -519,21 +329,18 @@ class RingChannel : public Channel
             exec_.schedule(sim::microseconds(1), std::move(finish));
             return;
         }
-        // One bus transaction moves the whole descriptor chain.
         ++stats_.busCrossings;
         engineOwner->dma().start(bytes, std::move(finish));
     }
 
     void
     completeDelivery(std::size_t from, std::size_t to,
-                     std::span<const Payload> messages,
-                     sim::SimTime sent_at, const obs::SpanContext &ctx)
+                     const Payload &message, sim::SimTime sent_at,
+                     const obs::SpanContext &ctx)
     {
         ExecutionSite *dst = endpoints_[to].site;
-        EpState &dst_state = state_[to];
 
-        for (std::size_t i = 0; i < messages.size(); ++i)
-            ringMetrics().latencyNs.record(exec_.now() - sent_at);
+        ringMetrics().latencyNs.record(exec_.now() - sent_at);
         obs::ContextScope scope(ctx);
         obs::Span span;
         if (HYDRA_TRACE_ACTIVE() && dst)
@@ -542,25 +349,21 @@ class RingChannel : public Channel
 
         if (dst->isHost()) {
             hw::Machine &machine = dst->machine();
-            for (const Payload &message : messages) {
-                const hw::Addr slot =
-                    dst_state.ringBuffer +
-                    dst_state.slot * config_.maxMessageBytes;
-                dst_state.slot = (dst_state.slot + 1) % config_.ringDepth;
-                machine.os().dmaDelivered(slot, message.size());
-                if (config_.buffering ==
-                    ChannelConfig::Buffering::Copying) {
-                    // Copy out of the ring into the user buffer.
-                    copyMetrics().copying.increment();
-                    machine.os().copyBytes(slot, dst_state.userBuffer,
-                                           message.size());
-                }
+            EpState &dst_state = state_[to];
+            const hw::Addr slot =
+                dst_state.ringBuffer +
+                dst_state.slot * config_.maxMessageBytes;
+            dst_state.slot = (dst_state.slot + 1) % config_.ringDepth;
+            machine.os().dmaDelivered(slot, message.size());
+            if (config_.buffering == ChannelConfig::Buffering::Copying) {
+                // Copy out of the ring into the user buffer.
+                copyMetrics().copying.increment();
+                machine.os().copyBytes(slot, dst_state.userBuffer,
+                                       message.size());
             }
-            // Interrupt coalescing falls out of the descriptor chain:
-            // one completion interrupt covers the whole batch.
             machine.os().handleInterrupt();
         } else {
-            dst->run(costs_.deviceRxCycles * messages.size());
+            dst->run(costs_.deviceRxCycles);
         }
 
         // The clock may have advanced past the entry read (device RX
@@ -568,38 +371,21 @@ class RingChannel : public Channel
         // and hand it down so the channel needn't re-read the clock.
         const sim::SimTime deliveredAt = exec_.now();
         span.end(deliveredAt);
-        deliverBatchTo(to, messages, from, sent_at, deliveredAt);
+        deliverTo(to, message, from, sent_at, deliveredAt);
 
-        // Descriptors recycled; refill them from the backlog,
-        // batch-aware: each drained entry keeps its own batch shape
-        // (and DMA chain) up to the descriptors actually free. Each
-        // launch is taken out of the backlog first, so no reference
-        // into the backlog is live across startDma.
-        dst_state.inFlight -= std::min(dst_state.inFlight,
-                                       messages.size());
+        // The descriptor is recycled; refill free descriptors from the
+        // backlog in order. Each launch is taken out of the backlog
+        // first, so no reference into the backlog is live across
+        // startDma.
+        EpState &dst_state = state_[to];
+        if (dst_state.inFlight > 0)
+            --dst_state.inFlight;
         while (!dst_state.backlog.empty() &&
                dst_state.inFlight < config_.ringDepth) {
-            BacklogEntry &entry = dst_state.backlog.front();
-            const std::size_t avail =
-                config_.ringDepth - dst_state.inFlight;
-            BacklogEntry launch;
-            if (entry.messages.size() <= avail) {
-                launch = std::move(entry);
-                dst_state.backlog.pop_front();
-            } else {
-                // Split: launch the prefix that fits, keep the rest
-                // queued at the front (order preserved).
-                launch.from = entry.from;
-                launch.sentAt = entry.sentAt;
-                launch.ctx = entry.ctx;
-                launch.messages.assign(entry.messages.begin(),
-                                       entry.messages.begin() + avail);
-                entry.messages.erase(entry.messages.begin(),
-                                     entry.messages.begin() + avail);
-            }
-            dst_state.inFlight += launch.messages.size();
-            startDma(launch.from, to,
-                     ChainMessages(std::move(launch.messages)), true,
+            BacklogEntry launch = std::move(dst_state.backlog.front());
+            dst_state.backlog.pop_front();
+            ++dst_state.inFlight;
+            startDma(launch.from, to, std::move(launch.message), true,
                      launch.sentAt, launch.ctx);
         }
     }

@@ -75,17 +75,6 @@ class ProgrammableNic : public Device
      */
     Status sendFromHost(net::Packet packet, hw::Addr host_buffer);
 
-    /**
-     * Transmit a batch of host-resident packets over ONE DMA
-     * descriptor chain: the bus is programmed once for the summed
-     * payload bytes (one doorbell, one completion) and firmware then
-     * processes and transmits each packet individually, in order.
-     * Equivalent to sendFromHost() per packet except for the
-     * amortized crossing. @p host_buffer as in sendFromHost().
-     */
-    Status sendFromHostBatch(std::vector<net::Packet> packets,
-                             hw::Addr host_buffer);
-
     std::uint64_t packetsToHost() const { return toHost_; }
     std::uint64_t packetsToDevice() const { return toDevice_; }
     std::uint64_t packetsSent() const { return sent_; }

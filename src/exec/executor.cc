@@ -8,19 +8,9 @@ namespace hydra::exec {
 std::unique_ptr<Executor>
 makeExecutor(ExecutorKind kind)
 {
-    return makeExecutor(kind, 0);
-}
-
-std::unique_ptr<Executor>
-makeExecutor(ExecutorKind kind, std::size_t batchMax)
-{
     switch (kind) {
-      case ExecutorKind::Threaded: {
-        ThreadedExecutor::Config config;
-        if (batchMax > 0)
-            config.batchMax = batchMax;
-        return std::make_unique<ThreadedExecutor>(config);
-      }
+      case ExecutorKind::Threaded:
+        return std::make_unique<ThreadedExecutor>();
       case ExecutorKind::Sim:
         break;
     }

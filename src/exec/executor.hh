@@ -27,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -140,22 +139,6 @@ class Executor
      */
     virtual void post(SiteId site, Callback fn) = 0;
 
-    /**
-     * Post a batch of callbacks to @p site in one handoff. Semantics
-     * are identical to calling post() on each element in order — the
-     * batch is an amortization, not a reordering: under the threaded
-     * engine the whole span enters the site's ring with one index
-     * publication and at most one doorbell; under the sim engine each
-     * element becomes a zero-delay event in global FIFO order, so
-     * replay stays byte-stable. Elements are moved from.
-     */
-    virtual void
-    postBatch(SiteId site, std::span<Callback> fns)
-    {
-        for (Callback &fn : fns)
-            post(site, std::move(fn));
-    }
-
     /** Run until the timer queue drains or the clock passes @p until.
      * Synchronizes with posted work: returns only when every post
      * issued before the boundary has executed. */
@@ -196,16 +179,6 @@ bool parseExecutorKind(const std::string &name, ExecutorKind &out);
 
 /** Build an engine of @p kind. */
 std::unique_ptr<Executor> makeExecutor(ExecutorKind kind);
-
-/**
- * Build an engine of @p kind with an explicit drain-batch ceiling
- * (CLI: --batch-max). Bounds how many queued items a threaded worker
- * may consume per ring visit; the adaptive policy never exceeds it.
- * Ignored by the sim engine, whose batches are already a pure
- * amortization with no scheduling effect. 0 means the default.
- */
-std::unique_ptr<Executor> makeExecutor(ExecutorKind kind,
-                                       std::size_t batchMax);
 
 } // namespace hydra::exec
 

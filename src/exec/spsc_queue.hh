@@ -2,18 +2,17 @@
  * @file
  * Bounded single-producer/single-consumer ring (the threaded
  * executor's inter-site handoff). Lock-free and wait-free on both
- * ends: one producer thread calls push()/pushBatch(), one consumer
- * thread calls pop()/popBatch(), synchronized by two acquire/release
- * indices. Each side keeps a cached copy of the other's index so the
- * common case touches only one shared cache line.
+ * ends: one producer thread calls push(), one consumer thread calls
+ * pop()/popBatch(), synchronized by two acquire/release indices. Each
+ * side keeps a cached copy of the other's index so the common case
+ * touches only one shared cache line.
  *
- * Batch operations amortize the index publication: pushBatch() moves
- * N items with ONE tail store (one doorbell-visible update instead of
- * N), popBatch() consumes N with one head store. Consumed slots are
- * reset to a default-constructed T before the head index is
- * published, so resources the slot held (pooled Payload buffers
- * inside queued closures) release at consumption time instead of
- * living until the ring wraps and overwrites the slot.
+ * popBatch() amortizes the index publication on the consumer side: it
+ * consumes N items with ONE head store. Consumed slots are reset to a
+ * default-constructed T before the head index is published, so
+ * resources the slot held (pooled Payload buffers inside queued
+ * closures) release at consumption time instead of living until the
+ * ring wraps and overwrites the slot.
  */
 
 #ifndef HYDRA_EXEC_SPSC_QUEUE_HH
@@ -21,7 +20,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -57,31 +55,6 @@ class SpscQueue
         slots_[tail & mask_] = std::move(item);
         tail_.store(tail + 1, std::memory_order_release);
         return true;
-    }
-
-    /**
-     * Producer side: move as many of @p items into the ring as fit,
-     * publishing ONE tail store for the whole batch. Returns the
-     * number consumed from the front of the span (0 when full); the
-     * caller spills or retries the remainder. Moved-in items are left
-     * in their moved-from state.
-     */
-    std::size_t
-    pushBatch(std::span<T> items)
-    {
-        const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        std::size_t free = mask_ + 1 - (tail - cachedHead_);
-        if (free < items.size()) {
-            cachedHead_ = head_.load(std::memory_order_acquire);
-            free = mask_ + 1 - (tail - cachedHead_);
-        }
-        const std::size_t count =
-            items.size() < free ? items.size() : free;
-        for (std::size_t i = 0; i < count; ++i)
-            slots_[(tail + i) & mask_] = std::move(items[i]);
-        if (count > 0)
-            tail_.store(tail + count, std::memory_order_release);
-        return count;
     }
 
     /** Consumer side. False when the ring is empty. */

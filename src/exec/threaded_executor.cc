@@ -50,8 +50,6 @@ ThreadedExecutor::ThreadedExecutor() : ThreadedExecutor(Config{}) {}
 ThreadedExecutor::ThreadedExecutor(Config config)
     : config_(config), coordinator_(std::this_thread::get_id())
 {
-    if (config_.batchMax == 0)
-        config_.batchMax = 1; // a zero quantum could never drain
     metrics();
 }
 
@@ -158,7 +156,6 @@ ThreadedExecutor::addSite(const std::string &name)
         &obs::histogram("exec.ring_occupancy", {{"site", name}});
     worker->batchSize = &obs::histogram("exec.batch_size", {{"site", name}});
     worker->ringDepth = &obs::gauge("exec.ring_depth", {{"site", name}});
-    worker->drainBuffer.resize(config_.batchMax);
     worker->profileSlot = obs::Profiler::instance().slotFor(name);
     Worker *raw = worker.get();
     workers_.push_back(std::move(worker));
@@ -257,50 +254,6 @@ ThreadedExecutor::post(SiteId site, Callback fn)
     wake(*worker);
 }
 
-void
-ThreadedExecutor::postBatch(SiteId site, std::span<Callback> fns)
-{
-    if (fns.empty())
-        return;
-    Worker *worker = site <= kMaxSites
-                         ? siteTable_[site].load(std::memory_order_acquire)
-                         : nullptr;
-    if (!worker) {
-        // Main-loop target: fall back to per-item zero-delay events
-        // (order is what matters there, not handoff cost).
-        for (Callback &fn : fns)
-            post(site, std::move(fn));
-        return;
-    }
-    metrics().posts.add(fns.size());
-    postsPending_.fetch_add(fns.size(), std::memory_order_acq_rel);
-
-    const SiteId producer = tl_currentSite;
-    const bool ownsRing = producer != kMainSite || onCoordinator();
-    Inbox &inbox = inboxFor(*worker, producer);
-    std::size_t pushed = 0;
-    if (ownsRing &&
-        inbox.overflowSize.load(std::memory_order_acquire) == 0) {
-        // One tail publish for however much of the span fits.
-        pushed = inbox.ring.pushBatch(fns);
-    }
-    if (pushed < fns.size()) {
-        // Remainder (ring full, or a foreign producer): spill under
-        // ONE lock hold. The overflowSize gate then keeps this
-        // producer spilling until the worker catches up, preserving
-        // per-(producer, site) FIFO exactly as in post().
-        const std::size_t spilled = fns.size() - pushed;
-        metrics().overflow.add(spilled);
-        std::lock_guard<std::mutex> lock(inbox.mutex);
-        for (std::size_t i = pushed; i < fns.size(); ++i)
-            inbox.overflow.push_back(std::move(fns[i]));
-        inbox.overflowSize.fetch_add(spilled, std::memory_order_release);
-    }
-    // One park/unpark decision — and at most one notify — for the
-    // whole batch.
-    wake(*worker);
-}
-
 std::size_t
 ThreadedExecutor::drainInbox(Worker &worker)
 {
@@ -327,7 +280,7 @@ ThreadedExecutor::drainInbox(Worker &worker)
         // which is what keeps low-load latency at the unbatched
         // floor.
         if (queued > worker.quantum)
-            worker.quantum = std::min(worker.quantum * 2, config_.batchMax);
+            worker.quantum = std::min(worker.quantum * 2, kMaxDrainBatch);
         else if (worker.quantum > 1 && queued * 4 < worker.quantum)
             worker.quantum /= 2;
         // Ring first (older), then this producer's spill; per-producer

@@ -60,18 +60,19 @@ class ThreadedExecutor final : public Executor
         std::size_t ringCapacity = 256;
         /** Idle scan+yield passes before a worker parks on its cv. */
         int spinBeforePark = 64;
-        /**
-         * Ceiling on the adaptive drain quantum: the most closures a
-         * worker consumes from one lane per popBatch. The quantum
-         * starts at 1 (eager, latency-first) and only grows toward
-         * this cap while observed occupancy exceeds it — batching is
-         * earned by backlog, never bought with a delay.
-         */
-        std::size_t batchMax = 64;
     };
 
     /** Producers: kMainSite + up to this many sites. */
     static constexpr std::size_t kMaxSites = 64;
+
+    /**
+     * Ceiling on the adaptive drain quantum: the most closures a
+     * worker consumes from one lane per popBatch. The quantum starts
+     * at 1 (eager, latency-first) and only grows toward this cap
+     * while observed occupancy exceeds it — batching is earned by
+     * backlog, never bought with a delay.
+     */
+    static constexpr std::size_t kMaxDrainBatch = 64;
 
     ThreadedExecutor();
     explicit ThreadedExecutor(Config config);
@@ -95,7 +96,6 @@ class ThreadedExecutor final : public Executor
     std::size_t siteCount() const override;
 
     void post(SiteId site, Callback fn) override;
-    void postBatch(SiteId site, std::span<Callback> fns) override;
 
     void runUntil(Time until) override;
     void runToCompletion() override;
@@ -173,8 +173,8 @@ class ThreadedExecutor final : public Executor
 
         /** Adaptive drain quantum (worker-private; see drainInbox). */
         std::size_t quantum = 1;
-        /** Scratch batch buffer, sized to batchMax (worker-private). */
-        std::vector<Callback> drainBuffer;
+        /** Scratch batch buffer (worker-private). */
+        std::array<Callback, kMaxDrainBatch> drainBuffer;
 
         /** Per-site instruments (`{site=name}`), set at addSite(). */
         obs::Counter *parks = nullptr;

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <span>
 
 #include "common/bytes.hh"
 #include "common/payload.hh"
@@ -49,16 +48,6 @@ struct Packet
 };
 
 using PacketHandler = std::function<void(const Packet &)>;
-
-/** Payload bytes a batch of packets moves over one DMA chain. */
-inline std::size_t
-payloadBytes(std::span<const Packet> packets)
-{
-    std::size_t total = 0;
-    for (const Packet &packet : packets)
-        total += packet.payload.size();
-    return total;
-}
 
 } // namespace hydra::net
 

@@ -34,7 +34,7 @@ clientKindName(ClientKind kind)
 
 Testbed::Testbed(TestbedConfig config) : config_(config)
 {
-    exec_ = exec::makeExecutor(config_.executor, config_.batchMax);
+    exec_ = exec::makeExecutor(config_.executor);
     buildFabric();
     buildServer();
     buildClient();

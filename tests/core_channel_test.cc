@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
+#include "chaos/chaos.hh"
 #include "common/payload.hh"
 #include "core/call.hh"
 #include "obs/metrics.hh"
@@ -770,162 +770,69 @@ TEST_F(ChannelFixture, CopyingModeChargesTheCopyCounter)
     EXPECT_EQ(copies(), before + 2);
 }
 
-// -------------------------------------------------- Batched writes
+// ------------------------------------------------- Chaos pool failure
 
-TEST_F(ChannelFixture, LocalBatchedWriteMatchesUnbatchedDeliveries)
+/** Leaves the process-wide chaos engine disarmed after each test. */
+class ChannelPoolFailFixture : public ChannelFixture
 {
-    // writeBatch must be observably identical to a loop of write()
-    // under the sim engine: same delivery order, same payloads, same
-    // virtual timestamps. Run both against twin channels and compare
-    // the serialized records byte for byte.
-    auto runTrial = [&](bool batched) {
-        EchoOffcode echo;
-        place(echo, hostSite_);
-        ChannelConfig config;
-        config.name = batched ? "batch.local.b" : "batch.local.u";
-        config.targetDevice = hostSite_.name();
-        auto channel = executive_->createChannel(config, hostSite_);
-        EXPECT_TRUE(channel.ok());
-        EXPECT_TRUE(channel.value()->connectOffcode(echo).ok());
+  protected:
+    /** Chaos `poolfail=1`: every channel write sees pool exhaustion. */
+    void
+    armPoolFail()
+    {
+        chaos::ChaosSpec spec;
+        spec.seed = 1;
+        spec.poolExhaust = 1.0;
+        chaos::ChaosEngine::instance().configure(spec);
+    }
 
-        std::vector<Payload> messages;
-        for (int i = 0; i < 16; ++i)
-            messages.push_back(
-                encodeData(Bytes(64, static_cast<std::uint8_t>(i))));
-        const auto start = sim_.now();
-        if (batched) {
-            EXPECT_TRUE(
-                channel.value()->writeBatch(std::move(messages)).ok());
-        } else {
-            for (auto &message : messages)
-                EXPECT_TRUE(channel.value()->write(message).ok());
-        }
-        sim_.runToCompletion();
+    void
+    TearDown() override
+    {
+        chaos::ChaosEngine::instance().disable();
+    }
+};
 
-        std::ostringstream record;
-        record << "dt=" << (sim_.now() - start) << ';';
-        // The echo stores the decoded body; record size + first byte.
-        for (const Payload &message : echo.dataReceived)
-            record << message.size() << ':' << int(message.data()[0])
-                   << ';';
-        record << "sent=" << channel.value()->stats().messagesSent
-               << ";delivered="
-               << channel.value()->stats().messagesDelivered;
-        return record.str();
+TEST_F(ChannelPoolFailFixture, WriteFailsOutOfMemoryOnLocalAndRing)
+{
+    auto &registry = obs::MetricsRegistry::instance();
+    auto faults = [&registry]() {
+        return registry.counterValue("chaos.injected",
+                                    {{"fault", "pool_exhausted"}});
     };
+    // hostSite_ -> hostSite_ is a LocalChannel; hostSite_ -> the NIC
+    // is a RingChannel.
+    for (ExecutionSite *target : {static_cast<ExecutionSite *>(&hostSite_),
+                                  static_cast<ExecutionSite *>(
+                                      deviceSite_.get())}) {
+        SCOPED_TRACE(target->name());
+        EchoOffcode echo;
+        place(echo, *target);
+        ChannelConfig config;
+        config.targetDevice = target->name();
+        auto channel = executive_->createChannel(config, hostSite_);
+        ASSERT_TRUE(channel.ok());
+        ASSERT_TRUE(channel.value()->connectOffcode(echo).ok());
 
-    const std::string unbatched = runTrial(false);
-    const std::string batched = runTrial(true);
-    EXPECT_EQ(batched, unbatched);
-}
+        armPoolFail();
+        const auto before = faults();
+        Status written = channel.value()->write(encodeData(Bytes(64, 1)));
+        EXPECT_FALSE(written);
+        EXPECT_EQ(written.code(), ErrorCode::OutOfMemory);
+        sim_.runToCompletion();
+        EXPECT_EQ(faults(), before + 1);
+        EXPECT_EQ(channel.value()->stats().messagesSent, 0u);
+        EXPECT_EQ(channel.value()->stats().messagesDelivered, 0u);
+        EXPECT_TRUE(echo.dataReceived.empty());
 
-TEST_F(ChannelFixture, BatchedWriteStopsAtOversizeMessage)
-{
-    EchoOffcode echo;
-    place(echo, hostSite_);
-    ChannelConfig config;
-    config.maxMessageBytes = 128;
-    config.targetDevice = hostSite_.name();
-    auto channel = executive_->createChannel(config, hostSite_);
-    channel.value()->connectOffcode(echo);
-
-    std::vector<Payload> messages;
-    messages.push_back(encodeData(Bytes(32, 1)));
-    messages.push_back(encodeData(Bytes(32, 2)));
-    messages.push_back(encodeData(Bytes(512, 3))); // too large
-    messages.push_back(encodeData(Bytes(32, 4)));  // not sent
-
-    Status written = channel.value()->writeBatch(std::move(messages));
-    EXPECT_FALSE(written);
-    EXPECT_EQ(written.code(), ErrorCode::MessageTooLarge);
-    sim_.runToCompletion();
-    // The valid prefix was still delivered, in order.
-    ASSERT_EQ(echo.dataReceived.size(), 2u);
-    EXPECT_EQ(echo.dataReceived[0], Bytes(32, 1));
-    EXPECT_EQ(echo.dataReceived[1], Bytes(32, 2));
-}
-
-TEST_F(ChannelFixture, RingBatchSharesOneDmaChainAndInterrupt)
-{
-    // A host->device batch of 8 travels as one descriptor chain: one
-    // bus crossing, one DMA transfer, and every message delivered.
-    EchoOffcode echo;
-    place(echo, *deviceSite_);
-
-    ChannelConfig config;
-    config.ringDepth = 16;
-    config.targetDevice = deviceSite_->name();
-    auto channel = executive_->createChannel(config, hostSite_);
-    ASSERT_TRUE(channel.ok());
-    channel.value()->connectOffcode(echo);
-
-    const auto busBefore = machine_.bus().stats().transactions;
-    std::vector<Payload> messages;
-    for (int i = 0; i < 8; ++i)
-        messages.push_back(
-            encodeData(Bytes(256, static_cast<std::uint8_t>(i))));
-    ASSERT_TRUE(channel.value()->writeBatch(std::move(messages)).ok());
-    sim_.runToCompletion();
-
-    ASSERT_EQ(echo.dataReceived.size(), 8u);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(echo.dataReceived[i],
-                  Bytes(256, static_cast<std::uint8_t>(i)));
-    EXPECT_EQ(machine_.bus().stats().transactions - busBefore, 1u);
-}
-
-TEST_F(ChannelFixture, RingBatchBeyondDepthBacklogsAndDrainsInOrder)
-{
-    // Batch of 32 against a 4-deep ring: 4 ride the first chain, the
-    // rest wait in one backlog entry and drain in order, splitting
-    // as descriptors recycle.
-    EchoOffcode echo;
-    place(echo, *deviceSite_);
-
-    ChannelConfig config;
-    config.reliable = true;
-    config.ringDepth = 4;
-    config.targetDevice = deviceSite_->name();
-    auto channel = executive_->createChannel(config, hostSite_);
-    channel.value()->connectOffcode(echo);
-
-    std::vector<Payload> messages;
-    for (int i = 0; i < 32; ++i)
-        messages.push_back(
-            encodeData(Bytes(64, static_cast<std::uint8_t>(i))));
-    ASSERT_TRUE(channel.value()->writeBatch(std::move(messages)).ok());
-    sim_.runToCompletion();
-
-    EXPECT_EQ(channel.value()->stats().messagesDropped, 0u);
-    ASSERT_EQ(echo.dataReceived.size(), 32u);
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(echo.dataReceived[i],
-                  Bytes(64, static_cast<std::uint8_t>(i)))
-            << "backlog drain reordered at " << i;
-}
-
-TEST_F(ChannelFixture, PollBatchDrainsQueuedMessagesInOrder)
-{
-    ChannelConfig config;
-    config.targetDevice = hostSite_.name();
-    auto channel = executive_->createChannel(config, hostSite_);
-    EchoOffcode echo;
-    place(echo, hostSite_);
-    channel.value()->connectOffcode(echo);
-
-    // Endpoint 0 has no handler: deliveries queue for polling.
-    for (int i = 0; i < 6; ++i)
-        channel.value()->writeFrom(
-            1, encodeData(Bytes{static_cast<std::uint8_t>(i)}));
-    sim_.runToCompletion();
-
-    std::vector<Payload> out;
-    EXPECT_EQ(channel.value()->pollBatch(0, out, 4), 4u);
-    EXPECT_EQ(channel.value()->pollBatch(0, out, 4), 2u);
-    ASSERT_EQ(out.size(), 6u);
-    for (int i = 0; i < 6; ++i)
-        EXPECT_EQ(decodeData(out[i]).value()[0], i);
-    EXPECT_EQ(channel.value()->pollBatch(0, out, 4), 0u);
+        // Disarmed, the same write goes through: the fault was the
+        // only thing stopping it.
+        chaos::ChaosEngine::instance().disable();
+        EXPECT_TRUE(channel.value()->write(encodeData(Bytes(64, 2))).ok());
+        sim_.runToCompletion();
+        ASSERT_EQ(echo.dataReceived.size(), 1u);
+        EXPECT_EQ(echo.dataReceived[0], Bytes(64, 2));
+    }
 }
 
 TEST_F(ChannelFixture, ThousandQueuedMessagesDrainInOrderViaPollThenHandler)
@@ -955,10 +862,11 @@ TEST_F(ChannelFixture, ThousandQueuedMessagesDrainInOrderViaPollThenHandler)
                static_cast<std::size_t>(message.data()[1]) << 8;
     };
     std::vector<std::size_t> order;
-    std::vector<Payload> polled;
-    EXPECT_EQ(channel.pollBatch(0, polled, kMessages / 2), kMessages / 2);
-    for (const Payload &message : polled)
-        order.push_back(index(message));
+    for (std::size_t i = 0; i < kMessages / 2; ++i) {
+        auto polled = channel.poll(0);
+        ASSERT_TRUE(polled.ok());
+        order.push_back(index(polled.value()));
+    }
     channel.installHandler(0, [&](const Payload &message, std::size_t) {
         order.push_back(index(message));
     });

@@ -10,11 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <set>
-#include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -413,10 +410,8 @@ TEST(ThreadedSpanTest, ConcurrentSpanIdsNeverCollide)
 TEST(SpscQueueBatchTest, BatchTransferPreservesFifoOrder)
 {
     SpscQueue<int> q(64);
-    std::vector<int> in;
     for (int i = 0; i < 48; ++i)
-        in.push_back(i);
-    EXPECT_EQ(q.pushBatch(std::span<int>(in)), 48u);
+        ASSERT_TRUE(q.push(int(i)));
 
     int out[64];
     // Asking for more than is queued drains what exists (partial).
@@ -429,19 +424,31 @@ TEST(SpscQueueBatchTest, BatchTransferPreservesFifoOrder)
 TEST(SpscQueueBatchTest, PartialBatchWhenNearlyFull)
 {
     SpscQueue<int> q(8);
-    for (int i = 0; i < 6; ++i)
+    for (int i = 0; i < 8; ++i)
         ASSERT_TRUE(q.push(int(i)));
-
-    std::vector<int> extra{6, 7, 8, 9};
-    // Only two slots remain: the batch is accepted as a prefix.
-    EXPECT_EQ(q.pushBatch(std::span<int>(extra)), 2u);
     EXPECT_EQ(q.sizeHint(), 8u);
-    EXPECT_EQ(q.pushBatch(std::span<int>(extra)), 0u); // full
+    EXPECT_FALSE(q.push(8)); // full
 
     int out[8];
-    ASSERT_EQ(q.popBatch(out, 8), 8u);
-    for (int i = 0; i < 8; ++i)
+    // A batch smaller than the backlog takes a prefix and frees
+    // exactly that many slots.
+    ASSERT_EQ(q.popBatch(out, 3), 3u);
+    for (int i = 0; i < 3; ++i)
         ASSERT_EQ(out[i], i);
+    for (int i = 8; i < 11; ++i)
+        ASSERT_TRUE(q.push(int(i)));
+    EXPECT_FALSE(q.push(11)); // full again
+
+    // The rest drains in order, possibly over several batches.
+    std::vector<int> drained;
+    while (drained.size() < 8) {
+        const std::size_t n = q.popBatch(out, 8);
+        ASSERT_GT(n, 0u);
+        drained.insert(drained.end(), out, out + n);
+    }
+    EXPECT_EQ(q.popBatch(out, 8), 0u);
+    for (int i = 0; i < 8; ++i)
+        ASSERT_EQ(drained[i], i + 3);
 }
 
 TEST(SpscQueueBatchTest, BatchesWrapAroundTheRing)
@@ -452,10 +459,8 @@ TEST(SpscQueueBatchTest, BatchesWrapAroundTheRing)
     // 5-in / 5-out rounds on an 8-slot ring force the indices to
     // wrap past the capacity many times over.
     for (int round = 0; round < 20; ++round) {
-        std::vector<int> batch;
         for (int i = 0; i < 5; ++i)
-            batch.push_back(next++);
-        ASSERT_EQ(q.pushBatch(std::span<int>(batch)), 5u);
+            ASSERT_TRUE(q.push(next++));
         ASSERT_EQ(q.popBatch(out, 5), 5u);
         for (int i = 0; i < 5; ++i)
             ASSERT_EQ(out[i], expected++) << "wraparound broke FIFO";
@@ -467,7 +472,7 @@ TEST(SpscQueueBatchTest, FourThreadsBatchTransferInOrder)
 {
     // Two independent rings, each with a dedicated producer and
     // consumer thread (SPSC discipline), all four running at once.
-    // Batch sizes vary per round to cover partial accept/drain and
+    // Pop batch sizes vary per round to cover partial drains and
     // wraparound interleavings; TSAN covers this via the `threaded`
     // ctest label.
     constexpr int kItems = 50000;
@@ -490,23 +495,11 @@ TEST(SpscQueueBatchTest, FourThreadsBatchTransferInOrder)
             }
         });
         threads.emplace_back([&, r]() { // producer
-            int next = 0;
-            std::vector<int> batch;
-            while (next < kItems) {
-                batch.clear();
-                const int want =
-                    std::min(kItems - next, 1 + next % 17);
-                for (int i = 0; i < want; ++i)
-                    batch.push_back(next + i);
-                std::span<int> rest(batch);
-                while (!rest.empty()) {
-                    const std::size_t pushed =
-                        rings[r].pushBatch(rest);
-                    rest = rest.subspan(pushed);
-                    if (!rest.empty())
-                        std::this_thread::yield();
-                }
-                next += want;
+            for (int next = 0; next < kItems;) {
+                if (rings[r].push(int(next)))
+                    ++next;
+                else
+                    std::this_thread::yield();
             }
         });
     }
@@ -522,91 +515,22 @@ TEST(SpscQueueBatchTest, FourThreadsBatchTransferInOrder)
     }
 }
 
-// -------------------------------------------------- Batch executors
-
-TEST(SimExecutorTest, PostBatchRunsInFifoOrder)
-{
-    SimExecutor engine;
-    const SiteId site = engine.addSite("dev0");
-
-    std::vector<int> order;
-    std::vector<Executor::Callback> fns;
-    for (int i = 0; i < 8; ++i)
-        fns.emplace_back([&order, i]() { order.push_back(i); });
-    engine.postBatch(site, fns);
-    engine.post(site, [&order]() { order.push_back(8); });
-    EXPECT_TRUE(order.empty());
-
-    engine.drain();
-    ASSERT_EQ(order.size(), 9u);
-    for (int i = 0; i < 9; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(SimExecutorTest, BatchedReplayIsByteIdenticalToUnbatched)
-{
-    // The determinism contract: postBatch on the sim engine must
-    // produce exactly the record an equivalent loop of post() calls
-    // produces — same execution order, same virtual timestamps, same
-    // event accounting. Serialize the observable run and compare the
-    // strings byte for byte.
-    auto runTrial = [](bool batched) {
-        SimExecutor engine;
-        const SiteId site = engine.addSite("dev0");
-        std::ostringstream record;
-
-        auto task = [&record, &engine](int i) {
-            return Executor::Callback([&record, &engine, i]() {
-                record << i << '@' << engine.now() << ';';
-            });
-        };
-        // A timer interleaves with the posted work so the record
-        // covers both queues, not just the post path.
-        engine.schedule(sim::microseconds(1), [&record, &engine]() {
-            record << "t@" << engine.now() << ';';
-        });
-        if (batched) {
-            std::vector<Executor::Callback> fns;
-            for (int i = 0; i < 16; ++i)
-                fns.push_back(task(i));
-            engine.postBatch(site, fns);
-        } else {
-            for (int i = 0; i < 16; ++i)
-                engine.post(site, task(i));
-        }
-        engine.runToCompletion();
-        record << "now=" << engine.now()
-               << ";pending=" << engine.pendingEvents();
-        return record.str();
-    };
-
-    const std::string unbatched = runTrial(false);
-    const std::string batchedA = runTrial(true);
-    const std::string batchedB = runTrial(true);
-    EXPECT_EQ(batchedA, unbatched);
-    EXPECT_EQ(batchedB, batchedA); // replay is stable too
-}
+// ------------------------------------------------ Bursts of posts
 
 TEST(ThreadedExecutorTest, PostBatchPreservedOrderThroughOverflow)
 {
     ThreadedExecutor::Config config;
-    config.ringCapacity = 64; // small ring: batches must spill
+    config.ringCapacity = 64; // small ring: a burst spills
     ThreadedExecutor engine(config);
     const SiteId site = engine.addSite("batch-sink");
 
     constexpr int kItems = 5000;
     std::vector<int> seen;
     seen.reserve(kItems);
-    std::vector<Executor::Callback> fns;
-    for (int base = 0; base < kItems; base += 128) {
-        fns.clear();
-        const int count = std::min(128, kItems - base);
-        for (int i = 0; i < count; ++i)
-            fns.emplace_back([&seen, value = base + i]() {
-                seen.push_back(value);
-            });
-        engine.postBatch(site, fns);
-    }
+    // Back-to-back posts outrun the 64-slot ring and spill to the
+    // overflow lane; order must hold across the ring/spill handback.
+    for (int i = 0; i < kItems; ++i)
+        engine.post(site, [&seen, i]() { seen.push_back(i); });
     engine.drain();
 
     ASSERT_EQ(seen.size(), static_cast<std::size_t>(kItems));
@@ -633,17 +557,10 @@ TEST(ThreadedExecutorTest, PostBatchFromManyProducersLosesNothing)
     std::vector<std::thread> producers;
     for (int t = 0; t < kThreads; ++t) {
         producers.emplace_back([&]() {
-            std::vector<Executor::Callback> fns;
-            for (int base = 0; base < kPerThread; base += 64) {
-                fns.clear();
-                const int count = std::min(64, kPerThread - base);
-                for (int i = 0; i < count; ++i)
-                    fns.emplace_back([&executed]() {
-                        executed.fetch_add(
-                            1, std::memory_order_relaxed);
-                    });
-                engine.postBatch(site, fns);
-            }
+            for (int i = 0; i < kPerThread; ++i)
+                engine.post(site, [&executed]() {
+                    executed.fetch_add(1, std::memory_order_relaxed);
+                });
         });
     }
     for (auto &producer : producers)

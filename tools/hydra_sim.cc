@@ -247,8 +247,6 @@ main(int argc, char **argv)
                 [&](const std::string &value) {
                     return parseClient(value, config.client);
                 });
-    // A zero quantum is a usage error, not "use the engine default".
-    flags.value("--batch-max", "N", cli::count(config.batchMax, 1));
     flags.value("--seconds", "N",
                 cli::duration(config.duration, sim::kSecond));
     flags.value("--period-ms", "N",
