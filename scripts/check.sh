@@ -74,10 +74,11 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # threads on a shared box are too noisy for a regression gate)
     # and the L2 model rows (BM_CacheHousekeepingTick replays only the
     # sets the stream dirtied; a fall-back to the full per-line walk is
-    # several times slower) and the MPEG decode row (BM_MpegDecode
-    # validates, then decodes in place; a fall-back to per-run vector
-    # inserts and a separate delta buffer is ~4x slower) and the
-    # event-kernel row with a Packet-sized (88 B) capture
+    # several times slower) and the MPEG rows (BM_MpegDecode
+    # validates, then expands runs into reused buffers; a fall-back to
+    # per-run vector inserts is ~4x slower. BM_EncodeMovie codes the
+    # TiVo movie a word at a time; the byte-at-a-time encoder it
+    # replaced is ~2.5x slower) and the event-kernel row with a Packet-sized (88 B) capture
     # (BM_SimulatorDispatch/capture:88: the callback runs in place
     # from the timer slab; a fall-back to heap-allocated closures or
     # heap-sifted callbacks is ~2x slower) and the channel control
@@ -95,7 +96,7 @@ if [ "$BENCH_SMOKE" -eq 1 ]; then
     # Note: the bundled google-benchmark wants a bare double here (no
     # trailing time unit).
     "$BUILD_DIR/bench/perf_micro" \
-        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0|BM_CacheAccess|BM_CacheHousekeepingTick|BM_MpegDecode|BM_SimulatorDispatch/capture:88|BM_ChannelLifecycle' \
+        --benchmark_filter='BM_HistogramRecord|BM_ChannelThroughput|BM_MulticastFanout|BM_FleetOpenLoop|BM_PipelineParallel.*threaded:0|BM_BatchedPipeline.*threaded:0|BM_CacheAccess|BM_CacheHousekeepingTick|BM_MpegDecode|BM_EncodeMovie|BM_SimulatorDispatch/capture:88|BM_ChannelLifecycle' \
         --benchmark_min_time=0.1 \
         --benchmark_format=json > "$OUT"
     echo "bench JSON written to $OUT"

@@ -79,14 +79,17 @@ class SpscQueue
     /**
      * Consumer side: move up to @p max items into @p out, publishing
      * ONE head store for the whole batch. Consumed slots are reset.
-     * Returns the number popped (0 when empty).
+     * Returns the number popped: @p max when at least that many were
+     * queued at the call, 0 when empty.
      */
     std::size_t
     popBatch(T *out, std::size_t max)
     {
         const std::size_t head = head_.load(std::memory_order_relaxed);
         std::size_t avail = cachedTail_ - head;
-        if (avail == 0) {
+        // A cached tail that cannot fill the batch may be stale: the
+        // producer can have pushed since it was read.
+        if (avail < max) {
             cachedTail_ = tail_.load(std::memory_order_acquire);
             avail = cachedTail_ - head;
         }

@@ -127,10 +127,10 @@ UserSpaceClient::onPacket(const net::Packet &packet)
 
         // Blit: copy into pinned staging, then GPU DMA pulls it.
         os.copyBytes(slot, gpuStaging_, bytes);
-        gpu_.dma().start(bytes,
-                         [this, pixels = frame.value().pixels]() {
-                             gpu_.presentFrame(pixels);
-                         });
+        gpu_.dma().start(
+            bytes, [this, pixels = std::move(frame.value().pixels)]() {
+                gpu_.presentFrame(pixels);
+            });
         ++frames_;
     }
 }

@@ -34,6 +34,31 @@ openStageSpan(obs::Span &span, core::ExecutionSite &site,
               started);
 }
 
+/**
+ * The counter @p name, looked up on the first call and held in
+ * @p handle after it: series register in first-use order as before,
+ * and the per-event path skips the registry. The registry keeps its
+ * instruments for the life of the process, so the handle stays valid.
+ */
+obs::Counter &
+boundCounter(obs::Counter *&handle, std::string_view name)
+{
+    if (!handle)
+        handle = &obs::counter(name);
+    return *handle;
+}
+
+/** boundCounter() for a series labelled with @p site's kind. */
+obs::Counter &
+siteCounter(obs::Counter *&handle, std::string_view name,
+            core::ExecutionSite &site)
+{
+    if (!handle)
+        handle = &obs::counter(
+            name, {{"site", site.isHost() ? "host" : "device"}});
+    return *handle;
+}
+
 /** Display message body header: width, height, sequence, pixel count. */
 constexpr std::size_t kFrameHeaderBytes = 16;
 
@@ -182,9 +207,7 @@ StreamerNetOffcode::onPacket(const net::Packet &packet)
 {
     ++packetsHandled_;
     const sim::SimTime started = site().machine().executor().now();
-    obs::counter("tivo.packets_handled",
-                 {{"site", site().isHost() ? "host" : "device"}})
-        .increment();
+    siteCounter(packetsCounter_, "tivo.packets_handled", site()).increment();
     if (env_->onPacketArrival)
         env_->onPacketArrival(started);
 
@@ -289,7 +312,7 @@ StreamerDiskOffcode::onData(const Payload &payload, core::ChannelHandle from)
     // is byte-identical to the live one (the paper's trick that lets
     // one Streamer component serve both devices).
     ++chunksRecorded_;
-    obs::counter("tivo.chunks_recorded").increment();
+    boundCounter(recordedCounter_, "tivo.chunks_recorded").increment();
     const sim::SimTime started = site().machine().executor().now();
     obs::Span span;
     openStageSpan(span, site(), "StreamerDisk.record", started);
@@ -350,7 +373,7 @@ StreamerDiskOffcode::replayTick()
         }
         replayOffset_ += data.value().size();
         ++chunksReplayed_;
-        obs::counter("tivo.chunks_replayed").increment();
+        boundCounter(replayedCounter_, "tivo.chunks_replayed").increment();
         const sim::SimTime started = site().machine().executor().now();
         {
             obs::Span span;
@@ -453,8 +476,7 @@ DecoderOffcode::onData(const Payload &payload, core::ChannelHandle from)
                                              true);
         }
         ++framesDecoded_;
-        obs::counter("tivo.frames_decoded",
-                     {{"site", site().isHost() ? "host" : "device"}})
+        siteCounter(decodedCounter_, "tivo.frames_decoded", site())
             .increment();
         span.end(finished);
 
@@ -515,7 +537,7 @@ DisplayOffcode::onData(const Payload &payload, core::ChannelHandle from)
     }
 
     ++framesPresented_;
-    obs::counter("tivo.frames_presented").increment();
+    boundCounter(presentedCounter_, "tivo.frames_presented").increment();
     const std::uint32_t seq = frame.value().sequence;
     const Payload &pixels = frame.value().pixels;
     const sim::SimTime started = site().machine().executor().now();
@@ -892,7 +914,7 @@ ServerStreamerOffcode::tick()
 
     if (buffer_.empty()) {
         ++underruns_;
-        obs::counter("tivo.server.underruns").increment();
+        boundCounter(underrunsCounter_, "tivo.server.underruns").increment();
     } else {
         Payload chunk = std::move(buffer_.front());
         buffer_.pop_front();
@@ -904,7 +926,7 @@ ServerStreamerOffcode::tick()
         span.end(site().run(kDeviceForwardCycles));
         toBroadcast_->write(core::encodeData(chunk));
         ++chunksSent_;
-        obs::counter("tivo.server.chunks_sent").increment();
+        boundCounter(sentCounter_, "tivo.server.chunks_sent").increment();
         // Return the consumed credit so File stays one window ahead.
         fromFile_->write(core::encodeManagement(encodeCredits(1)));
     }

@@ -81,6 +81,7 @@ class StreamerNetOffcode : public core::Offcode
     hw::Addr hostBuffer_ = 0;
     std::uint64_t packetsHandled_ = 0;
     bool portBound_ = false;
+    obs::Counter *packetsCounter_ = nullptr; ///< tivo.packets_handled
 };
 
 /** Streamer at the storage edge: recording and replay. */
@@ -118,6 +119,8 @@ class StreamerDiskOffcode : public core::Offcode
     bool stopped_ = false;
     /** A predecessor was restarted mid-replay; resume at start(). */
     bool resumeReplay_ = false;
+    obs::Counter *recordedCounter_ = nullptr; ///< tivo.chunks_recorded
+    obs::Counter *replayedCounter_ = nullptr; ///< tivo.chunks_replayed
 };
 
 /** MPEG decoder: payload chunks -> raw frames. */
@@ -146,6 +149,7 @@ class DecoderOffcode : public core::Offcode
     hw::Addr hostFrameBuffer_ = 0;
     std::uint64_t framesDecoded_ = 0;
     std::uint64_t decodeErrors_ = 0;
+    obs::Counter *decodedCounter_ = nullptr; ///< tivo.frames_decoded
 };
 
 /**
@@ -180,6 +184,7 @@ class DisplayOffcode : public core::Offcode
   private:
     TivoEnvPtr env_;
     std::uint64_t framesPresented_ = 0;
+    obs::Counter *presentedCounter_ = nullptr; ///< tivo.frames_presented
 };
 
 /** File: record/replay store on the smart disk (or host memory). */
@@ -300,6 +305,8 @@ class ServerStreamerOffcode : public core::Offcode
     std::uint64_t chunksSent_ = 0;
     std::uint64_t underruns_ = 0;
     bool stopped_ = false;
+    obs::Counter *sentCounter_ = nullptr;      ///< tivo.server.chunks_sent
+    obs::Counter *underrunsCounter_ = nullptr; ///< tivo.server.underruns
 };
 
 // --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "tivo/mpeg.hh"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 
@@ -8,87 +9,234 @@ namespace hydra::tivo {
 namespace {
 
 constexpr std::uint16_t kFrameMagic = 0x4d4c; // "ML"
+/** Stream header: magic(2) type(1) seq(4) w(4) h(4) payload_len(4). */
+constexpr std::size_t kHeaderBytes = 19;
 
-/** Run-length encode (count, value) pairs; count in [1, 255]. */
-Bytes
-rleEncode(const Bytes &input)
+// The codec works a 64-bit word at a time, with byte k of a word at
+// bits 8k..8k+7: the byte order of a little-endian load.
+static_assert(std::endian::native == std::endian::little,
+              "MpegLite's word loops assume a little-endian host");
+
+constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+
+std::uint64_t
+load(const std::uint8_t *at)
 {
-    Bytes out;
-    out.reserve(input.size() / 4 + 16);
+    std::uint64_t word;
+    std::memcpy(&word, at, sizeof(word));
+    return word;
+}
+
+void
+store(std::uint8_t *at, std::uint64_t word)
+{
+    std::memcpy(at, &word, sizeof(word));
+}
+
+/**
+ * Byte-wise a - b mod 256 (SWAR). Setting each byte's top bit in a
+ * and clearing it in b keeps every borrow inside its byte; the top
+ * bits are then fixed by XOR.
+ */
+constexpr auto subBytes = [](std::uint64_t a, std::uint64_t b) {
+    return ((a | kHigh) - (b & kLow7)) ^ ((a ^ ~b) & kHigh);
+};
+
+/**
+ * Byte-wise a + b mod 256 (SWAR): adding the low seven bits of each
+ * byte cannot carry into the next byte, and the top bits are restored
+ * by XOR.
+ */
+constexpr auto addBytes = [](std::uint64_t a, std::uint64_t b) {
+    return ((a & kLow7) + (b & kLow7)) ^ ((a ^ b) & kHigh);
+};
+
+/**
+ * out[i] = op(a[i], b[i]) over @p size bytes, a word at a time (two
+ * independent words per step); the last 15 bytes or fewer go through
+ * zero-padded copies. @p out may alias @p a or @p b. The ops above are
+ * lambdas so that @p op inlines; through a function pointer the loop
+ * ran at half speed.
+ */
+template <typename Op>
+void
+mapWords(const std::uint8_t *a, const std::uint8_t *b, std::uint8_t *out,
+         std::size_t size, Op op)
+{
     std::size_t i = 0;
-    while (i < input.size()) {
-        const std::uint8_t value = input[i];
-        std::size_t run = 1;
-        while (i + run < input.size() && input[i + run] == value &&
-               run < 255)
-            ++run;
-        out.push_back(static_cast<std::uint8_t>(run));
-        out.push_back(value);
-        i += run;
+    for (; i + 16 <= size; i += 16) {
+        const std::uint64_t low = op(load(a + i), load(b + i));
+        const std::uint64_t high = op(load(a + i + 8), load(b + i + 8));
+        store(out + i, low);
+        store(out + i + 8, high);
     }
-    return out;
+    for (; i < size; i += 8) {
+        const std::size_t n = size - i < 8 ? size - i : 8;
+        std::uint64_t wa = 0, wb = 0;
+        std::memcpy(&wa, a + i, n);
+        std::memcpy(&wb, b + i, n);
+        const std::uint64_t word = op(wa, wb);
+        std::memcpy(out + i, &word, n);
+    }
+}
+
+/** Bit k set for each nonzero byte k of @p x. */
+std::uint64_t
+nonzeroByteBits(std::uint64_t x)
+{
+    // Top bit of each byte: set when any of its bits is.
+    const std::uint64_t high = (((x & kLow7) + kLow7) | x) & kHigh;
+    // Gather the eight flags (bits 0, 8, ..., 56) into the top byte.
+    return ((high >> 7) * 0x0102040810204080ull) >> 56;
+}
+
+/**
+ * Run starts among the 64 bytes at @p block: bit k is set when byte k
+ * differs from the byte before it (@p prev for byte 0). Each word is
+ * XORed with itself shifted back one byte.
+ */
+std::uint64_t
+runStarts(const std::uint8_t *block, std::uint8_t prev)
+{
+    std::uint64_t starts = 0;
+    std::uint64_t carry = prev;
+    for (unsigned k = 0; k < 64; k += 8) {
+        const std::uint64_t word = load(block + k);
+        starts |= nonzeroByteBits(word ^ (word << 8 | carry)) << k;
+        carry = word >> 56;
+    }
+    return starts;
+}
+
+/**
+ * Run-length encode @p size bytes as (count, value) pairs, count in
+ * [1, 255]; a longer run splits into 255-byte runs and a remainder.
+ * Writes at most 2 * size bytes to @p out and returns how many. Run
+ * starts are found 64 bytes at a time, so the emit loop steps once
+ * per run, not once per byte.
+ */
+std::size_t
+rleEncode(const std::uint8_t *in, std::size_t size, std::uint8_t *out)
+{
+    if (size == 0)
+        return 0;
+    std::uint8_t *const first = out;
+    std::size_t open = 0; // first byte of the run being measured
+    const auto close = [&](std::size_t end) {
+        const std::uint8_t value = in[open];
+        std::size_t run = end - open;
+        for (; run > 255; run -= 255, out += 2) {
+            out[0] = 255;
+            out[1] = value;
+        }
+        out[0] = static_cast<std::uint8_t>(run);
+        out[1] = value;
+        out += 2;
+        open = end;
+    };
+    std::uint8_t prev = in[0];
+    std::size_t base = 0;
+    for (; base + 64 <= size; base += 64) {
+        for (std::uint64_t starts = runStarts(in + base, prev); starts != 0;
+             starts &= starts - 1)
+            close(base + static_cast<std::size_t>(std::countr_zero(starts)));
+        prev = in[base + 63];
+    }
+    if (const std::size_t rest = size - base) {
+        // The last partial block, zero-padded; starts in the padding
+        // are masked off.
+        std::uint8_t tail[64] = {};
+        std::memcpy(tail, in + base, rest);
+        for (std::uint64_t starts =
+                 runStarts(tail, prev) & ((std::uint64_t{1} << rest) - 1);
+             starts != 0; starts &= starts - 1)
+            close(base + static_cast<std::size_t>(std::countr_zero(starts)));
+    }
+    close(size);
+    return static_cast<std::size_t>(out - first);
 }
 
 /**
  * Validate pass over (count, value) pairs: even length, no zero run,
- * and runs that cover exactly @p expected_size bytes. Reads only the
- * payload, so hostile dimensions fail here before any allocation.
+ * and runs that cover exactly @p expected_size bytes. Four pairs go
+ * at once: the counts are the 16-bit lanes of a word masked to its
+ * even bytes. Reads only the payload, so hostile dimensions fail here
+ * before any allocation.
  */
 Status
 validateRle(const Bytes &input, std::uint64_t expected_size)
 {
     if (input.size() % 2 != 0)
         return Error(ErrorCode::ParseError, "odd RLE payload");
+    constexpr std::uint64_t kCounts = 0x00ff00ff00ff00ffull;
+    constexpr std::uint64_t kLaneOnes = 0x0001000100010001ull;
+    constexpr std::uint64_t kLaneHigh = 0x8000800080008000ull;
+    const std::uint8_t *data = input.data();
+    const std::size_t size = input.size();
+    // A zero lane is the only one that borrows when 1 is subtracted;
+    // the sum of four lanes lands in the top lane of counts * kLaneOnes.
+    std::uint64_t zero = 0;
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < input.size(); i += 2) {
-        if (input[i] == 0)
-            return Error(ErrorCode::ParseError, "zero-length RLE run");
-        total += input[i];
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        const std::uint64_t counts = load(data + i) & kCounts;
+        zero |= (counts - kLaneOnes) & kLaneHigh;
+        total += (counts * kLaneOnes) >> 48;
     }
+    if (const std::size_t rest = size - i) {
+        // One to three pairs, zero-padded; the padded lanes sit above
+        // them and are left out of the zero test.
+        std::uint64_t word = 0;
+        std::memcpy(&word, data + i, rest);
+        const std::uint64_t counts = word & kCounts;
+        zero |= (counts - kLaneOnes) & kLaneHigh &
+                ((std::uint64_t{1} << (8 * rest)) - 1);
+        total += (counts * kLaneOnes) >> 48;
+    }
+    if (zero != 0)
+        return Error(ErrorCode::ParseError, "zero-length RLE run");
     if (total != expected_size)
         return Error(ErrorCode::ParseError, "RLE size mismatch");
     return Status::success();
 }
 
-/** Apply pass for I frames: expand validated runs into @p out. */
+/**
+ * Apply pass: expand validated runs into the @p size bytes at @p out.
+ * A run of at most 8 bytes is one 8-byte splat store; what it writes
+ * past the run, the next runs overwrite. A longer run, or one within
+ * 8 bytes of the end, uses memset.
+ */
 void
-expandRle(const Bytes &input, std::uint8_t *out)
+expandRle(const Bytes &input, std::uint8_t *out, std::size_t size)
 {
-    for (std::size_t i = 0; i < input.size(); i += 2) {
-        std::memset(out, input[i + 1], input[i]);
-        out += input[i];
+    std::uint8_t *const end = out + size;
+    const std::uint8_t *pair = input.data();
+    const std::uint8_t *const last = pair + input.size();
+    for (; pair != last; pair += 2) {
+        const std::size_t run = pair[0];
+        if (run <= 8 && end - out >= 8)
+            store(out, kOnes * pair[1]);
+        else
+            std::memset(out, pair[1], run);
+        out += run;
     }
 }
 
-/**
- * Apply pass for delta frames: add validated runs into @p ref, byte
- * by byte mod 256. Eight bytes go at once (SWAR): adding the low
- * seven bits of each byte cannot carry into the next byte, and the
- * top bits are restored by XOR.
- */
+/** Append one frame's stream header and @p payload to @p out. */
 void
-addRle(const Bytes &input, std::uint8_t *ref)
+appendFrame(Bytes &out, FrameType type, std::uint32_t sequence,
+            std::uint32_t width, std::uint32_t height,
+            std::span<const std::uint8_t> payload)
 {
-    constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
-    constexpr std::uint64_t kHigh = 0x8080808080808080ull;
-    for (std::size_t i = 0; i < input.size(); i += 2) {
-        std::size_t run = input[i];
-        const std::uint8_t value = input[i + 1];
-        if (value == 0) {
-            ref += run;
-            continue;
-        }
-        const std::uint64_t splat = 0x0101010101010101ull * value;
-        for (; run >= 8; run -= 8, ref += 8) {
-            std::uint64_t word;
-            std::memcpy(&word, ref, sizeof(word));
-            word = ((word & kLow7) + (splat & kLow7)) ^
-                   ((word ^ splat) & kHigh);
-            std::memcpy(ref, &word, sizeof(word));
-        }
-        for (; run > 0; --run, ++ref)
-            *ref = static_cast<std::uint8_t>(*ref + value);
-    }
+    ByteWriter writer(out);
+    writer.writeU16(kFrameMagic);
+    writer.writeU8(static_cast<std::uint8_t>(type));
+    writer.writeU32(sequence);
+    writer.writeU32(width);
+    writer.writeU32(height);
+    writer.writeBytes(payload);
 }
 
 } // namespace
@@ -102,41 +250,51 @@ RawFrame
 SyntheticVideo::frame(std::uint32_t sequence) const
 {
     RawFrame out;
-    out.width = config_.width;
+    render(sequence, out);
+    return out;
+}
+
+void
+SyntheticVideo::render(std::uint32_t sequence, RawFrame &out) const
+{
+    const std::uint32_t width = config_.width;
+    out.width = width;
     out.height = config_.height;
     out.sequence = sequence;
-    out.pixels.resize(static_cast<std::size_t>(config_.width) *
-                      config_.height);
+    out.pixels.resize(static_cast<std::size_t>(width) * config_.height);
 
     // A banded gradient that drifts with time: smooth enough that
     // delta frames compress well, structured enough to detect
-    // corruption anywhere in the pipeline.
+    // corruption anywhere in the pipeline. Pixel (x, y) is
+    // (y / 8) * 16 + shift + x / 32, so each 32-pixel band of a row is
+    // one value.
     const std::uint32_t shift =
         static_cast<std::uint32_t>((seed_ + sequence * 3) & 0xff);
-    for (std::uint32_t y = 0; y < config_.height; ++y) {
-        const std::uint8_t row_base =
-            static_cast<std::uint8_t>((y / 8) * 16 + shift);
-        for (std::uint32_t x = 0; x < config_.width; ++x) {
-            const std::size_t i =
-                static_cast<std::size_t>(y) * config_.width + x;
-            std::uint8_t pixel =
-                static_cast<std::uint8_t>(row_base + (x / 32));
-            // Quasi-static film grain on every fourth pixel: keeps
-            // intra-frame RLE runs short (realistic I-frame sizes)
-            // while changing slowly (every 8 frames) so delta frames
-            // stay much smaller than I frames.
-            if (x % 4 == 0) {
-                const std::uint64_t h =
-                    (seed_ ^
-                     (static_cast<std::uint64_t>(sequence / 8) << 32) ^
-                     i) *
-                    0x9e3779b97f4a7c15ull;
-                pixel = static_cast<std::uint8_t>(pixel + (h >> 61));
-            }
-            out.pixels[i] = pixel;
+    // Quasi-static film grain on every fourth pixel: keeps intra-frame
+    // RLE runs short (realistic I-frame sizes) while changing slowly
+    // (every 8 frames) so delta frames stay much smaller than I
+    // frames. Pixel i gets the top 3 bits of (grain ^ i) * golden.
+    const std::uint64_t grain =
+        seed_ ^ (static_cast<std::uint64_t>(sequence / 8) << 32);
+    std::uint8_t *row = out.pixels.data();
+    for (std::uint32_t y = 0; y < config_.height; ++y, row += width) {
+        std::uint8_t band = static_cast<std::uint8_t>((y / 8) * 16 + shift);
+        std::uint32_t x = 0;
+        for (; x + 32 <= width; x += 32, ++band) {
+            const std::uint64_t splat = kOnes * band;
+            store(row + x, splat);
+            store(row + x + 8, splat);
+            store(row + x + 16, splat);
+            store(row + x + 24, splat);
+        }
+        std::memset(row + x, band, width - x);
+        const std::uint64_t first = static_cast<std::uint64_t>(y) * width;
+        for (x = 0; x < width; x += 4) {
+            const std::uint64_t h = (grain ^ (first + x)) *
+                                    0x9e3779b97f4a7c15ull;
+            row[x] = static_cast<std::uint8_t>(row[x] + (h >> 61));
         }
     }
-    return out;
 }
 
 MpegEncoder::MpegEncoder(MpegConfig config) : config_(config)
@@ -161,34 +319,56 @@ MpegEncoder::reset()
     hasReference_ = false;
 }
 
+Result<MpegEncoder::Coded>
+MpegEncoder::code(const RawFrame &frame)
+{
+    const std::size_t size =
+        static_cast<std::size_t>(frame.width) * frame.height;
+    if (frame.pixels.size() != size)
+        return Error(ErrorCode::InvalidArgument, "frame size mismatch");
+
+    FrameType type = frameTypeFor(frame.sequence);
+    if (!hasReference_ || reference_.size() != size)
+        type = FrameType::I;
+    if (rle_.size() < 2 * size)
+        rle_.resize(2 * size);
+    const std::uint8_t *source = frame.pixels.data();
+    if (type != FrameType::I) {
+        delta_.resize(size);
+        mapWords(source, reference_.data(), delta_.data(), size, subBytes);
+        source = delta_.data();
+    }
+    const std::size_t coded = rleEncode(source, size, rle_.data());
+
+    reference_.assign(frame.pixels.begin(), frame.pixels.end());
+    hasReference_ = true;
+    return Coded{type, coded};
+}
+
 Result<EncodedFrame>
 MpegEncoder::encode(const RawFrame &frame)
 {
-    const std::size_t expected =
-        static_cast<std::size_t>(frame.width) * frame.height;
-    if (frame.pixels.size() != expected)
-        return Error(ErrorCode::InvalidArgument, "frame size mismatch");
-
+    Result<Coded> coded = code(frame);
+    if (!coded)
+        return coded.error();
     EncodedFrame out;
+    out.type = coded.value().type;
     out.sequence = frame.sequence;
     out.width = frame.width;
     out.height = frame.height;
-    out.type = frameTypeFor(frame.sequence);
-
-    if (out.type == FrameType::I || !hasReference_) {
-        out.type = FrameType::I;
-        out.payload = rleEncode(frame.pixels);
-    } else {
-        Bytes delta(frame.pixels.size());
-        for (std::size_t i = 0; i < delta.size(); ++i)
-            delta[i] = static_cast<std::uint8_t>(frame.pixels[i] -
-                                                 reference_[i]);
-        out.payload = rleEncode(delta);
-    }
-
-    reference_ = frame.pixels;
-    hasReference_ = true;
+    out.payload.assign(rle_.data(), rle_.data() + coded.value().size);
     return out;
+}
+
+Status
+MpegEncoder::encodeTo(const RawFrame &frame, Bytes &out)
+{
+    Result<Coded> coded = code(frame);
+    if (!coded)
+        return coded.error();
+    appendFrame(out, coded.value().type, frame.sequence, frame.width,
+                frame.height, {rle_.data(), coded.value().size});
+    return Status::success();
 }
 
 void
@@ -211,12 +391,18 @@ MpegDecoder::decode(const EncodedFrame &frame)
     if (!valid)
         return valid.error();
 
-    // Decode into the reference in place; the caller gets a copy.
+    // Decode into the reference; the caller gets a copy. A delta frame
+    // expands into scratch with stores only, then one add pass applies
+    // it (adding run by run in place would load bytes the previous
+    // run's store has not yet retired).
     if (intra) {
         reference_.resize(expected);
-        expandRle(frame.payload, reference_.data());
+        expandRle(frame.payload, reference_.data(), expected);
     } else {
-        addRle(frame.payload, reference_.data());
+        delta_.resize(expected);
+        expandRle(frame.payload, delta_.data(), expected);
+        mapWords(reference_.data(), delta_.data(), reference_.data(),
+                 expected, addBytes);
     }
     hasReference_ = true;
 
@@ -232,13 +418,9 @@ Bytes
 serializeFrame(const EncodedFrame &frame)
 {
     Bytes out;
-    ByteWriter writer(out);
-    writer.writeU16(kFrameMagic);
-    writer.writeU8(static_cast<std::uint8_t>(frame.type));
-    writer.writeU32(frame.sequence);
-    writer.writeU32(frame.width);
-    writer.writeU32(frame.height);
-    writer.writeBytes(frame.payload);
+    out.reserve(kHeaderBytes + frame.payload.size());
+    appendFrame(out, frame.type, frame.sequence, frame.width, frame.height,
+                frame.payload);
     return out;
 }
 
@@ -257,9 +439,6 @@ StreamAssembler::feed(const std::uint8_t *data, std::size_t size)
 Result<EncodedFrame>
 StreamAssembler::nextFrame()
 {
-    // Header: magic(2) type(1) seq(4) w(4) h(4) payload_len(4).
-    constexpr std::size_t kHeaderBytes = 19;
-
     while (true) {
         // Resynchronize on the frame magic, so a consumer that joins
         // the stream mid-frame skips to the next frame boundary.
@@ -310,12 +489,19 @@ encodeMovie(const MpegConfig &config, std::uint32_t frames,
 {
     SyntheticVideo source(config, seed);
     MpegEncoder encoder(config);
+    RawFrame frame;
     Bytes out;
+    // Room for each frame's header and as many bytes as it has pixels
+    // (the default movie codes to a fifth of that), so the movie is not
+    // copied and faulted in again at every doubling. Pages never
+    // written stay unmapped.
+    out.reserve(static_cast<std::size_t>(frames) *
+                (kHeaderBytes +
+                 static_cast<std::size_t>(config.width) * config.height));
     for (std::uint32_t i = 0; i < frames; ++i) {
-        auto encoded = encoder.encode(source.frame(i));
+        source.render(i, frame);
+        [[maybe_unused]] const Status encoded = encoder.encodeTo(frame, out);
         assert(encoded);
-        const Bytes wire = serializeFrame(encoded.value());
-        out.insert(out.end(), wire.begin(), wire.end());
     }
     return out;
 }

@@ -65,6 +65,9 @@ class SyntheticVideo
     /** Generate the raw frame at index @p sequence. */
     RawFrame frame(std::uint32_t sequence) const;
 
+    /** Generate frame @p sequence into @p out, reusing its buffer. */
+    void render(std::uint32_t sequence, RawFrame &out) const;
+
   private:
     MpegConfig config_;
     std::uint64_t seed_;
@@ -79,15 +82,35 @@ class MpegEncoder
     /** Encode the next frame (state: reference frame for deltas). */
     Result<EncodedFrame> encode(const RawFrame &frame);
 
+    /**
+     * Encode the next frame like encode() and append it, header and
+     * payload, to @p out: the bytes serializeFrame(encode(frame))
+     * would give, without the intermediate frame.
+     */
+    Status encodeTo(const RawFrame &frame, Bytes &out);
+
     /** Frame type the GOP assigns to @p sequence. */
     FrameType frameTypeFor(std::uint32_t sequence) const;
 
     void reset();
 
   private:
+    /** A coded frame: its type and payload length (payload in rle_). */
+    struct Coded
+    {
+        FrameType type;
+        std::size_t size;
+    };
+
+    /** Code @p frame against the reference into rle_; then adopt it. */
+    Result<Coded> code(const RawFrame &frame);
+
     MpegConfig config_;
     Bytes reference_;
     bool hasReference_ = false;
+    /** Per-frame scratch, grown to the largest frame and reused. */
+    Bytes delta_;
+    Bytes rle_;
 };
 
 /** Decoder: encoded frames back to raw frames (exact). */
@@ -109,6 +132,8 @@ class MpegDecoder
   private:
     Bytes reference_;
     bool hasReference_ = false;
+    /** A delta frame's expanded runs, added to reference_ in one pass. */
+    Bytes delta_;
 };
 
 /** Serialize an encoded frame with its stream header. */

@@ -451,6 +451,25 @@ TEST(SpscQueueBatchTest, PartialBatchWhenNearlyFull)
         ASSERT_EQ(drained[i], i + 3);
 }
 
+TEST(SpscQueueBatchTest, FullBatchAfterProducerRefillsPastCachedTail)
+{
+    // The consumer's cached tail still holds the first 8 pushes when
+    // 3 more land; a batch of 8 must see them all, not the 5 left of
+    // its stale copy.
+    SpscQueue<int> q(8);
+    for (int i = 0; i < 8; ++i)
+        ASSERT_TRUE(q.push(int(i)));
+    int out[8];
+    ASSERT_EQ(q.popBatch(out, 3), 3u);
+    for (int i = 8; i < 11; ++i)
+        ASSERT_TRUE(q.push(int(i)));
+
+    ASSERT_EQ(q.popBatch(out, 8), 8u);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(out[i], i + 3);
+    EXPECT_EQ(q.popBatch(out, 8), 0u);
+}
+
 TEST(SpscQueueBatchTest, BatchesWrapAroundTheRing)
 {
     SpscQueue<int> q(8);

@@ -3,13 +3,18 @@
  * Tests for the MpegLite codec: GOP structure, lossless round trips,
  * stream framing, and the chunk-oriented assembler the Streamer and
  * Decoder components rely on. Hostile input: corrupted stream headers,
- * hostile frame dimensions, and a differential test of the in-place
- * decoder against a reference copy of the straightforward one.
+ * hostile frame dimensions, and differential tests of the word-at-a-
+ * time decoder and encoder against reference copies of the
+ * straightforward byte-at-a-time ones.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "tivo/mpeg.hh"
 
@@ -112,6 +117,30 @@ TEST(MpegTest, FirstFrameAlwaysIntraEvenMidGop)
     auto encoded = encoder.encode(frame);
     ASSERT_TRUE(encoded.ok());
     EXPECT_EQ(encoded.value().type, FrameType::I);
+}
+
+TEST(MpegTest, FrameSizeChangeRestartsWithIntra)
+{
+    // A reference of another size cannot seed a delta (a larger frame
+    // would read past it): the encoder must code the new size as an I
+    // frame, which decodes on its own.
+    MpegConfig big = smallConfig();
+    MpegConfig small = smallConfig();
+    small.width = 13;
+    small.height = 7;
+    for (const auto &[first, second] :
+         {std::pair{big, small}, std::pair{small, big}}) {
+        MpegEncoder encoder(first);
+        ASSERT_TRUE(encoder.encode(SyntheticVideo(first, 1).frame(0)).ok());
+        const RawFrame frame = SyntheticVideo(second, 1).frame(1);
+        auto encoded = encoder.encode(frame);
+        ASSERT_TRUE(encoded.ok());
+        EXPECT_EQ(encoded.value().type, FrameType::I);
+        MpegDecoder decoder;
+        auto decoded = decoder.decode(encoded.value());
+        ASSERT_TRUE(decoded.ok());
+        EXPECT_EQ(decoded.value().pixels, frame.pixels);
+    }
 }
 
 TEST(MpegTest, AssemblerReassemblesFromOddChunks)
@@ -474,6 +503,236 @@ TEST(MpegTest, InPlaceDecoderMatchesOracleOnValidAndMutatedFrames)
             }
         }
     }
+}
+
+/**
+ * The synthesis and encoder this codec shipped with first: one pixel
+ * per step, a byte-loop delta and a byte-loop run-length coder. Kept
+ * as the oracle for the word-at-a-time ones; any moved byte of the
+ * stream fails the tests below.
+ */
+RawFrame
+oracleFrame(const MpegConfig &config, std::uint64_t seed,
+            std::uint32_t sequence)
+{
+    RawFrame out;
+    out.width = config.width;
+    out.height = config.height;
+    out.sequence = sequence;
+    out.pixels.resize(static_cast<std::size_t>(config.width) *
+                      config.height);
+    const std::uint32_t shift =
+        static_cast<std::uint32_t>((seed + sequence * 3) & 0xff);
+    for (std::uint32_t y = 0; y < config.height; ++y) {
+        const std::uint8_t row_base =
+            static_cast<std::uint8_t>((y / 8) * 16 + shift);
+        for (std::uint32_t x = 0; x < config.width; ++x) {
+            const std::size_t i =
+                static_cast<std::size_t>(y) * config.width + x;
+            std::uint8_t pixel =
+                static_cast<std::uint8_t>(row_base + (x / 32));
+            if (x % 4 == 0) {
+                const std::uint64_t h =
+                    (seed ^
+                     (static_cast<std::uint64_t>(sequence / 8) << 32) ^
+                     i) *
+                    0x9e3779b97f4a7c15ull;
+                pixel = static_cast<std::uint8_t>(pixel + (h >> 61));
+            }
+            out.pixels[i] = pixel;
+        }
+    }
+    return out;
+}
+
+Bytes
+oracleRle(const Bytes &input)
+{
+    Bytes out;
+    std::size_t i = 0;
+    while (i < input.size()) {
+        const std::uint8_t value = input[i];
+        std::size_t run = 1;
+        while (i + run < input.size() && input[i + run] == value &&
+               run < 255)
+            ++run;
+        out.push_back(static_cast<std::uint8_t>(run));
+        out.push_back(value);
+        i += run;
+    }
+    return out;
+}
+
+class OracleEncoder
+{
+  public:
+    explicit OracleEncoder(MpegConfig config) : config_(config) {}
+
+    EncodedFrame
+    encode(const RawFrame &frame)
+    {
+        EncodedFrame out;
+        out.sequence = frame.sequence;
+        out.width = frame.width;
+        out.height = frame.height;
+        const std::uint32_t pos = frame.sequence % config_.gopLength;
+        out.type = pos == 0                      ? FrameType::I
+                   : pos % config_.pSpacing == 0 ? FrameType::P
+                                                 : FrameType::B;
+        if (out.type == FrameType::I || !hasReference_) {
+            out.type = FrameType::I;
+            out.payload = oracleRle(frame.pixels);
+        } else {
+            Bytes delta(frame.pixels.size());
+            for (std::size_t i = 0; i < delta.size(); ++i)
+                delta[i] = static_cast<std::uint8_t>(frame.pixels[i] -
+                                                     reference_[i]);
+            out.payload = oracleRle(delta);
+        }
+        reference_ = frame.pixels;
+        hasReference_ = true;
+        return out;
+    }
+
+  private:
+    MpegConfig config_;
+    Bytes reference_;
+    bool hasReference_ = false;
+};
+
+/**
+ * Encode @p frame with both encoders and expect the same frame; returns
+ * the word-at-a-time encoder's.
+ */
+EncodedFrame
+expectSameEncoding(MpegEncoder &encoder, OracleEncoder &oracle,
+                   const RawFrame &frame, const std::string &where)
+{
+    const EncodedFrame want = oracle.encode(frame);
+    Result<EncodedFrame> got = encoder.encode(frame);
+    EXPECT_TRUE(got.ok()) << where;
+    if (!got.ok())
+        return {};
+    EXPECT_EQ(got.value().type, want.type) << where;
+    EXPECT_EQ(got.value().sequence, want.sequence) << where;
+    EXPECT_EQ(got.value().payload, want.payload) << where;
+    return got.value();
+}
+
+TEST(MpegTest, EncoderMatchesOracleOnOddSizes)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        std::mt19937_64 rng(seed);
+        // Widths and heights off every word and block multiple, so
+        // the partial-word and partial-block tails always run.
+        auto oddSize = [&](std::uint32_t limit) {
+            const auto n = 1 + static_cast<std::uint32_t>(rng() % limit);
+            return n % 4 == 0 ? n + 1 : n;
+        };
+        MpegConfig config;
+        config.width = oddSize(200);
+        config.height = oddSize(130);
+        config.gopLength = 1 + static_cast<std::uint32_t>(rng() % 12);
+        config.pSpacing = 1 + static_cast<std::uint32_t>(rng() % 4);
+        SyntheticVideo source(config, seed);
+        MpegEncoder encoder(config);
+        MpegEncoder streamer(config);
+        OracleEncoder oracle(config);
+        OracleEncoder streamOracle(config);
+        Bytes stream;
+        Bytes oracleStream;
+        RawFrame rendered;
+
+        for (std::uint32_t i = 0; i < 40; ++i) {
+            const std::string where = "seed " + std::to_string(seed) +
+                                      " frame " + std::to_string(i);
+            const RawFrame want = oracleFrame(config, seed, i);
+            const RawFrame got = source.frame(i);
+            ASSERT_EQ(got.pixels, want.pixels) << where;
+            source.render(i, rendered); // reuses the previous buffer
+            ASSERT_EQ(rendered.pixels, want.pixels) << where;
+            expectSameEncoding(encoder, oracle, got, where);
+
+            ASSERT_TRUE(streamer.encodeTo(rendered, stream).ok());
+            const Bytes wire = serializeFrame(streamOracle.encode(want));
+            oracleStream.insert(oracleStream.end(), wire.begin(),
+                                wire.end());
+            ASSERT_EQ(stream, oracleStream) << where;
+        }
+        EXPECT_EQ(encodeMovie(config, 40, seed), oracleStream)
+            << "seed " << seed;
+    }
+}
+
+/** A width x 1 frame made of @p runs, alternating between two values. */
+RawFrame
+runsFrame(const std::vector<std::size_t> &runs, std::uint32_t sequence,
+          std::uint8_t base)
+{
+    RawFrame frame;
+    frame.sequence = sequence;
+    for (std::size_t k = 0; k < runs.size(); ++k)
+        frame.pixels.insert(frame.pixels.end(), runs[k],
+                            static_cast<std::uint8_t>(base + k % 2));
+    frame.width = static_cast<std::uint32_t>(frame.pixels.size());
+    frame.height = 1;
+    return frame;
+}
+
+TEST(MpegTest, EncoderMatchesOracleOnRunLengthEdges)
+{
+    // Runs on both sides of the word (8), block (64) and count (255)
+    // limits. Rotating the list starts each run at many offsets
+    // within a word and a 64-byte block.
+    std::vector<std::size_t> runs = {1,  7,  8,   9,   63,
+                                     64, 65, 255, 256, 511};
+    MpegConfig config;
+    config.gopLength = 4;
+    config.pSpacing = 2;
+    for (std::size_t rotation = 0; rotation < runs.size(); ++rotation) {
+        MpegEncoder encoder(config);
+        OracleEncoder oracle(config);
+        MpegDecoder decoder;
+        // I, B, P, B: each frame alternates differently, so the deltas
+        // carry runs of their own.
+        for (std::uint32_t i = 0; i < 4; ++i) {
+            const std::string where = "rotation " +
+                                      std::to_string(rotation) +
+                                      " frame " + std::to_string(i);
+            const RawFrame frame = runsFrame(
+                runs, i, static_cast<std::uint8_t>(7 + 3 * i * i));
+            Result<RawFrame> decoded = decoder.decode(
+                expectSameEncoding(encoder, oracle, frame, where));
+            ASSERT_TRUE(decoded.ok()) << where;
+            EXPECT_EQ(decoded.value().pixels, frame.pixels) << where;
+        }
+        std::rotate(runs.begin(), runs.begin() + 1, runs.end());
+    }
+
+    // A frame of one value: nothing but 255-byte runs and a remainder.
+    MpegEncoder encoder(config);
+    OracleEncoder oracle(config);
+    RawFrame flat;
+    flat.width = 160;
+    flat.height = 120;
+    flat.pixels.assign(160 * 120, 0x5a);
+    expectSameEncoding(encoder, oracle, flat, "flat frame");
+    flat.sequence = 1;
+    expectSameEncoding(encoder, oracle, flat, "flat delta");
+}
+
+TEST(MpegTest, DefaultMovieIsPinned)
+{
+    // The default TiVo movie (160x120, GOP 9, 192 frames, seed 42), as
+    // the byte-at-a-time encoder wrote it: size and 64-bit FNV-1a.
+    const Bytes movie = encodeMovie(MpegConfig{}, 192, 42);
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (const std::uint8_t byte : movie) {
+        digest ^= byte;
+        digest *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(movie.size(), 801756u);
+    EXPECT_EQ(digest, 0x967aef3890e8cb45ull);
 }
 
 } // namespace
