@@ -10,14 +10,16 @@
  * message's body inside its frame) are zero-copy slices of the same
  * buffer.
  *
- * Buffers come from a process-wide freelist pool so steady-state
- * message traffic recycles capacity instead of hitting the
- * allocator. The fabric is thread-safe: refcounts are atomic
- * (relaxed increments, acquire/release decrement — the standard
- * shared-ownership protocol) and the pool freelist is mutex-guarded,
- * so Payloads may be handed between execution sites through the
- * threaded executor's SPSC rings. Cold-path only: the hot path
- * (copying, slicing) touches one atomic, never the mutex.
+ * Buffers come from a process-wide pool so steady-state message
+ * traffic recycles capacity instead of hitting the allocator: a
+ * bounded per-thread cache in front of one mutex-guarded shared list,
+ * which the cache refills from and spills to in batches (DESIGN.md
+ * §9). The fabric is thread-safe: refcounts are atomic (relaxed
+ * increments, acquire/release decrement — the standard
+ * shared-ownership protocol), so Payloads may be handed between
+ * execution sites through the threaded executor's SPSC rings, and a
+ * buffer released on another thread than the one that built it goes
+ * to the releasing thread's cache.
  *
  * Ownership model: whoever holds a Payload may read it, nobody may
  * mutate it. Producers build content in a PayloadBuilder (or a
@@ -66,12 +68,18 @@ struct PayloadPoolStats
     std::uint64_t poolHits = 0;    ///< nodes reused from the freelist
     std::uint64_t recycles = 0;    ///< nodes returned to the freelist
     std::uint64_t deepCopies = 0;  ///< content copies (in or out)
-    std::size_t freeNodes = 0;     ///< freelist length right now
+    /** Free nodes right now: the shared list plus every live thread's
+     * cache. */
+    std::size_t freeNodes = 0;
 };
 
 PayloadPoolStats payloadPoolStats();
 
-/** Drop all pooled capacity (tests; between benchmark configs). */
+/**
+ * Drop the shared list and the calling thread's cache (tests; between
+ * benchmark configs). Other live threads keep their caches until they
+ * exit, when they flush to the shared list.
+ */
 void payloadPoolTrim();
 
 /** Immutable, refcounted view of a byte buffer (or a sub-range). */

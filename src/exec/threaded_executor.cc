@@ -84,8 +84,8 @@ ThreadedExecutor::scheduleAt(Time when, Callback fn)
         return timers_.push(when, std::move(fn));
     }
     // Worker path: completion callbacks re-enter virtual time through
-    // the coordinator's inbox.
-    const TaskId id = timers_.allocateId();
+    // the coordinator's inbox, under an id from the foreign range.
+    const TaskId id = foreignIds_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(injectMutex_);
     injectedTimers_.push_back(InjectedTimer{when, id, std::move(fn)});
     injectedCount_.fetch_add(1, std::memory_order_release);
@@ -102,6 +102,10 @@ ThreadedExecutor::schedulePeriodic(Time period, std::function<bool()> fn)
 void
 ThreadedExecutor::cancel(TaskId id)
 {
+    // A foreign id no worker has taken yet cannot be pending.
+    if (id >= TimerQueue::kForeignIds &&
+        id >= foreignIds_.load(std::memory_order_relaxed))
+        return;
     if (!onCoordinator()) {
         std::lock_guard<std::mutex> lock(injectMutex_);
         injectedCancels_.push_back(id);

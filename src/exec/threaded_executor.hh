@@ -214,6 +214,8 @@ class ThreadedExecutor final : public Executor
 
     // --- coordinator-owned virtual time ---
     TimerQueue timers_;
+    /** Ids for timers workers schedule (TimerQueue's foreign range). */
+    std::atomic<TaskId> foreignIds_{TimerQueue::kForeignIds};
     std::atomic<Time> now_{0};
     std::atomic<std::uint64_t> dispatched_{0};
 

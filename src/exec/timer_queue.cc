@@ -45,51 +45,71 @@ TaskId
 TimerQueue::pushPeriodic(Time now, Time period, std::function<bool()> fn)
 {
     assert(period > 0);
-    // The series lives in periodics_; each firing looks itself up by
-    // id, so cancellation is just an erase and nothing holds a
-    // self-referential closure.
+    // The series lives in a periodics_ slot; each firing finds it by
+    // slot and checks the id, so cancellation just frees the slot and
+    // nothing holds a self-referential closure.
     const TaskId series = allocateId();
-    periodics_[series] = Periodic{period, now + period, std::move(fn)};
-    arm(series, now + period);
+    SeriesSlot slot = 0;
+    if (freeSeries_.empty()) {
+        slot = static_cast<SeriesSlot>(periodics_.size());
+        periodics_.emplace_back();
+    } else {
+        slot = freeSeries_.back();
+        freeSeries_.pop_back();
+    }
+    periodics_[slot] = Periodic{series, period, now + period, std::move(fn)};
+    seriesSlots_.emplace(series, slot);
+    arm(slot, series, now + period);
     return series;
 }
 
 void
-TimerQueue::arm(TaskId series, Time when)
+TimerQueue::arm(SeriesSlot slot, TaskId series, Time when)
 {
-    push(when, [this, series]() { firePeriodic(series); });
+    push(when, [this, slot, series]() { firePeriodic(slot, series); });
 }
 
 void
-TimerQueue::firePeriodic(TaskId series)
+TimerQueue::endSeries(SeriesSlot slot)
 {
-    auto it = periodics_.find(series);
-    if (it == periodics_.end())
-        return; // cancelled
-    // Run the callback from a local: cancelling its own series erases
-    // the entry it would otherwise be running from.
-    std::function<bool()> fn = std::move(it->second.fn);
+    Periodic &periodic = periodics_[slot];
+    seriesSlots_.erase(periodic.series);
+    periodic = Periodic{};
+    freeSeries_.push_back(slot);
+}
+
+void
+TimerQueue::firePeriodic(SeriesSlot slot, TaskId series)
+{
+    if (periodics_[slot].series != series)
+        return; // cancelled (the slot may already hold a newer series)
+    // Run the callback from a local: cancelling its own series clears
+    // the slot it would otherwise be running from, and a series it
+    // starts may grow periodics_.
+    std::function<bool()> fn = std::move(periodics_[slot].fn);
     const bool again = fn();
-    it = periodics_.find(series);
-    if (it == periodics_.end())
+    Periodic &periodic = periodics_[slot];
+    if (periodic.series != series)
         return; // it cancelled itself
     if (!again) {
-        periodics_.erase(it);
+        endSeries(slot);
         return;
     }
-    it->second.fn = std::move(fn);
-    it->second.due += it->second.period;
-    arm(series, it->second.due);
+    periodic.fn = std::move(fn);
+    periodic.due += periodic.period;
+    arm(slot, series, periodic.due);
 }
 
 void
 TimerQueue::cancel(TaskId id)
 {
-    if (periodics_.erase(id))
+    if (auto it = seriesSlots_.find(id); it != seriesSlots_.end()) {
+        endSeries(it->second);
         return;
+    }
     // Ids never handed out cannot be pending; remembering them would
     // grow cancelled_ forever with nothing to erase them.
-    if (id >= nextId_.load(std::memory_order_relaxed))
+    if (id >= nextId_ && id < kForeignIds)
         return;
     cancelled_.insert(id);
     pruneCancelled();

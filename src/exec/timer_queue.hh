@@ -11,19 +11,20 @@
  *
  * Cancellation leaves a tombstone the pop path consumes; tombstones
  * for events that already fired are pruned once they outgrow the
- * queue, and ids never handed out are ignored. Periodic series re-arm
- * through a registry keyed by series id, so a callback may cancel its
- * own series.
+ * queue, and ids never handed out are ignored. Periodic series live in
+ * a slab indexed by slot, like the one-shot callbacks: each firing
+ * finds its series by slot and checks the series id, so a callback may
+ * cancel its own series and a firing never hashes.
  *
- * Only allocateId() is thread-safe; everything else belongs to the
- * engine's driving thread. Workers of the threaded engine take ids
- * here and inject their timers through that engine's own inbox.
+ * Everything here belongs to the thread that drives the queue, ids
+ * included: allocateId() is a plain increment. Workers of the threaded
+ * engine take ids from that engine's own atomic source, in the range
+ * at and above kForeignIds, and inject their timers through its inbox.
  */
 
 #ifndef HYDRA_EXEC_TIMER_QUEUE_HH
 #define HYDRA_EXEC_TIMER_QUEUE_HH
 
-#include <atomic>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -52,14 +53,18 @@ class TimerQueue
     TimerQueue(const TimerQueue &) = delete;
     TimerQueue &operator=(const TimerQueue &) = delete;
 
-    /** Hand out the next id (any thread). */
-    TaskId
-    allocateId()
-    {
-        return nextId_.fetch_add(1, std::memory_order_relaxed);
-    }
+    /**
+     * First id of the range the queue never hands out itself: ids at
+     * or above it come from another source (the threaded engine's
+     * workers), which vouches that they were issued.
+     */
+    static constexpr TaskId kForeignIds = TaskId{1} << 63;
 
-    /** Queue @p fn at @p when under @p id, which came from allocateId(). */
+    /** Hand out the next id (the driving thread only). */
+    TaskId allocateId() { return nextId_++; }
+
+    /** Queue @p fn at @p when under @p id: one from allocateId(), or
+     * a foreign id (at or above kForeignIds). */
     void push(Time when, TaskId id, Callback &&fn);
 
     /** Queue @p fn at @p when under a fresh id; returns the id. */
@@ -106,16 +111,23 @@ class TimerQueue
     std::size_t cancelledBacklog() const { return cancelled_.size(); }
 
   private:
+    /** Index of a periodic series in periodics_. */
+    using SeriesSlot = std::uint32_t;
+
     struct Periodic
     {
-        Time period;
+        /** Series id; 0 while the slot is free. */
+        TaskId series = 0;
+        Time period = 0;
         /** When the series' armed event fires. */
-        Time due;
+        Time due = 0;
         std::function<bool()> fn;
     };
 
-    void arm(TaskId series, Time when);
-    void firePeriodic(TaskId series);
+    void arm(SeriesSlot slot, TaskId series, Time when);
+    void firePeriodic(SeriesSlot slot, TaskId series);
+    /** End the series in @p slot and free the slot for reuse. */
+    void endSeries(SeriesSlot slot);
     Key popTop();
     void pruneCancelled();
 
@@ -123,8 +135,12 @@ class TimerQueue
     std::vector<Key> heap_;
     CallbackSlab callbacks_;
     std::unordered_set<TaskId> cancelled_;
-    std::unordered_map<TaskId, Periodic> periodics_;
-    std::atomic<TaskId> nextId_{1};
+    /** Periodic series by slot; free slots are listed in freeSeries_. */
+    std::vector<Periodic> periodics_;
+    std::vector<SeriesSlot> freeSeries_;
+    /** Live series id -> slot, for cancel(); firings never use it. */
+    std::unordered_map<TaskId, SeriesSlot> seriesSlots_;
+    TaskId nextId_ = 1;
 };
 
 } // namespace hydra::exec

@@ -1,6 +1,7 @@
 #include "fleet/fleet.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
 
 #include "common/bytes.hh"
@@ -59,7 +60,66 @@ remoteMetrics()
     return metrics;
 }
 
+/** Count one malformed frame. Registered on the first one, so runs
+ * without any export the same series in the same order. */
+void
+countMalformedFrame()
+{
+    static obs::Counter &malformed = obs::counter("fleet.malformed_frames");
+    malformed.increment();
+}
+
+/** Field offsets within the wire header. */
+constexpr std::size_t kChannelAt = 0;
+constexpr std::size_t kFromAt = 8;
+constexpr std::size_t kToAt = 12;
+constexpr std::size_t kSeqAt = 16;
+constexpr std::size_t kSentAtAt = 24;
+
+/** Store @p value little-endian at @p out (compiles to one store). */
+template <typename T>
+void
+storeLittle(std::uint8_t *out, T value)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+/** Load a little-endian value from @p in (compiles to one load). */
+template <typename T>
+T
+loadLittle(const std::uint8_t *in)
+{
+    T value = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        value |= static_cast<T>(in[i]) << (8 * i);
+    return value;
+}
+
 } // namespace
+
+void
+writeWireHeader(std::uint8_t *out, const WireHeader &header)
+{
+    storeLittle<std::uint64_t>(out + kChannelAt, header.channel);
+    storeLittle<std::uint32_t>(out + kFromAt, header.from);
+    storeLittle<std::uint32_t>(out + kToAt, header.to);
+    storeLittle<std::uint64_t>(out + kSeqAt, header.seq);
+    storeLittle<std::uint64_t>(out + kSentAtAt, header.sentAt);
+}
+
+bool
+readWireHeader(const std::uint8_t *frame, std::size_t size, WireHeader &out)
+{
+    if (size < kWireHeaderBytes)
+        return false;
+    out.channel = loadLittle<std::uint64_t>(frame + kChannelAt);
+    out.from = loadLittle<std::uint32_t>(frame + kFromAt);
+    out.to = loadLittle<std::uint32_t>(frame + kToAt);
+    out.seq = loadLittle<std::uint64_t>(frame + kSeqAt);
+    out.sentAt = loadLittle<std::uint64_t>(frame + kSentAtAt);
+    return true;
+}
 
 /**
  * Cross-machine transport: frames messages over the sender host's
@@ -300,14 +360,15 @@ class RemoteChannel : public core::Channel
         const std::uint64_t seq = pairSeq(from, to).tx++;
 
         PayloadBuilder builder;
-        ByteWriter writer(builder.buffer());
-        writer.writeU64(id());
-        writer.writeU32(static_cast<std::uint32_t>(from));
-        writer.writeU32(static_cast<std::uint32_t>(to));
-        writer.writeU64(seq);
-        writer.writeU64(static_cast<std::uint64_t>(sentAt));
-        builder.buffer().insert(builder.buffer().end(), message.begin(),
-                                message.end());
+        Bytes &frame = builder.buffer();
+        frame.resize(kWireHeaderBytes + message.size());
+        writeWireHeader(frame.data(),
+                        WireHeader{id(), static_cast<std::uint32_t>(from),
+                                   static_cast<std::uint32_t>(to), seq,
+                                   static_cast<std::uint64_t>(sentAt)});
+        if (!message.empty())
+            std::memcpy(frame.data() + kWireHeaderBytes, message.data(),
+                        message.size());
         remoteMetrics().wireCopies.increment();
 
         net::Packet packet;
@@ -345,21 +406,26 @@ class RemoteChannel : public core::Channel
     }
 
     /** Inbound frame from the owning host's fabric table (called with
-     * that host's fabric lock held — see Host::onFabric). */
-    void
-    deliverWire(std::size_t to, std::size_t from, std::uint64_t seq,
-                sim::SimTime sentAt, const Payload &body)
+     * that host's fabric lock held — see Host::onFabric). False when
+     * the header names an endpoint this channel does not have. */
+    bool
+    deliverWire(const WireHeader &header, const Payload &body)
     {
         std::lock_guard<std::recursive_mutex> lock(mutex_);
-        if (closed_ || to >= endpoints_.size() || from >= endpoints_.size())
-            return;
+        if (closed_)
+            return true;
+        const std::size_t to = header.to;
+        const std::size_t from = header.from;
+        if (to >= endpoints_.size() || from >= endpoints_.size())
+            return false;
         std::uint64_t &seen = pairSeq(to, from).rx;
-        if (seq != seen)
+        if (header.seq != seen)
             remoteMetrics().seqGaps.increment();
-        seen = seq + 1;
+        seen = header.seq + 1;
         if (endpoints_[to].site)
             endpoints_[to].site->run(kCosts.rxDescriptorCycles);
-        deliverTo(to, body, from, sentAt);
+        deliverTo(to, body, from, static_cast<sim::SimTime>(header.sentAt));
+        return true;
     }
 
     Fleet &fleet_;
@@ -517,36 +583,43 @@ Host::removeRoute(core::ChannelId id)
     routes_.erase(id);
 }
 
+std::uint64_t
+Host::malformedFrames() const
+{
+    std::lock_guard<std::mutex> lock(fabricMutex_);
+    return malformed_;
+}
+
 void
 Host::onFabric(const net::Packet &packet)
 {
-    ByteReader reader(packet.payload.data(), packet.payload.size());
-    auto id = reader.readU64();
-    auto from = reader.readU32();
-    auto to = reader.readU32();
-    auto seq = reader.readU64();
-    auto sentAt = reader.readU64();
-    if (!id || !from || !to || !seq || !sentAt) {
-        LOG_DEBUG << name_ << ": malformed fleet frame ("
-                  << packet.payload.size() << " bytes)";
-        return;
-    }
-    const Payload body = packet.payload.slice(
-        kWireHeaderBytes, packet.payload.size() - kWireHeaderBytes);
+    WireHeader header;
+    const bool framed = readWireHeader(packet.payload.data(),
+                                       packet.payload.size(), header);
 
     // Route under the fabric lock and deliver while still holding it:
     // a concurrent destroyChannel blocks in removeRoute until we are
     // done, so the channel cannot be freed under us.
     std::lock_guard<std::mutex> lock(fabricMutex_);
-    RemoteChannel *const *route = routes_.find(id.value());
+    if (!framed) {
+        LOG_DEBUG << name_ << ": malformed fleet frame ("
+                  << packet.payload.size() << " bytes)";
+        ++malformed_;
+        countMalformedFrame();
+        return;
+    }
+    RemoteChannel *const *route = routes_.find(header.channel);
     if (!route) {
         ++orphans_;
         remoteMetrics().orphans.increment();
         return;
     }
-    (*route)->deliverWire(to.value(), from.value(), seq.value(),
-                          static_cast<sim::SimTime>(sentAt.value()),
-                          body);
+    const Payload body = packet.payload.slice(
+        kWireHeaderBytes, packet.payload.size() - kWireHeaderBytes);
+    if (!(*route)->deliverWire(header, body)) {
+        ++malformed_;
+        countMalformedFrame();
+    }
 }
 
 Fleet::Fleet(exec::Executor &executor, FleetConfig config)
@@ -603,8 +676,8 @@ Fleet::hostOf(const hw::Machine &machine)
 Host &
 Fleet::homeOf(std::string_view key)
 {
-    Host *host = hostByName(ring_.hostFor(key));
-    return host ? *host : *hosts_.front();
+    // The ring was built from hosts_ in order, so its index is ours.
+    return *hosts_[ring_.hostFor(key)];
 }
 
 core::ExecutionSite *

@@ -8,8 +8,8 @@
  * a core::Runtime whose ChannelExecutive is that host's *shard*. The
  * Fleet stitches the shards together:
  *
- *  - a consistent-hash PlacementRing maps stream keys to hosts
- *    (lock-free reads; see placement.hh);
+ *  - a consistent-hash PlacementRing maps stream keys to host
+ *    indexes (see placement.hh);
  *  - each shard gets a remote site lookup that resolves any other
  *    host's site names; and
  *  - a "remote" ChannelProvider serves cross-machine channel pairs by
@@ -51,6 +51,32 @@ inline constexpr net::Port kFleetDevicePort = 9100;
 inline constexpr net::Port kFleetHostPort = 9101;
 /** Remote frame header: id(8) + from(4) + to(4) + seq(8) + sentAt(8). */
 inline constexpr std::size_t kWireHeaderBytes = 32;
+
+/** The header at the front of every remote frame. */
+struct WireHeader
+{
+    core::ChannelId channel = core::kInvalidChannel;
+    /** Sending and receiving endpoint indexes within the channel. */
+    std::uint32_t from = 0;
+    std::uint32_t to = 0;
+    /** Per (from, to) pair sequence number. */
+    std::uint64_t seq = 0;
+    /** Virtual send time, in ns. */
+    std::uint64_t sentAt = 0;
+};
+
+/**
+ * The one header codec: store @p header into the kWireHeaderBytes at
+ * @p out, each field little-endian at its fixed offset.
+ */
+void writeWireHeader(std::uint8_t *out, const WireHeader &header);
+
+/**
+ * Load the header of a @p size -byte frame into @p out; false (and
+ * nothing read) when the frame is shorter than kWireHeaderBytes.
+ */
+bool readWireHeader(const std::uint8_t *frame, std::size_t size,
+                    WireHeader &out);
 
 /** Fleet-wide construction parameters. */
 struct FleetConfig
@@ -106,6 +132,12 @@ class Host
     /** Frames whose ChannelId no longer routes (destroyed mid-flight). */
     std::uint64_t orphanFrames() const;
 
+    /**
+     * Frames dropped as malformed: shorter than the wire header, or
+     * naming an endpoint index the channel does not have.
+     */
+    std::uint64_t malformedFrames() const;
+
   private:
     friend class Fleet;
     friend class RemoteChannel;
@@ -138,6 +170,7 @@ class Host
     mutable std::mutex fabricMutex_;
     IdTable<RemoteChannel *> routes_;
     std::uint64_t orphans_ = 0;
+    std::uint64_t malformed_ = 0;
 };
 
 /** N hosts on one fabric + one executor, stitched into a fleet. */

@@ -28,45 +28,29 @@ void
 PlacementRing::rebuild(const std::vector<std::string> &hosts,
                        std::size_t vnodes)
 {
-    auto snap = std::make_shared<Snapshot>();
-    snap->hosts = hosts;
-    snap->points.reserve(hosts.size() * vnodes);
+    hosts_ = hosts;
+    points_.clear();
+    points_.reserve(hosts.size() * vnodes);
     for (std::uint32_t h = 0; h < hosts.size(); ++h)
         for (std::size_t v = 0; v < vnodes; ++v)
-            snap->points.emplace_back(
+            points_.emplace_back(
                 placementHash(hosts[h] + "#" + std::to_string(v)), h);
-    std::sort(snap->points.begin(), snap->points.end());
-    snapshot_.store(std::move(snap), std::memory_order_release);
+    std::sort(points_.begin(), points_.end());
 }
 
-std::string
+std::size_t
 PlacementRing::hostFor(std::string_view key) const
 {
-    const auto snap = load();
-    if (!snap || snap->points.empty())
-        return {};
+    if (points_.empty())
+        return kNoHost;
     const std::uint64_t hash = placementHash(key);
     auto it = std::lower_bound(
-        snap->points.begin(), snap->points.end(),
+        points_.begin(), points_.end(),
         std::make_pair(hash, std::uint32_t{0}),
         [](const auto &a, const auto &b) { return a.first < b.first; });
-    if (it == snap->points.end())
-        it = snap->points.begin(); // wrap
-    return snap->hosts[it->second];
-}
-
-std::size_t
-PlacementRing::hostCount() const
-{
-    const auto snap = load();
-    return snap ? snap->hosts.size() : 0;
-}
-
-std::size_t
-PlacementRing::pointCount() const
-{
-    const auto snap = load();
-    return snap ? snap->points.size() : 0;
+    if (it == points_.end())
+        it = points_.begin(); // wrap
+    return it->second;
 }
 
 } // namespace hydra::fleet

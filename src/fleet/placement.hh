@@ -3,20 +3,19 @@
  * Consistent-hash channel -> host placement map (DESIGN.md §14).
  *
  * The fleet decides which host a stream lives on by hashing its key
- * onto a ring of virtual nodes. Reads are lock-free: the ring is an
- * immutable snapshot behind an atomic shared_ptr, so per-host load
- * drivers resolve placement concurrently while membership changes
- * (rebuild) swap in a fresh snapshot. Consistent hashing keeps the
- * reshuffle on membership change proportional to 1/N of the keys,
- * which the placement unit test asserts.
+ * onto a ring of virtual nodes. The ring is a plain value: rebuild()
+ * replaces the membership, and lookups are a binary search returning
+ * the owning host's index, so placing a stream copies no string.
+ * rebuild() must not race lookups; the fleet builds its ring once, in
+ * its constructor. Consistent hashing keeps the reshuffle on
+ * membership change proportional to 1/N of the keys, which the
+ * placement unit test asserts.
  */
 
 #ifndef HYDRA_FLEET_PLACEMENT_HH
 #define HYDRA_FLEET_PLACEMENT_HH
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,10 +26,13 @@ namespace hydra::fleet {
 /** FNV-1a 64-bit; the ring's only hash (stable across runs). */
 std::uint64_t placementHash(std::string_view key);
 
-/** Lock-free-read consistent-hash ring over host names. */
+/** Consistent-hash ring over host names. */
 class PlacementRing
 {
   public:
+    /** hostFor()'s answer on an empty ring. */
+    static constexpr std::size_t kNoHost = static_cast<std::size_t>(-1);
+
     /**
      * Replace the membership. @p vnodes virtual points per host
      * smooth the key distribution (64 keeps the max/min host load
@@ -40,29 +42,24 @@ class PlacementRing
                  std::size_t vnodes = 64);
 
     /**
-     * Host owning @p key; empty string when the ring is empty.
-     * Lock-free: one atomic snapshot load plus a binary search.
+     * Index (into the rebuild() list) of the host owning @p key;
+     * kNoHost when the ring is empty.
      */
-    std::string hostFor(std::string_view key) const;
+    std::size_t hostFor(std::string_view key) const;
 
-    std::size_t hostCount() const;
-    std::size_t pointCount() const;
-
-  private:
-    struct Snapshot
+    /** Name of the host at @p index. */
+    const std::string &hostName(std::size_t index) const
     {
-        /** (hash, host index), sorted by hash. */
-        std::vector<std::pair<std::uint64_t, std::uint32_t>> points;
-        std::vector<std::string> hosts;
-    };
-
-    std::shared_ptr<const Snapshot>
-    load() const
-    {
-        return snapshot_.load(std::memory_order_acquire);
+        return hosts_[index];
     }
 
-    std::atomic<std::shared_ptr<const Snapshot>> snapshot_{nullptr};
+    std::size_t hostCount() const { return hosts_.size(); }
+    std::size_t pointCount() const { return points_.size(); }
+
+  private:
+    /** (hash, host index), sorted by hash. */
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> points_;
+    std::vector<std::string> hosts_;
 };
 
 } // namespace hydra::fleet

@@ -31,6 +31,11 @@ Histogram::bucketUpperBound(std::size_t bucket)
     return static_cast<std::uint64_t>(kSubBuckets + sub + 1) << octave;
 }
 
+Histogram::~Histogram()
+{
+    delete shared_.load(std::memory_order_acquire);
+}
+
 void
 Histogram::recordOverflow()
 {
@@ -39,26 +44,62 @@ Histogram::recordOverflow()
 }
 
 void
+Histogram::Cell::add(std::size_t bucket, std::uint64_t n, std::uint64_t lo,
+                     std::uint64_t hi)
+{
+    buckets[bucket].fetch_add(n, std::memory_order_relaxed);
+    std::uint64_t seen = min.load(std::memory_order_relaxed);
+    while (lo < seen &&
+           !min.compare_exchange_weak(seen, lo, std::memory_order_relaxed)) {
+    }
+    seen = max.load(std::memory_order_relaxed);
+    while (hi > seen &&
+           !max.compare_exchange_weak(seen, hi, std::memory_order_relaxed)) {
+    }
+}
+
+void
+Histogram::Cell::reset()
+{
+    min.store(UINT64_MAX, std::memory_order_relaxed);
+    max.store(0, std::memory_order_relaxed);
+    for (auto &bucket : buckets)
+        bucket.store(0, std::memory_order_relaxed);
+}
+
+Histogram::Cell &
+Histogram::sharedCell()
+{
+    Cell *cell = shared_.load(std::memory_order_acquire);
+    if (cell) [[likely]]
+        return *cell;
+    auto *fresh = new Cell();
+    if (shared_.compare_exchange_strong(cell, fresh,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire))
+        return *fresh;
+    delete fresh; // another thread installed one first
+    return *cell;
+}
+
+void
+Histogram::recordShared(std::size_t bucket, std::uint64_t nanos)
+{
+    sharedCell().add(bucket, 1, nanos, nanos);
+}
+
+void
 Histogram::merge(const Histogram &other)
 {
+    const std::uint64_t lo = other.min();
+    const std::uint64_t hi = other.max();
+    // The owner may use read-modify-writes on its own cell too: it is
+    // that cell's only writer either way.
+    Cell &cell = owner_.held() ? owned_ : sharedCell();
     for (std::size_t b = 0; b < kBuckets; ++b) {
-        const std::uint64_t n =
-            other.buckets_[b].load(std::memory_order_relaxed);
+        const std::uint64_t n = other.bucketCount(b);
         if (n)
-            buckets_[b].fetch_add(n, std::memory_order_relaxed);
-    }
-
-    const std::uint64_t otherMin = other.min_.load(std::memory_order_relaxed);
-    std::uint64_t seen = min_.load(std::memory_order_relaxed);
-    while (otherMin < seen &&
-           !min_.compare_exchange_weak(seen, otherMin,
-                                       std::memory_order_relaxed)) {
-    }
-    const std::uint64_t otherMax = other.max_.load(std::memory_order_relaxed);
-    seen = max_.load(std::memory_order_relaxed);
-    while (otherMax > seen &&
-           !max_.compare_exchange_weak(seen, otherMax,
-                                       std::memory_order_relaxed)) {
+            cell.add(b, n, lo, hi);
     }
 }
 
@@ -66,8 +107,8 @@ std::uint64_t
 Histogram::count() const
 {
     std::uint64_t total = 0;
-    for (const auto &bucket : buckets_)
-        total += bucket.load(std::memory_order_relaxed);
+    for (std::size_t b = 0; b < kBuckets; ++b)
+        total += bucketCount(b);
     return total;
 }
 
@@ -76,7 +117,7 @@ Histogram::sum() const
 {
     std::uint64_t total = 0;
     for (std::size_t b = 0; b < kBuckets; ++b) {
-        const std::uint64_t n = buckets_[b].load(std::memory_order_relaxed);
+        const std::uint64_t n = bucketCount(b);
         if (n == 0)
             continue;
         std::uint64_t mid;
@@ -96,14 +137,19 @@ Histogram::sum() const
 std::uint64_t
 Histogram::min() const
 {
-    const std::uint64_t v = min_.load(std::memory_order_relaxed);
+    std::uint64_t v = owned_.min.load(std::memory_order_relaxed);
+    if (const Cell *shared = shared_.load(std::memory_order_acquire))
+        v = std::min(v, shared->min.load(std::memory_order_relaxed));
     return v == UINT64_MAX ? 0 : v;
 }
 
 std::uint64_t
 Histogram::max() const
 {
-    return max_.load(std::memory_order_relaxed);
+    std::uint64_t v = owned_.max.load(std::memory_order_relaxed);
+    if (const Cell *shared = shared_.load(std::memory_order_acquire))
+        v = std::max(v, shared->max.load(std::memory_order_relaxed));
+    return v;
 }
 
 double
@@ -116,7 +162,7 @@ Histogram::mean() const
 std::uint64_t
 Histogram::overflowCount() const
 {
-    return buckets_[kOverflowBucket].load(std::memory_order_relaxed);
+    return bucketCount(kOverflowBucket);
 }
 
 double
@@ -129,8 +175,7 @@ Histogram::percentile(double pct) const
     const double rank = pct / 100.0 * static_cast<double>(n);
     std::uint64_t seen = 0;
     for (std::size_t b = 0; b < kBuckets; ++b) {
-        const std::uint64_t here =
-            buckets_[b].load(std::memory_order_relaxed);
+        const std::uint64_t here = bucketCount(b);
         if (here == 0)
             continue;
         if (static_cast<double>(seen + here) >= rank) {
@@ -156,8 +201,12 @@ Histogram::percentile(double pct) const
 std::uint64_t
 Histogram::bucketCount(std::size_t bucket) const
 {
-    return bucket < kBuckets ? buckets_[bucket].load(std::memory_order_relaxed)
-                             : 0;
+    if (bucket >= kBuckets)
+        return 0;
+    std::uint64_t n = owned_.buckets[bucket].load(std::memory_order_relaxed);
+    if (const Cell *shared = shared_.load(std::memory_order_acquire))
+        n += shared->buckets[bucket].load(std::memory_order_relaxed);
+    return n;
 }
 
 HistogramSummary
@@ -182,10 +231,9 @@ Histogram::summary() const
 void
 Histogram::reset()
 {
-    min_.store(UINT64_MAX, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-    for (auto &bucket : buckets_)
-        bucket.store(0, std::memory_order_relaxed);
+    owned_.reset();
+    if (Cell *shared = shared_.load(std::memory_order_acquire))
+        shared->reset();
 }
 
 } // namespace hydra::obs

@@ -12,15 +12,19 @@
  * `obs.trace.dropped_events`), so out-of-range samples are visible
  * instead of silently clamped.
  *
- * record() is lock-free: one relaxed fetch_add on the bucket and two
- * relaxed loads (plus a rare CAS) for min/max — a single RMW on the
- * hot path. Count and sum are derived by walking the bucket array at
- * read time: count is exact, sum uses each bucket's midpoint (exact
- * below 64 ns, within the bucket error bound above). Concurrent
- * readers see a possibly-torn but monotone view — the same contract
- * the rest of the metrics registry offers. Histograms are mergeable
- * bucket-wise, which the flight recorder and future sharded-fleet
- * work rely on.
+ * record() takes no lock and, on the owning thread, no locked
+ * instruction: writes go through owner-thread cells (owner.hh). The
+ * first thread to record owns an inline cell and bumps its bucket and
+ * min/max with relaxed loads and stores; any other thread records into
+ * a shared cell of atomics (fetch_add on the bucket, CAS on min/max),
+ * allocated on the first such write. Count and sum are derived by
+ * walking both cells' bucket arrays at read time: count is exact, sum
+ * uses each bucket's midpoint (exact below 64 ns, within the bucket
+ * error bound above). Concurrent readers see a possibly-torn but
+ * monotone view, the same contract the rest of the metrics registry
+ * offers; reset() only while no thread records. Histograms are
+ * mergeable bucket-wise, which the flight recorder and future
+ * sharded-fleet work rely on.
  */
 
 #ifndef HYDRA_OBS_HISTOGRAM_HH
@@ -30,6 +34,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+
+#include "obs/owner.hh"
 
 namespace hydra::obs {
 
@@ -89,28 +95,30 @@ class Histogram
     /** Exclusive upper bound of a bucket's value range. */
     static std::uint64_t bucketUpperBound(std::size_t bucket);
 
+    Histogram() = default;
+    ~Histogram();
+    Histogram(const Histogram &) = delete;
+    Histogram &operator=(const Histogram &) = delete;
+
     /**
-     * Record one sample; lock-free, one relaxed RMW on the hot path.
-     * Defined inline — this is the call every instrumented delivery
-     * and dispatch site makes, gated at ~15 ns by check.sh.
+     * Record one sample. Defined inline: this is the call every
+     * instrumented delivery and dispatch site makes, gated at ~15 ns
+     * by check.sh. The owner pays one bucket load+store and two
+     * compares; other threads take the out-of-line shared path.
      */
     void
     record(std::uint64_t nanos)
     {
         const std::size_t bucket = bucketOf(nanos);
-        buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-
-        std::uint64_t seen = min_.load(std::memory_order_relaxed);
-        while (nanos < seen &&
-               !min_.compare_exchange_weak(seen, nanos,
-                                           std::memory_order_relaxed)) {
+        if (owner_.held()) [[likely]] {
+            addOwned(owned_.buckets[bucket], 1);
+            if (nanos < owned_.min.load(std::memory_order_relaxed))
+                owned_.min.store(nanos, std::memory_order_relaxed);
+            if (nanos > owned_.max.load(std::memory_order_relaxed))
+                owned_.max.store(nanos, std::memory_order_relaxed);
+        } else {
+            recordShared(bucket, nanos);
         }
-        seen = max_.load(std::memory_order_relaxed);
-        while (nanos > seen &&
-               !max_.compare_exchange_weak(seen, nanos,
-                                           std::memory_order_relaxed)) {
-        }
-
         if (bucket == kOverflowBucket) [[unlikely]]
             recordOverflow();
     }
@@ -143,13 +151,31 @@ class Histogram
     void reset();
 
   private:
+    /** One writer side's state: a bucket array plus min/max. */
+    struct Cell
+    {
+        std::atomic<std::uint64_t> min{UINT64_MAX};
+        std::atomic<std::uint64_t> max{0};
+        std::atomic<std::uint64_t> buckets[kBuckets] = {};
+
+        /** Add @p n samples to @p bucket and widen min/max to
+         * [lo, hi] with atomic read-modify-writes. */
+        void add(std::size_t bucket, std::uint64_t n, std::uint64_t lo,
+                 std::uint64_t hi);
+        void reset();
+    };
+
+    /** Non-owner record: into the shared cell, allocating it once. */
+    void recordShared(std::size_t bucket, std::uint64_t nanos);
+    /** The shared cell, allocated on first use by a non-owner. */
+    Cell &sharedCell();
     /** Cold path: bump `obs.sample.dropped` (kept out of line so the
      * header needn't see the registry). */
     void recordOverflow();
 
-    std::atomic<std::uint64_t> min_{UINT64_MAX};
-    std::atomic<std::uint64_t> max_{0};
-    std::atomic<std::uint64_t> buckets_[kBuckets] = {};
+    OwnerThread owner_;
+    Cell owned_;
+    std::atomic<Cell *> shared_{nullptr};
 };
 
 } // namespace hydra::obs

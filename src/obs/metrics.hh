@@ -11,11 +11,14 @@
  *    time, DMA transfers) with p50/p90/p99/p999 — see histogram.hh.
  *
  * Handles are identified by (name, labels) and live for the process
- * lifetime: registration takes a mutex, but updates are relaxed
- * atomics, so instruments can be cached in function-local statics at
- * hot call sites and bumped from anywhere. reset() zeroes values
- * without invalidating handles, which lets benches and tests scope
- * measurements to one scenario.
+ * lifetime: registration takes a mutex, but updates take no lock, so
+ * instruments can be cached in function-local statics at hot call
+ * sites and bumped from anywhere. Counter and Histogram write through
+ * owner-thread cells (owner.hh): the first thread to write one updates
+ * it with a plain load and store, and only other threads pay an atomic
+ * read-modify-write. reset() zeroes values without invalidating
+ * handles, which lets benches and tests scope measurements to one
+ * scenario; it must only run while no thread writes the instruments.
  */
 
 #ifndef HYDRA_OBS_METRICS_HH
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "obs/histogram.hh"
+#include "obs/owner.hh"
 
 namespace hydra::obs {
 
@@ -39,13 +43,16 @@ namespace hydra::obs {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /**
- * Monotonic event counter. add() is a relaxed fetch_add, which x86
- * still executes as a locked read-modify-write: uncontended (the
- * common case — most counters have one writer) it measured ≈4 ns
- * against ≈0.2–0.4 ns for a plain store on a 4-vCPU AMD EPYC VM. The
- * atomic stays because under the threaded executor concurrent writers
- * never lose increments, which the payload-conservation invariants
- * (allocations == recycles + live) depend on.
+ * Monotonic event counter. The owning thread (the first writer) adds
+ * with a relaxed load and store; every other thread fetch_adds into a
+ * shared cell, and value() sums both, so concurrent writers under the
+ * threaded executor never lose an increment, which the
+ * payload-conservation invariants (allocations == recycles + live)
+ * depend on. On a 4-vCPU Xeon VM an uncontended relaxed fetch_add
+ * (x86 runs it as a locked instruction) measured 8–9 ns per call in a
+ * tight loop; the owner's load and store measured ≈3 ns there, all of
+ * it the store-to-load forwarding of back-to-back bumps, and less
+ * between other work. reset() only while writers are quiescent.
  */
 class Counter
 {
@@ -53,14 +60,29 @@ class Counter
     void
     add(std::uint64_t n)
     {
-        value_.fetch_add(n, std::memory_order_relaxed);
+        if (owner_.held())
+            addOwned(owned_, n);
+        else
+            shared_.fetch_add(n, std::memory_order_relaxed);
     }
     void increment() { add(1); }
-    std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
+    std::uint64_t
+    value() const
+    {
+        return owned_.load(std::memory_order_relaxed) +
+               shared_.load(std::memory_order_relaxed);
+    }
+    void
+    reset()
+    {
+        owned_.store(0, std::memory_order_relaxed);
+        shared_.store(0, std::memory_order_relaxed);
+    }
 
   private:
-    std::atomic<std::uint64_t> value_{0};
+    OwnerThread owner_;
+    std::atomic<std::uint64_t> owned_{0};
+    std::atomic<std::uint64_t> shared_{0};
 };
 
 /** Last-written level. */

@@ -109,13 +109,13 @@ UserSpaceClient::onPacket(const net::Packet &packet)
         auto encoded = assembler_.nextFrame();
         if (!encoded)
             break;
-        auto frame = decoder_.decode(encoded.value());
-        if (!frame) {
+        if (!decoder_.decode(encoded.value())) {
             ++decodeErrors_;
             decoder_.reset();
             continue;
         }
-        const std::size_t bytes = frame.value().bytes();
+        const RawFrame &frame = decoder_.frame();
+        const std::size_t bytes = frame.bytes();
         // Decode touches the payload and writes the frame buffer —
         // this is "much of" the paper's +12 % client L2 misses.
         machine_.cpu().runCycles(static_cast<std::uint64_t>(
@@ -128,7 +128,7 @@ UserSpaceClient::onPacket(const net::Packet &packet)
         // Blit: copy into pinned staging, then GPU DMA pulls it.
         os.copyBytes(slot, gpuStaging_, bytes);
         gpu_.dma().start(
-            bytes, [this, pixels = std::move(frame.value().pixels)]() {
+            bytes, [this, pixels = frame.pixels]() {
                 gpu_.presentFrame(pixels);
             });
         ++frames_;

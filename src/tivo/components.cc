@@ -451,8 +451,7 @@ DecoderOffcode::onData(const Payload &payload, core::ChannelHandle from)
         if (!encoded)
             break; // incomplete — wait for more stream bytes
 
-        auto frame = decoder_.decode(encoded.value());
-        if (!frame) {
+        if (!decoder_.decode(encoded.value())) {
             // Mid-GOP join or corruption: resynchronize on the next
             // I frame.
             ++decodeErrors_;
@@ -460,7 +459,8 @@ DecoderOffcode::onData(const Payload &payload, core::ChannelHandle from)
             continue;
         }
 
-        const std::size_t out_bytes = frame.value().bytes();
+        const RawFrame &frame = decoder_.frame();
+        const std::size_t out_bytes = frame.bytes();
         const sim::SimTime started = site().machine().executor().now();
         obs::Span span;
         openStageSpan(span, site(), "Decoder.decode", started);
@@ -481,7 +481,7 @@ DecoderOffcode::onData(const Payload &payload, core::ChannelHandle from)
         span.end(finished);
 
         if (toDisplay_) {
-            toDisplay_->write(encodeFrameMessage(frame.value()));
+            toDisplay_->write(encodeFrameMessage(frame));
         }
     }
 }

@@ -374,44 +374,42 @@ MpegEncoder::encodeTo(const RawFrame &frame, Bytes &out)
 void
 MpegDecoder::reset()
 {
-    reference_.clear();
+    frame_.pixels.clear(); // keeps the capacity for the next I frame
     hasReference_ = false;
 }
 
-Result<RawFrame>
+Status
 MpegDecoder::decode(const EncodedFrame &frame)
 {
     const std::uint64_t expected =
         static_cast<std::uint64_t>(frame.width) * frame.height;
     const bool intra = frame.type == FrameType::I;
-    if (!intra && (!hasReference_ || reference_.size() != expected))
+    Bytes &reference = frame_.pixels;
+    if (!intra && (!hasReference_ || reference.size() != expected))
         return Error(ErrorCode::ParseError,
                      "delta frame without matching reference");
     Status valid = validateRle(frame.payload, expected);
     if (!valid)
-        return valid.error();
+        return valid;
 
-    // Decode into the reference; the caller gets a copy. A delta frame
-    // expands into scratch with stores only, then one add pass applies
-    // it (adding run by run in place would load bytes the previous
-    // run's store has not yet retired).
+    // Decode into the reference, which callers read in place through
+    // frame(). A delta frame expands into scratch with stores only,
+    // then one add pass applies it (adding run by run in place would
+    // load bytes the previous run's store has not yet retired).
     if (intra) {
-        reference_.resize(expected);
-        expandRle(frame.payload, reference_.data(), expected);
+        reference.resize(expected);
+        expandRle(frame.payload, reference.data(), expected);
     } else {
         delta_.resize(expected);
         expandRle(frame.payload, delta_.data(), expected);
-        mapWords(reference_.data(), delta_.data(), reference_.data(),
+        mapWords(reference.data(), delta_.data(), reference.data(),
                  expected, addBytes);
     }
     hasReference_ = true;
-
-    RawFrame out;
-    out.width = frame.width;
-    out.height = frame.height;
-    out.sequence = frame.sequence;
-    out.pixels = reference_;
-    return out;
+    frame_.width = frame.width;
+    frame_.height = frame.height;
+    frame_.sequence = frame.sequence;
+    return Status::success();
 }
 
 Bytes

@@ -120,19 +120,26 @@ class MpegDecoder
     MpegDecoder() = default;
 
     /**
-     * Decode one frame. P/B frames require the reference from a
-     * previously decoded frame; decoding an I frame resets state.
-     * The payload is validated before anything is allocated or
-     * written, so a rejected frame leaves the reference untouched.
+     * Decode one frame into frame(). P/B frames require the reference
+     * from a previously decoded frame; decoding an I frame resets
+     * state. The payload is validated before anything is allocated or
+     * written, so a rejected frame leaves frame() untouched.
      */
-    Result<RawFrame> decode(const EncodedFrame &frame);
+    Status decode(const EncodedFrame &frame);
+
+    /**
+     * The last decoded frame. Its pixels are the reference the next
+     * delta frame applies to, so they are valid (and unchanged) until
+     * the next decode() or reset(); copy them to keep them longer.
+     */
+    const RawFrame &frame() const { return frame_; }
 
     void reset();
 
   private:
-    Bytes reference_;
+    RawFrame frame_;
     bool hasReference_ = false;
-    /** A delta frame's expanded runs, added to reference_ in one pass. */
+    /** A delta frame's expanded runs, added to frame_ in one pass. */
     Bytes delta_;
 };
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -241,13 +242,13 @@ TEST(PayloadThreadSafetyTest, PoolCountersConservedUnderContention)
     // Each thread builds payloads, shares them (copy + slice), hands
     // some to a neighbor via the executor, and drops them — the exact
     // traffic shape of the threaded data path.
-    ThreadedExecutor engine;
+    auto engine = std::make_unique<ThreadedExecutor>();
     std::vector<SiteId> sites;
     for (int t = 0; t < kThreads; ++t)
-        sites.push_back(engine.addSite("stress-" + std::to_string(t)));
+        sites.push_back(engine->addSite("stress-" + std::to_string(t)));
 
     for (int t = 0; t < kThreads; ++t) {
-        engine.post(sites[t], [&, t]() {
+        engine->post(sites[t], [&, t]() {
             for (int i = 0; i < kRounds; ++i) {
                 PayloadBuilder builder;
                 builder.buffer().assign(64 + (i % 7), std::uint8_t(i));
@@ -259,14 +260,14 @@ TEST(PayloadThreadSafetyTest, PoolCountersConservedUnderContention)
                 // Cross-site handoff: the neighbor drops the last ref,
                 // so release/recycle happens on a different thread
                 // than allocation.
-                engine.post(sites[(t + 1) % kThreads],
+                engine->post(sites[(t + 1) % kThreads],
                             [kept = std::move(copy)]() {
                                 (void)kept.size();
                             });
             }
         });
     }
-    engine.drain();
+    engine->drain();
 
     const PayloadPoolStats after = payloadPoolStats();
     const std::uint64_t acquired =
@@ -281,8 +282,54 @@ TEST(PayloadThreadSafetyTest, PoolCountersConservedUnderContention)
     EXPECT_EQ(acquired, expected);
     EXPECT_GE(after.recycles, before.recycles);
     EXPECT_LE(after.recycles - before.recycles, acquired);
-    EXPECT_LE(after.freeNodes, 256u); // kMaxFreeNodes bound held
+    // The shared list keeps at most 256 nodes and each thread's cache
+    // (the workers' and this one's) at most 64.
+    EXPECT_LE(after.freeNodes, 256u + (kThreads + 1) * 64u);
     EXPECT_EQ(bytesSeen.load(), expected * 32u);
+
+    // The workers exit: their caches return to the shared list, so a
+    // trim from this thread leaves nothing free anywhere.
+    engine.reset();
+    EXPECT_LE(payloadPoolStats().freeNodes, 256u + 64u);
+    payloadPoolTrim();
+    EXPECT_EQ(payloadPoolStats().freeNodes, 0u);
+}
+
+TEST(PayloadThreadSafetyTest, ExitingThreadReturnsItsCacheToTheSharedPool)
+{
+    payloadPoolTrim();
+    const PayloadPoolStats base = payloadPoolStats();
+    ASSERT_EQ(base.freeNodes, 0u);
+
+    // Fewer nodes than one thread caches, so all stay in its cache
+    // until the thread exits.
+    constexpr std::size_t kNodes = 10;
+    std::thread worker([] {
+        std::vector<Payload> held;
+        for (std::size_t i = 0; i < kNodes; ++i) {
+            PayloadBuilder builder;
+            builder.buffer().assign(100, static_cast<std::uint8_t>(i));
+            held.push_back(builder.seal());
+        }
+    });
+    worker.join();
+    const PayloadPoolStats exited = payloadPoolStats();
+    EXPECT_EQ(exited.allocations - base.allocations, kNodes);
+    EXPECT_EQ(exited.recycles - base.recycles, kNodes);
+    EXPECT_EQ(exited.freeNodes, kNodes);
+
+    // This thread reuses every node the exited thread left behind.
+    {
+        std::vector<Payload> reused;
+        for (std::size_t i = 0; i < kNodes; ++i)
+            reused.push_back(PayloadBuilder().seal());
+        const PayloadPoolStats during = payloadPoolStats();
+        EXPECT_EQ(during.poolHits - exited.poolHits, kNodes);
+        EXPECT_EQ(during.allocations, exited.allocations);
+        EXPECT_EQ(during.freeNodes, 0u);
+    }
+    payloadPoolTrim();
+    EXPECT_EQ(payloadPoolStats().freeNodes, 0u);
 }
 
 // -------------------------------------------- factory + full pipeline

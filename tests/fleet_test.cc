@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -32,6 +33,13 @@ namespace {
 
 // ---------------------------------------------------------- placement
 
+/** Name of the host @p ring places @p key on. */
+const std::string &
+ownerOf(const PlacementRing &ring, std::string_view key)
+{
+    return ring.hostName(ring.hostFor(key));
+}
+
 TEST(PlacementTest, HashIsStableAcrossCalls)
 {
     EXPECT_EQ(placementHash("stream/0"), placementHash("stream/0"));
@@ -41,7 +49,7 @@ TEST(PlacementTest, HashIsStableAcrossCalls)
 TEST(PlacementTest, EmptyRingReturnsEmpty)
 {
     PlacementRing ring;
-    EXPECT_EQ(ring.hostFor("anything"), "");
+    EXPECT_EQ(ring.hostFor("anything"), PlacementRing::kNoHost);
     EXPECT_EQ(ring.hostCount(), 0u);
 }
 
@@ -59,8 +67,8 @@ TEST(PlacementTest, DeterministicAndBalanced)
     std::map<std::string, std::size_t> load;
     for (int i = 0; i < 10000; ++i) {
         const std::string key = "stream/" + std::to_string(i);
-        const std::string owner = a.hostFor(key);
-        EXPECT_EQ(owner, b.hostFor(key));
+        const std::string owner = ownerOf(a, key);
+        EXPECT_EQ(owner, ownerOf(b, key));
         ++load[owner];
     }
     ASSERT_EQ(load.size(), 4u);
@@ -88,7 +96,7 @@ TEST(PlacementTest, MembershipChangeMovesAboutOneNth)
     const int keys = 10000;
     for (int i = 0; i < keys; ++i) {
         const std::string key = "stream/" + std::to_string(i);
-        if (before.hostFor(key) != after.hostFor(key))
+        if (ownerOf(before, key) != ownerOf(after, key))
             ++moved;
     }
     // Consistent hashing: adding 1 of 5 hosts should move ~1/5 of the
@@ -113,8 +121,8 @@ TEST(PlacementTest, HostRemovalMovesOnlyTheDepartedShare)
     const int keys = 10000;
     for (int i = 0; i < keys; ++i) {
         const std::string key = "stream/" + std::to_string(i);
-        const std::string was = before.hostFor(key);
-        const std::string now = after.hostFor(key);
+        const std::string was = ownerOf(before, key);
+        const std::string now = ownerOf(after, key);
         if (was == "host2") {
             ++orphans;
             // Every key on the departed host must land somewhere else.
@@ -155,7 +163,7 @@ TEST(FleetTopologyTest, ResolvesSitesAcrossHostsButNotAliases)
 
     // homeOf follows the ring.
     Host &home = fleet.homeOf("stream/7");
-    EXPECT_EQ(fleet.placement().hostFor("stream/7"), home.name());
+    EXPECT_EQ(ownerOf(fleet.placement(), "stream/7"), home.name());
 }
 
 // ------------------------------------------------- cross-host channel
@@ -337,6 +345,121 @@ TEST(CrossHostChannelTest, FrameForChannelIdZeroIsAnOrphan)
     EXPECT_EQ(fleet.host(1).orphanFrames(), 1u);
     EXPECT_EQ(registry.counterValue("fleet.orphan_frames") - orphanBase, 1u);
     EXPECT_TRUE(sink.seqs.empty());
+}
+
+/** Send @p payload to host 1's fleet device port from host 0. */
+void
+sendRawFrame(exec::SimExecutor &exec, Fleet &fleet, Payload payload)
+{
+    net::Packet frame;
+    frame.dst = fleet.host(1).node();
+    frame.dstPort = kFleetDevicePort;
+    frame.srcPort = kFleetDevicePort;
+    frame.payload = std::move(payload);
+    ASSERT_TRUE(fleet.host(0).nic().sendFromDevice(std::move(frame)).ok());
+    exec.runUntil(exec.now() + sim::milliseconds(5));
+    exec.drain();
+}
+
+TEST(WireHeaderTest, RoundTripsMaximumFieldValues)
+{
+    const WireHeader max{UINT64_MAX, UINT32_MAX, UINT32_MAX, UINT64_MAX,
+                         UINT64_MAX};
+    // Exactly the header's bytes, so ASan sees any access past them.
+    Bytes frame(kWireHeaderBytes);
+    writeWireHeader(frame.data(), max);
+    EXPECT_EQ(frame, Bytes(kWireHeaderBytes, 0xff));
+    WireHeader back;
+    ASSERT_TRUE(readWireHeader(frame.data(), frame.size(), back));
+    EXPECT_EQ(back.channel, max.channel);
+    EXPECT_EQ(back.from, max.from);
+    EXPECT_EQ(back.to, max.to);
+    EXPECT_EQ(back.seq, max.seq);
+    EXPECT_EQ(back.sentAt, max.sentAt);
+
+    // Distinct bytes per field pin each offset and the little-endian
+    // order: the layout ByteWriter's field-by-field framing produced.
+    const WireHeader mixed{0x0102030405060708ull, 0x11121314u, 0x21222324u,
+                           0x3132333435363738ull, 0x4142434445464748ull};
+    writeWireHeader(frame.data(), mixed);
+    Bytes expected;
+    ByteWriter writer(expected);
+    writer.writeU64(mixed.channel);
+    writer.writeU32(mixed.from);
+    writer.writeU32(mixed.to);
+    writer.writeU64(mixed.seq);
+    writer.writeU64(mixed.sentAt);
+    EXPECT_EQ(frame, expected);
+    ASSERT_TRUE(readWireHeader(frame.data(), frame.size(), back));
+    EXPECT_EQ(back.channel, mixed.channel);
+    EXPECT_EQ(back.from, mixed.from);
+    EXPECT_EQ(back.to, mixed.to);
+    EXPECT_EQ(back.seq, mixed.seq);
+    EXPECT_EQ(back.sentAt, mixed.sentAt);
+
+    EXPECT_FALSE(readWireHeader(frame.data(), kWireHeaderBytes - 1, back));
+    EXPECT_FALSE(readWireHeader(nullptr, 0, back));
+}
+
+TEST(CrossHostChannelTest, ShortFramesAreDroppedAndCounted)
+{
+    exec::SimExecutor exec;
+    FleetConfig config;
+    config.hosts = 2;
+    Fleet fleet(exec, config);
+    Received sink;
+    ASSERT_NE(makeCrossHostChannel(fleet, fleet.host(0), fleet.host(1),
+                                   sink),
+              nullptr);
+    auto &registry = obs::MetricsRegistry::instance();
+    const std::uint64_t base =
+        registry.counterValue("fleet.malformed_frames");
+
+    // Adopted vectors of exactly these sizes: a read past the end of
+    // either is an ASan error.
+    sendRawFrame(exec, fleet, Payload(Bytes(kWireHeaderBytes - 1, 0)));
+    sendRawFrame(exec, fleet, Payload(Bytes(1, 0)));
+
+    EXPECT_EQ(fleet.host(1).malformedFrames(), 2u);
+    EXPECT_EQ(registry.counterValue("fleet.malformed_frames") - base, 2u);
+    EXPECT_EQ(fleet.host(1).orphanFrames(), 0u);
+    EXPECT_TRUE(sink.seqs.empty());
+}
+
+TEST(CrossHostChannelTest, OutOfRangeEndpointsAreDroppedAndCounted)
+{
+    exec::SimExecutor exec;
+    FleetConfig config;
+    config.hosts = 2;
+    Fleet fleet(exec, config);
+    Received sink;
+    core::Channel *channel =
+        makeCrossHostChannel(fleet, fleet.host(0), fleet.host(1), sink);
+    ASSERT_NE(channel, nullptr);
+    auto &registry = obs::MetricsRegistry::instance();
+    const std::uint64_t base =
+        registry.counterValue("fleet.malformed_frames");
+
+    // The channel has endpoints 0 and 1 only.
+    const std::uint32_t bad[][2] = {{0, 2}, {2, 1}, {UINT32_MAX, 1},
+                                    {0, UINT32_MAX}};
+    for (const auto &[from, to] : bad) {
+        Bytes frame(kWireHeaderBytes + 8, 0);
+        writeWireHeader(frame.data(),
+                        WireHeader{channel->id(), from, to, 0, 0});
+        sendRawFrame(exec, fleet, Payload(std::move(frame)));
+    }
+    EXPECT_EQ(fleet.host(1).malformedFrames(), 4u);
+    EXPECT_EQ(registry.counterValue("fleet.malformed_frames") - base, 4u);
+    EXPECT_EQ(fleet.host(1).orphanFrames(), 0u);
+    EXPECT_TRUE(sink.seqs.empty());
+
+    // A well-formed frame on the same route still arrives.
+    Bytes frame(kWireHeaderBytes + 8, 0);
+    writeWireHeader(frame.data(), WireHeader{channel->id(), 0, 1, 0, 0});
+    sendRawFrame(exec, fleet, Payload(std::move(frame)));
+    EXPECT_EQ(sink.seqs.size(), 1u);
+    EXPECT_EQ(fleet.host(1).malformedFrames(), 4u);
 }
 
 TEST(CrossHostChannelTest, MulticastAcrossThreeHostsKeepsPerPairFifo)

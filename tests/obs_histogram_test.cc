@@ -270,6 +270,98 @@ TEST_F(HistogramTest, ConcurrentRecordersLoseNothing)
     EXPECT_LT(h.max(), 1'000'000u);
 }
 
+/**
+ * K threads, the owner among them, write one Counter and one
+ * Histogram. The main thread writes first, so it owns the inline
+ * cells; the others add into the shared cells. Thread t records
+ * 1 + t + K*i, so together they record 1..K*N once each: the owner
+ * holds the minimum and another thread the maximum.
+ */
+TEST_F(HistogramTest, OwnerAndOtherThreadsLoseNothing)
+{
+    constexpr std::uint64_t kThreads = 4;
+    constexpr std::uint64_t kPerThread = 50'000;
+    Histogram h;
+    obs::Counter counter;
+    auto work = [&](std::uint64_t t, std::uint64_t from) {
+        for (std::uint64_t i = from; i < kPerThread; ++i) {
+            h.record(1 + t + kThreads * i);
+            counter.increment();
+        }
+    };
+    h.record(1); // thread 0's first value claims both instruments
+    counter.increment();
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 1; t < kThreads; ++t)
+        threads.emplace_back(work, t, 0);
+    work(0, 1); // the owner's writes race the others'
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(counter.value(), kThreads * kPerThread);
+    EXPECT_EQ(h.count(), kThreads * kPerThread);
+    EXPECT_EQ(h.min(), 1u);
+    EXPECT_EQ(h.max(), kThreads * kPerThread);
+    Histogram reference;
+    for (std::uint64_t v = 1; v <= kThreads * kPerThread; ++v)
+        reference.record(v);
+    for (std::size_t b = 0; b < Histogram::kBuckets; ++b)
+        ASSERT_EQ(h.bucketCount(b), reference.bucketCount(b)) << b;
+}
+
+TEST_F(HistogramTest, MergeAndResetCoverBothCells)
+{
+    Histogram a;
+    obs::Counter counter;
+    a.record(50); // this thread owns a's inline cell
+    counter.add(3);
+    std::thread([&] {
+        a.record(7); // the shared cell
+        a.record(900);
+        counter.add(4);
+    }).join();
+    EXPECT_EQ(a.count(), 3u);
+    EXPECT_EQ(a.min(), 7u);
+    EXPECT_EQ(a.max(), 900u);
+    EXPECT_EQ(counter.value(), 7u);
+
+    // Merging reads both of a's cells, into the merging thread's cell.
+    Histogram owned;
+    owned.merge(a);
+    EXPECT_EQ(owned.count(), 3u);
+    EXPECT_EQ(owned.min(), 7u);
+    EXPECT_EQ(owned.max(), 900u);
+    Histogram shared;
+    shared.record(2000); // owned by this thread
+    std::thread([&] { shared.merge(a); }).join();
+    EXPECT_EQ(shared.count(), 4u);
+    EXPECT_EQ(shared.min(), 7u);
+    EXPECT_EQ(shared.max(), 2000u);
+    for (std::size_t b = 0; b < Histogram::kBuckets; ++b)
+        ASSERT_EQ(shared.bucketCount(b),
+                  owned.bucketCount(b) +
+                      (b == Histogram::bucketOf(2000) ? 1u : 0u))
+            << b;
+
+    // Reset clears both cells; both writers keep their cells after.
+    a.reset();
+    counter.reset();
+    EXPECT_EQ(a.count(), 0u);
+    EXPECT_EQ(a.min(), 0u);
+    EXPECT_EQ(a.max(), 0u);
+    EXPECT_EQ(counter.value(), 0u);
+    a.record(30);
+    std::thread([&] {
+        a.record(20);
+        counter.increment();
+    }).join();
+    counter.increment();
+    EXPECT_EQ(a.count(), 2u);
+    EXPECT_EQ(a.min(), 20u);
+    EXPECT_EQ(a.max(), 30u);
+    EXPECT_EQ(counter.value(), 2u);
+}
+
 TEST_F(HistogramTest, EmptyHistogramPercentilesAreZero)
 {
     // The SLO engine and report printers probe percentiles before a
