@@ -62,8 +62,8 @@ driveChannel(ChannelConfig::Buffering buffering, std::size_t message_bytes,
     HostSite host(machine);
     DeviceSite device(machine, nic);
 
-    ChannelExecutive executive([&](const std::string &name)
-                                   -> ExecutionSite * {
+    ChannelExecutive executive(sim, [&](const std::string &name)
+                                        -> ExecutionSite * {
         if (name == device.name())
             return &device;
         return nullptr;

@@ -382,7 +382,7 @@ struct ChannelBenchWorld
                                                      net, nicNode);
         deviceSite = std::make_unique<core::DeviceSite>(machine, *nic);
         executive = std::make_unique<core::ChannelExecutive>(
-            [this](const std::string &name) -> core::ExecutionSite * {
+            sim, [this](const std::string &name) -> core::ExecutionSite * {
                 if (name == hostSite.name())
                     return &hostSite;
                 if (name == deviceSite->name())

@@ -120,7 +120,8 @@ class Channel
     /** Executive-assigned id; kInvalidChannel until owned by a shard. */
     ChannelId id() const { return id_; }
 
-    /** Called once by the owning executive shard at registration. */
+    /** Called once by the owning executive shard, before the creator
+     * endpoint connects. */
     void bindId(ChannelId id) { id_ = id; }
 
     /** Creator-side write (endpoint 0), as in the paper's examples. */
@@ -155,7 +156,11 @@ class Channel
      */
     Status connectOffcode(Offcode &offcode);
 
-    /** Create the creator endpoint (index 0); called by providers. */
+    /**
+     * Create the creator endpoint (index 0). The executive calls it
+     * after binding the id; a channel built straight from a provider
+     * calls it before attaching anything else.
+     */
     Status connectCreator(ExecutionSite &site);
 
     /**

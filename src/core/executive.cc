@@ -17,9 +17,11 @@ std::atomic<ChannelId> nextChannelId{1};
 } // namespace
 
 ChannelExecutive::ChannelExecutive(
+    exec::Executor &executor,
     std::function<ExecutionSite *(const std::string &)> site_lookup,
     std::string shard)
-    : siteLookup_(std::move(site_lookup)), shard_(std::move(shard))
+    : siteLookup_(std::move(site_lookup)), mutex_(executor),
+      shard_(std::move(shard))
 {
 }
 
@@ -76,15 +78,27 @@ ChannelExecutive::createChannel(const ChannelConfig &config,
     }
 
     ChannelProvider *best = slot->provider.get();
-    auto channel = best->create(config, creator);
-    // A provider may hand back a channel whose creator endpoint never
-    // connected (a vetoed addEndpoint, for example). Owning it would
-    // leave an unusable channel inflating activeChannels() forever.
-    if (!channel || channel->numEndpoints() == 0) {
+    std::unique_ptr<Channel> channel = best->create(config);
+    if (!channel) {
+        obs::counter("channel.create_failed").increment();
+        return Error(ErrorCode::Internal,
+                     "provider '" + best->name() + "' produced no channel");
+    }
+    // Id first: a transport that routes by id registers each
+    // endpoint's route as the endpoint connects, the creator's too.
+    const ChannelId id =
+        nextChannelId.fetch_add(1, std::memory_order_relaxed);
+    channel->bindId(id);
+    // The creator endpoint may be vetoed (a transport that cannot
+    // place it). Owning such a channel would leave it unusable and
+    // inflating activeChannels() forever.
+    Status connected = channel->connectCreator(creator);
+    if (!connected) {
         obs::counter("channel.create_failed").increment();
         return Error(ErrorCode::Internal,
                      "provider '" + best->name() +
-                         "' produced no creator endpoint");
+                         "' could not connect the creator: " +
+                         connected.error().describe());
     }
 
     obs::Counter *created = slot->created.load(std::memory_order_acquire);
@@ -100,15 +114,13 @@ ChannelExecutive::createChannel(const ChannelConfig &config,
               << "' selected for channel to '" << config.targetDevice
               << "'";
 
-    const ChannelId id =
-        nextChannelId.fetch_add(1, std::memory_order_relaxed);
-    channel->bindId(id);
     Channel *raw = channel.get();
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         channels_.insert(id, std::move(channel));
+        active_.store(active_.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
     }
-    active_.fetch_add(1, std::memory_order_relaxed);
     return raw;
 }
 
@@ -121,7 +133,7 @@ ChannelExecutive::destroyChannel(Channel *channel)
     // owned channels before touching it.
     ChannelId id = kInvalidChannel;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         channels_.forEach(
             [&](ChannelId owned, const std::unique_ptr<Channel> &held) {
                 if (held.get() == channel)
@@ -136,12 +148,13 @@ ChannelExecutive::destroyChannelById(ChannelId id)
 {
     std::unique_ptr<Channel> owned;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         if (!channels_.erase(id, &owned))
             return Status(ErrorCode::NotFound,
                           "channel not owned by executive");
+        active_.store(active_.load(std::memory_order_relaxed) - 1,
+                      std::memory_order_relaxed);
     }
-    active_.fetch_sub(1, std::memory_order_relaxed);
     // Close (and free) outside the lock: close() may touch sites and
     // metrics, none of which need the registry serialized.
     owned->close();
@@ -153,7 +166,7 @@ ChannelExecutive::destroyChannelById(ChannelId id)
 Channel *
 ChannelExecutive::findChannel(ChannelId id) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     const std::unique_ptr<Channel> *owned = channels_.find(id);
     return owned ? owned->get() : nullptr;
 }
@@ -162,7 +175,7 @@ std::vector<Channel *>
 ChannelExecutive::snapshot() const
 {
     std::vector<Channel *> channels;
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     channels.reserve(channels_.size());
     channels_.forEach([&](ChannelId, const std::unique_ptr<Channel> &owned) {
         channels.push_back(owned.get());
@@ -196,7 +209,7 @@ ChannelExecutive::rebindOffcode(const Offcode &from, Offcode &to)
 std::size_t
 ChannelExecutive::queuedFor(const Offcode &offcode) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     std::size_t queued = 0;
     channels_.forEach(
         [&](ChannelId, const std::unique_ptr<Channel> &channel) {

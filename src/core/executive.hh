@@ -26,12 +26,12 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/id_table.hh"
 #include "core/providers.hh"
+#include "exec/model_mutex.hh"
 
 namespace hydra::obs {
 class Counter;
@@ -44,11 +44,14 @@ class ChannelExecutive
 {
   public:
     /**
+     * @param executor The engine the channels run on; the shard locks
+     * its registry only where that engine runs posts concurrently.
      * @param site_lookup Resolves a targetDevice name to a site.
      * @param shard Host this shard serves (metric label; "host" for
      * standalone runtimes).
      */
-    explicit ChannelExecutive(
+    ChannelExecutive(
+        exec::Executor &executor,
         std::function<ExecutionSite *(const std::string &)> site_lookup,
         std::string shard = "host");
 
@@ -66,7 +69,9 @@ class ChannelExecutive
     /**
      * Create a channel with its creator endpoint at @p creator.
      * Provider selection uses config.targetDevice (may be empty for
-     * channels attached later) and a typical message size hint.
+     * channels attached later) and a typical message size hint. The
+     * id is allocated and bound before the creator connects, so every
+     * endpoint of the channel joins under its final id.
      * Thread-safe: shards accept concurrent creates (the fleet's
      * per-host drivers churn streams in parallel).
      */
@@ -106,8 +111,8 @@ class ChannelExecutive
 
     /**
      * Channels currently alive in this shard. Exact: failed creates
-     * (no capable provider, or a provider whose creator endpoint
-     * never connected) are not counted, and destroys decrement.
+     * (no capable provider, or a creator endpoint that could not
+     * connect) are not counted, and destroys decrement.
      */
     std::size_t activeChannels() const
     {
@@ -134,9 +139,11 @@ class ChannelExecutive
     /** A deque: emplace_back never moves a slot (atomics can't). */
     std::deque<ProviderSlot> providers_;
 
-    /** Guards channels_; providers are registered at bring-up only. */
-    mutable std::mutex mutex_;
+    /** Guards channels_ and writes of active_; providers are
+     * registered at bring-up only. */
+    mutable exec::ModelMutex mutex_;
     IdTable<std::unique_ptr<Channel>> channels_;
+    /** Written under mutex_, read lock-free. */
     std::atomic<std::size_t> active_{0};
     std::string shard_;
 };

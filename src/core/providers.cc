@@ -431,12 +431,9 @@ LocalChannelProvider::estimateCost(const ChannelConfig &config,
 }
 
 std::unique_ptr<Channel>
-LocalChannelProvider::create(const ChannelConfig &config,
-                             ExecutionSite &creator)
+LocalChannelProvider::create(const ChannelConfig &config)
 {
-    auto channel = std::make_unique<LocalChannel>(config, exec_);
-    channel->connectCreator(creator);
-    return channel;
+    return std::make_unique<LocalChannel>(config, exec_);
 }
 
 DmaRingChannelProvider::DmaRingChannelProvider(exec::Executor &executor,
@@ -478,13 +475,9 @@ DmaRingChannelProvider::estimateCost(const ChannelConfig &config,
 }
 
 std::unique_ptr<Channel>
-DmaRingChannelProvider::create(const ChannelConfig &config,
-                               ExecutionSite &creator)
+DmaRingChannelProvider::create(const ChannelConfig &config)
 {
-    auto channel =
-        std::make_unique<RingChannel>(config, exec_, busMulticast_);
-    channel->connectCreator(creator);
-    return channel;
+    return std::make_unique<RingChannel>(config, exec_, busMulticast_);
 }
 
 } // namespace hydra::core

@@ -50,8 +50,12 @@ class ChannelProvider
                                      ExecutionSite *target,
                                      std::size_t bytes) const = 0;
 
-    virtual std::unique_ptr<Channel>
-    create(const ChannelConfig &config, ExecutionSite &creator) = 0;
+    /**
+     * Build a channel with no endpoints. The executive binds its id
+     * and then connects the creator (Channel::connectCreator), so a
+     * transport that routes by id knows the id at every connect.
+     */
+    virtual std::unique_ptr<Channel> create(const ChannelConfig &config) = 0;
 };
 
 /** Same-site transport. */
@@ -66,8 +70,7 @@ class LocalChannelProvider : public ChannelProvider
     ChannelCost estimateCost(const ChannelConfig &config,
                              ExecutionSite &creator, ExecutionSite *target,
                              std::size_t bytes) const override;
-    std::unique_ptr<Channel> create(const ChannelConfig &config,
-                                    ExecutionSite &creator) override;
+    std::unique_ptr<Channel> create(const ChannelConfig &config) override;
 
   private:
     exec::Executor &exec_;
@@ -91,8 +94,7 @@ class DmaRingChannelProvider : public ChannelProvider
     ChannelCost estimateCost(const ChannelConfig &config,
                              ExecutionSite &creator, ExecutionSite *target,
                              std::size_t bytes) const override;
-    std::unique_ptr<Channel> create(const ChannelConfig &config,
-                                    ExecutionSite &creator) override;
+    std::unique_ptr<Channel> create(const ChannelConfig &config) override;
 
   private:
     exec::Executor &exec_;

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string_view>
 
 #include "chaos/chaos.hh"
 #include "common/json.hh"
@@ -226,6 +227,7 @@ Runtime::Runtime(hw::Machine &machine, RuntimeConfig config)
     memory_ = std::make_unique<MemoryManager>(machine_.os(),
                                               config_.pinLimitBytes);
     executive_ = std::make_unique<ChannelExecutive>(
+        machine_.executor(),
         [this](const std::string &name) { return siteByName(name); },
         machine_.name());
     executive_->registerProvider(
@@ -368,7 +370,8 @@ Runtime::attachDevice(dev::Device &device, double link_capacity_gbps)
 ExecutionSite *
 Runtime::siteByName(const std::string &name)
 {
-    if (name == hostSite_->name() || name == "host")
+    // std::string_view compares lengths before bytes.
+    if (name == hostSite_->name() || std::string_view(name) == "host")
         return hostSite_.get();
     for (const AttachedDevice &attached : devices_)
         if (attached.site->name() == name)

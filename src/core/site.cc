@@ -8,7 +8,7 @@ namespace hydra::core {
 obs::Histogram &
 ExecutionSite::deliveryLatency(const std::string &channel)
 {
-    std::lock_guard<std::mutex> lock(latencyMutex_);
+    std::lock_guard<exec::ModelMutex> lock(latencyMutex_);
     if (!latencySeries_ || latencyChannel_ != channel) {
         latencySeries_ = &obs::histogram(
             "channel.delivery_latency_ns",
@@ -19,7 +19,8 @@ ExecutionSite::deliveryLatency(const std::string &channel)
 }
 
 HostSite::HostSite(hw::Machine &machine)
-    : machine_(machine), name_(machine.name() + ".host")
+    : ExecutionSite(machine.executor()), machine_(machine),
+      name_(machine.name() + ".host")
 {
     profilerSlot_ = obs::Profiler::instance().slotFor(name_);
 }
@@ -43,7 +44,7 @@ HostSite::timerAfter(sim::SimTime delay, std::function<void()> done)
 }
 
 DeviceSite::DeviceSite(hw::Machine &host, dev::Device &device)
-    : host_(host), device_(device)
+    : ExecutionSite(host.executor()), host_(host), device_(device)
 {
     profilerSlot_ = obs::Profiler::instance().slotFor(device_.name());
 }

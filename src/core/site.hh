@@ -13,10 +13,10 @@
 #define HYDRA_CORE_SITE_HH
 
 #include <functional>
-#include <mutex>
 #include <string>
 
 #include "dev/device.hh"
+#include "exec/model_mutex.hh"
 #include "hw/machine.hh"
 #include "common/time.hh"
 
@@ -70,10 +70,16 @@ class ExecutionSite
     obs::Histogram &deliveryLatency(const std::string &channel);
 
   protected:
+    /** @p executor decides whether the latency cache locks. */
+    explicit ExecutionSite(exec::Executor &executor)
+        : latencyMutex_(executor)
+    {
+    }
+
     obs::SiteActivitySlot *profilerSlot_ = nullptr;
 
   private:
-    std::mutex latencyMutex_;
+    exec::ModelMutex latencyMutex_;
     std::string latencyChannel_;
     obs::Histogram *latencySeries_ = nullptr;
 };

@@ -33,7 +33,7 @@ ProgrammableNic::ProgrammableNic(exec::Executor &executor,
                                  net::NodeId node, DeviceConfig config,
                                  NicCosts costs)
     : Device(executor, host_bus, std::move(config), nicClassSpec()),
-      net_(network), node_(node), costs_(costs)
+      net_(network), node_(node), costs_(costs), mutex_(executor)
 {
     addCapability("mac-ethernet");
     addCapability("dma");
@@ -42,7 +42,7 @@ ProgrammableNic::ProgrammableNic(exec::Executor &executor,
 
 ProgrammableNic::~ProgrammableNic()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     for (net::Port port : netBound_)
         net_.unbind(node_, port);
 }
@@ -52,7 +52,7 @@ ProgrammableNic::bindPort(net::Port port, PortBinding binding)
 {
     bool needWireBind = false;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         if (bindings_.count(port))
             return Status(ErrorCode::AlreadyExists, "port already bound");
         needWireBind = netBound_.count(port) == 0;
@@ -65,7 +65,7 @@ ProgrammableNic::bindPort(net::Port port, PortBinding binding)
         if (!bound)
             return bound;
     }
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     netBound_.insert(port);
     // A fresh bind supersedes any unbind deferred across a reset: the
     // restarted owner took the port back.
@@ -100,7 +100,7 @@ void
 ProgrammableNic::unbindPort(net::Port port)
 {
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         bindings_.erase(port);
         if (resetting()) {
             // The caller is an Offcode dying with the firmware. Keep
@@ -119,7 +119,7 @@ ProgrammableNic::unbindPort(net::Port port)
 std::size_t
 ProgrammableNic::pendingRx() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     return pendingRx_.size();
 }
 
@@ -139,7 +139,7 @@ ProgrammableNic::onResetComplete()
     std::vector<net::Port> release;
     std::deque<net::Packet> replay;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         for (net::Port port : deferredUnbind_) {
             if (bindings_.count(port))
                 continue;
@@ -169,7 +169,7 @@ ProgrammableNic::onReceive(const net::Packet &packet)
     // (handlers may bind/unbind ports or send).
     PortBinding binding;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         if (resetting()) {
             // Firmware is down: hold the packet. The queue is bounded
             // the way a real rx ring is; past that, packets drop and

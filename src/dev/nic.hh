@@ -18,11 +18,11 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <set>
 #include <vector>
 
 #include "dev/device.hh"
+#include "exec/model_mutex.hh"
 #include "hw/os.hh"
 #include "net/network.hh"
 
@@ -111,14 +111,15 @@ class ProgrammableNic : public Device
     /**
      * Port table lock: a fleet binds one port per remote channel
      * endpoint while the threaded executor is delivering to others, so
-     * bind/unbind/receive-lookup must serialize. onReceive copies the
-     * binding out and runs the handler unlocked.
+     * bind/unbind/receive-lookup must serialize (on the sim engine the
+     * lock is free). onReceive copies the binding out and runs the
+     * handler unlocked.
      */
     Status bindPort(net::Port port, PortBinding binding);
 
     static constexpr std::size_t kPendingRxMax = 16384;
 
-    mutable std::mutex mutex_;
+    mutable exec::ModelMutex mutex_;
     std::map<net::Port, PortBinding> bindings_;
     /** Ports with a live wire-level bind on the fabric node. */
     std::set<net::Port> netBound_;

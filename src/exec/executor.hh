@@ -63,6 +63,14 @@ class Executor
     /** Engine name, "sim" or "threaded" (metric label, CLI value). */
     virtual const char *backendName() const = 0;
 
+    /**
+     * Whether posted work may run on threads other than the one that
+     * drives the loop. False means every callback this engine runs
+     * runs on one thread, so model state needs no lock
+     * (exec::ModelMutex reads this once, at construction).
+     */
+    virtual bool concurrentPosts() const = 0;
+
     /** Current virtual time. */
     virtual Time now() const = 0;
 

@@ -23,6 +23,7 @@ class SimExecutor final : public Executor
     SimExecutor();
 
     const char *backendName() const override { return "sim"; }
+    bool concurrentPosts() const override { return false; }
 
     Time now() const override { return now_; }
 

@@ -79,6 +79,7 @@ class ThreadedExecutor final : public Executor
     ~ThreadedExecutor() override;
 
     const char *backendName() const override { return "threaded"; }
+    bool concurrentPosts() const override { return true; }
 
     Time
     now() const override

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
 
 #include "common/bytes.hh"
 #include "common/logging.hh"
@@ -130,8 +129,14 @@ readWireHeader(const std::uint8_t *frame, std::size_t size, WireHeader &out)
  *
  * Thread model: writeFrom may run on any driver site; delivery runs
  * on the coordinator (scheduled events). A per-channel recursive
- * mutex guards endpoints_/stats_; recursive so a receive handler may
- * write back into the same channel synchronously.
+ * mutex guards endpoints_/stats_ (a real lock on the threaded engine
+ * only); recursive so a receive handler may write back into the same
+ * channel synchronously.
+ *
+ * Routes are eager: the executive binds the id before the creator
+ * connects, so each addEndpoint registers its host's route before
+ * the endpoint becomes visible to writers. No frame can leave ahead
+ * of its route.
  */
 class RemoteChannel : public core::Channel
 {
@@ -141,7 +146,8 @@ class RemoteChannel : public core::Channel
           wireLimit_(fleet.config().network.maxPayload > kWireHeaderBytes
                          ? fleet.config().network.maxPayload -
                                kWireHeaderBytes
-                         : 0)
+                         : 0),
+          mutex_(fleet.executor())
     {
     }
 
@@ -156,17 +162,7 @@ class RemoteChannel : public core::Channel
     Status
     writeFrom(std::size_t from, Payload message) override
     {
-        std::unique_lock<std::recursive_mutex> lock(mutex_);
-        // A joined endpoint's host may not carry our route yet. Route
-        // registration takes that host's fabric lock, and delivery
-        // holds the fabric lock while it takes ours (Host::onFabric),
-        // so register with our lock released, then look again: more
-        // endpoints may have joined meanwhile.
-        while (!allRouted_ && id() != core::kInvalidChannel) {
-            lock.unlock();
-            ensureRoutes();
-            lock.lock();
-        }
+        std::lock_guard<exec::RecursiveModelMutex> lock(mutex_);
         if (closed_)
             return Status(ErrorCode::ChannelClosed, "channel closed");
         if (from >= endpoints_.size())
@@ -210,27 +206,29 @@ class RemoteChannel : public core::Channel
         if (!owner)
             return Error(ErrorCode::InvalidArgument,
                          "site's machine is not a fleet member");
-        std::size_t index = 0;
-        {
-            std::lock_guard<std::recursive_mutex> lock(mutex_);
-            auto added = Channel::addEndpoint(site);
-            if (!added)
-                return added;
-            index = added.value();
-            Wire wire;
-            wire.host = owner;
-            if (site.isHost())
-                wire.txBuffer = owner->machine().os().allocRegion(
-                    config_.maxMessageBytes + kWireHeaderBytes);
-            wires_.push_back(wire);
-            growSeqs();
-            allRouted_ = false;
-        }
-        // Outside the channel lock: route registration takes the
-        // host's fabric lock, which delivery holds while calling back
-        // into the channel — never nest the two in reverse order.
-        ensureRoutes();
-        return index;
+        // Route before the endpoint is visible, and outside the
+        // channel lock: registration takes the host's fabric lock,
+        // which delivery holds while calling back into the channel —
+        // never nest the two in reverse order. Two joins may register
+        // one host; the second insert rewrites the same entry.
+        owner->addRoute(id(), this);
+        std::lock_guard<exec::RecursiveModelMutex> lock(mutex_);
+        // Recorded even if the add below fails: the destructor must
+        // take down every route this channel put up.
+        if (std::find(routedHosts_.begin(), routedHosts_.end(), owner) ==
+            routedHosts_.end())
+            routedHosts_.push_back(owner);
+        auto added = Channel::addEndpoint(site);
+        if (!added)
+            return added;
+        Wire wire;
+        wire.host = owner;
+        if (site.isHost())
+            wire.txBuffer = owner->machine().os().allocRegion(
+                config_.maxMessageBytes + kWireHeaderBytes);
+        wires_.push_back(wire);
+        growSeqs();
+        return added;
     }
 
   private:
@@ -276,53 +274,6 @@ class RemoteChannel : public core::Channel
             for (std::size_t col = n; col-- > 0;)
                 seqs_[row * (n + 1) + col] = seqs_[row * n + col];
         }
-    }
-
-    /**
-     * Register this channel's id on every endpoint host's fabric.
-     * Lazy because the creator endpoint attaches before the executive
-     * binds the id; by the time a remote endpoint attaches (or the
-     * first write happens) the id is final. Routes register one host
-     * at a time outside the channel lock (see addEndpoint and
-     * writeFrom), with no temporary list of hosts; callers must not
-     * hold mutex_. A host joins routedHosts_ only after its route is
-     * in place, so a writer that finds allRouted_ set never sends a
-     * frame ahead of its route. A pass that finds every host routed
-     * sets allRouted_, so writes skip the scan until the next
-     * endpoint joins.
-     */
-    void
-    ensureRoutes()
-    {
-        if (id() == core::kInvalidChannel)
-            return;
-        for (;;) {
-            Host *fresh = nullptr;
-            {
-                std::lock_guard<std::recursive_mutex> lock(mutex_);
-                for (const Wire &wire : wires_)
-                    if (!routed(wire.host)) {
-                        fresh = wire.host;
-                        break;
-                    }
-                allRouted_ = fresh == nullptr;
-            }
-            if (!fresh)
-                return;
-            // Two threads may both register one host; the second
-            // insert rewrites the same entry and is not recorded.
-            fresh->addRoute(id(), this);
-            std::lock_guard<std::recursive_mutex> lock(mutex_);
-            if (!routed(fresh))
-                routedHosts_.push_back(fresh);
-        }
-    }
-
-    bool
-    routed(const Host *host) const
-    {
-        return std::find(routedHosts_.begin(), routedHosts_.end(), host) !=
-               routedHosts_.end();
     }
 
     /** Same-machine leg of a multicast: zero-copy in-memory enqueue
@@ -399,7 +350,7 @@ class RemoteChannel : public core::Channel
     deliverLocal(std::size_t to, std::size_t from, const Payload &message,
                  sim::SimTime sentAt)
     {
-        std::lock_guard<std::recursive_mutex> lock(mutex_);
+        std::lock_guard<exec::RecursiveModelMutex> lock(mutex_);
         if (closed_ || to >= endpoints_.size())
             return;
         deliverTo(to, message, from, sentAt);
@@ -411,7 +362,7 @@ class RemoteChannel : public core::Channel
     bool
     deliverWire(const WireHeader &header, const Payload &body)
     {
-        std::lock_guard<std::recursive_mutex> lock(mutex_);
+        std::lock_guard<exec::RecursiveModelMutex> lock(mutex_);
         if (closed_)
             return true;
         const std::size_t to = header.to;
@@ -431,7 +382,7 @@ class RemoteChannel : public core::Channel
     Fleet &fleet_;
     Host &home_;
     std::size_t wireLimit_;
-    std::recursive_mutex mutex_;
+    exec::RecursiveModelMutex mutex_;
     // Inline slots hold a unicast channel's state: two wires, a 2x2
     // sequence table and at most two routed hosts.
     SmallVector<Wire, 2> wires_;
@@ -439,8 +390,6 @@ class RemoteChannel : public core::Channel
     SmallVector<PairSeq, 4> seqs_;
     /** Hosts whose fabric tables carry our id (dtor unregisters). */
     SmallVector<Host *, 2> routedHosts_;
-    /** Every wire's host is in routedHosts_ (cleared by addEndpoint). */
-    bool allRouted_ = false;
 };
 
 namespace {
@@ -494,13 +443,9 @@ class RemoteChannelProvider : public core::ChannelProvider
     }
 
     std::unique_ptr<core::Channel>
-    create(const core::ChannelConfig &config,
-           core::ExecutionSite &creator) override
+    create(const core::ChannelConfig &config) override
     {
-        auto channel =
-            std::make_unique<RemoteChannel>(config, fleet_, home_);
-        channel->connectCreator(creator);
-        return channel;
+        return std::make_unique<RemoteChannel>(config, fleet_, home_);
     }
 
   private:
@@ -514,7 +459,7 @@ class RemoteChannelProvider : public core::ChannelProvider
 Host::Host(exec::Executor &executor, net::Network &network,
            const FleetConfig &config, std::size_t index)
     : exec_(executor), index_(index),
-      name_("host" + std::to_string(index))
+      name_("host" + std::to_string(index)), fabricMutex_(executor)
 {
     hw::MachineConfig machineConfig = config.machine;
     machineConfig.name = name_;
@@ -565,28 +510,35 @@ Host::~Host()
 std::uint64_t
 Host::orphanFrames() const
 {
-    std::lock_guard<std::mutex> lock(fabricMutex_);
+    std::lock_guard<exec::ModelMutex> lock(fabricMutex_);
     return orphans_;
+}
+
+bool
+Host::routes(core::ChannelId id) const
+{
+    std::lock_guard<exec::ModelMutex> lock(fabricMutex_);
+    return routes_.find(id) != nullptr;
 }
 
 void
 Host::addRoute(core::ChannelId id, RemoteChannel *channel)
 {
-    std::lock_guard<std::mutex> lock(fabricMutex_);
+    std::lock_guard<exec::ModelMutex> lock(fabricMutex_);
     routes_.insert(id, channel);
 }
 
 void
 Host::removeRoute(core::ChannelId id)
 {
-    std::lock_guard<std::mutex> lock(fabricMutex_);
+    std::lock_guard<exec::ModelMutex> lock(fabricMutex_);
     routes_.erase(id);
 }
 
 std::uint64_t
 Host::malformedFrames() const
 {
-    std::lock_guard<std::mutex> lock(fabricMutex_);
+    std::lock_guard<exec::ModelMutex> lock(fabricMutex_);
     return malformed_;
 }
 
@@ -600,7 +552,7 @@ Host::onFabric(const net::Packet &packet)
     // Route under the fabric lock and deliver while still holding it:
     // a concurrent destroyChannel blocks in removeRoute until we are
     // done, so the channel cannot be freed under us.
-    std::lock_guard<std::mutex> lock(fabricMutex_);
+    std::lock_guard<exec::ModelMutex> lock(fabricMutex_);
     if (!framed) {
         LOG_DEBUG << name_ << ": malformed fleet frame ("
                   << packet.payload.size() << " bytes)";
@@ -635,6 +587,9 @@ Fleet::Fleet(exec::Executor &executor, FleetConfig config)
         names.push_back(hosts_.back()->name());
     }
     ring_.rebuild(names, config_.vnodesPerHost);
+    for (auto &host : hosts_)
+        for (const core::SiteInfo &info : host->runtime().placementSites())
+            siteIndex_.emplace(info.site->name(), info.site);
 
     // Stitch the shards: cross-host name resolution plus the remote
     // provider, per host.
@@ -683,8 +638,11 @@ Fleet::homeOf(std::string_view key)
 core::ExecutionSite *
 Fleet::findSite(const std::string &name)
 {
-    if (name == "host")
+    if (std::string_view(name) == "host")
         return nullptr; // the generic alias never crosses hosts
+    auto indexed = siteIndex_.find(name);
+    if (indexed != siteIndex_.end())
+        return indexed->second;
     for (auto &host : hosts_)
         if (core::ExecutionSite *site = host->runtime().siteByName(name))
             return site;

@@ -28,14 +28,15 @@
 #define HYDRA_FLEET_FLEET_HH
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/id_table.hh"
 #include "core/runtime.hh"
 #include "dev/nic.hh"
+#include "exec/model_mutex.hh"
 #include "fleet/placement.hh"
 #include "hw/machine.hh"
 #include "net/network.hh"
@@ -132,6 +133,9 @@ class Host
     /** Frames whose ChannelId no longer routes (destroyed mid-flight). */
     std::uint64_t orphanFrames() const;
 
+    /** Whether inbound frames naming @p id reach a channel here. */
+    bool routes(core::ChannelId id) const;
+
     /**
      * Frames dropped as malformed: shorter than the wire header, or
      * naming an endpoint index the channel does not have.
@@ -167,7 +171,7 @@ class Host
      * stream's create and destroy each touch neighbouring slots, and
      * a frame naming id 0 finds nothing (an orphan).
      */
-    mutable std::mutex fabricMutex_;
+    mutable exec::ModelMutex fabricMutex_;
     IdTable<RemoteChannel *> routes_;
     std::uint64_t orphans_ = 0;
     std::uint64_t malformed_ = 0;
@@ -200,7 +204,9 @@ class Fleet
     /**
      * Resolve a site name across every host (the shards' remote
      * lookup): "host2.host", "host2-nic", or any attached device
-     * name. The generic aliases ("host") stay host-local.
+     * name. The generic aliases ("host") stay host-local. One hash
+     * lookup in the index built with the fleet; a miss scans every
+     * host, so devices attached later still resolve.
      */
     core::ExecutionSite *findSite(const std::string &name);
 
@@ -210,6 +216,10 @@ class Fleet
     std::unique_ptr<net::Network> net_;
     std::vector<std::unique_ptr<Host>> hosts_;
     PlacementRing ring_;
+    /** Site name -> site, for every site the hosts had when the fleet
+     * was built; the first host wins a name, as the scan does.
+     * Read-only after construction. */
+    std::unordered_map<std::string, core::ExecutionSite *> siteIndex_;
 };
 
 } // namespace hydra::fleet

@@ -30,7 +30,8 @@ busMetrics()
 Bus::Bus(exec::Executor &executor, std::string name, double bandwidth_gbps,
          sim::SimTime setup_latency)
     : exec_(executor), name_(std::move(name)),
-      bandwidthGbps_(bandwidth_gbps), setupLatency_(setup_latency)
+      bandwidthGbps_(bandwidth_gbps), setupLatency_(setup_latency),
+      mutex_(executor)
 {
     assert(bandwidth_gbps > 0.0);
 }
@@ -45,7 +46,7 @@ Bus::transfer(std::uint64_t bytes, Callback done)
     sim::SimTime stalled = 0;
     sim::SimTime fireAt = 0;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         start = std::max(nowTime, freeAt_);
         stalled = start - nowTime;
         freeAt_ = start + duration;
@@ -86,7 +87,7 @@ Bus::transfer(std::uint64_t bytes, Callback done)
 sim::SimTime
 Bus::estimateCompletion(std::uint64_t bytes) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     const sim::SimTime start = std::max(exec_.now(), freeAt_);
     return start + setupLatency_ + sim::transferTime(bytes, bandwidthGbps_);
 }
@@ -94,13 +95,14 @@ Bus::estimateCompletion(std::uint64_t bytes) const
 BusStats
 Bus::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     return stats_;
 }
 
 DmaEngine::DmaEngine(exec::Executor &executor, Bus &bus,
                      sim::SimTime per_descriptor_cost, std::string owner)
-    : exec_(executor), bus_(bus), perDescriptorCost_(per_descriptor_cost)
+    : exec_(executor), bus_(bus), perDescriptorCost_(per_descriptor_cost),
+      pendingMutex_(executor)
 {
     if (!owner.empty())
         transferNs_ = &obs::histogram("dma.transfer_ns",
@@ -110,11 +112,12 @@ DmaEngine::DmaEngine(exec::Executor &executor, Bus &bus,
 void
 DmaEngine::start(std::uint64_t bytes, Bus::Callback done)
 {
-    ++transfers_;
     const sim::SimTime startedAt = exec_.now();
     exec::CallbackSlab::Slot slot;
     {
-        std::lock_guard<std::mutex> lock(pendingMutex_);
+        std::lock_guard<exec::ModelMutex> lock(pendingMutex_);
+        transfers_.store(transfers_.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
         slot = pending_.hold(std::move(done));
     }
     // Descriptor fetch/setup happens on the device before the payload
@@ -134,7 +137,7 @@ DmaEngine::complete(exec::CallbackSlab::Slot slot, sim::SimTime startedAt)
     // may start the next DMA on this engine.
     Bus::Callback done;
     {
-        std::lock_guard<std::mutex> lock(pendingMutex_);
+        std::lock_guard<exec::ModelMutex> lock(pendingMutex_);
         done = std::move(pending_.at(slot));
         pending_.release(slot);
     }

@@ -13,12 +13,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "common/time.hh"
 #include "exec/callback.hh"
 #include "exec/executor.hh"
+#include "exec/model_mutex.hh"
 
 namespace hydra::obs {
 class Histogram;
@@ -74,11 +74,12 @@ class Bus
      * A real bus is an arbiter: in a fleet, a host's driver thread
      * (remote channel sends) and the coordinator (DMA completions,
      * intra-host rings) both queue transfers concurrently, so the
-     * free-time bookkeeping serializes under a lock. The critical
-     * section is a few integer updates; the completion callback is
-     * scheduled outside it.
+     * free-time bookkeeping serializes under a lock (taken only on an
+     * engine that runs posts concurrently). The critical section is a
+     * few integer updates; the completion callback is scheduled
+     * outside it.
      */
-    mutable std::mutex mutex_;
+    mutable exec::ModelMutex mutex_;
     sim::SimTime freeAt_ = 0;
     BusStats stats_;
 };
@@ -119,10 +120,12 @@ class DmaEngine
     exec::Executor &exec_;
     Bus &bus_;
     sim::SimTime perDescriptorCost_;
-    /** Atomic: fleet driver threads start DMAs concurrently. */
+    /** Written under pendingMutex_ (fleet driver threads start DMAs
+     * concurrently on the threaded engine); read lock-free. */
     std::atomic<std::uint64_t> transfers_{0};
-    /** In-flight completions; locked, as transfers start on any thread. */
-    std::mutex pendingMutex_;
+    /** In-flight completions; locked where transfers start on any
+     * thread (the threaded engine). */
+    exec::ModelMutex pendingMutex_;
     exec::CallbackSlab pending_;
     /** `dma.transfer_ns{device=owner}`; nullptr when anonymous. */
     obs::Histogram *transferNs_ = nullptr;

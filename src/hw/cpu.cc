@@ -6,7 +6,8 @@
 namespace hydra::hw {
 
 Cpu::Cpu(exec::Executor &executor, std::string name, double clock_ghz)
-    : exec_(executor), name_(std::move(name)), clockGhz_(clock_ghz)
+    : exec_(executor), name_(std::move(name)), clockGhz_(clock_ghz),
+      chargeMutex_(executor)
 {
     assert(clock_ghz > 0.0);
 }
@@ -20,10 +21,12 @@ Cpu::runCycles(std::uint64_t cycles)
 sim::SimTime
 Cpu::runFor(sim::SimTime duration)
 {
-    const sim::SimTime start = std::max(exec_.now(), freeAt());
+    const sim::SimTime now = exec_.now();
+    std::lock_guard<exec::ModelMutex> lock(chargeMutex_);
+    const sim::SimTime start = std::max(now, freeAt());
     const sim::SimTime done = start + duration;
     freeAt_.store(done, std::memory_order_relaxed);
-    busyTime_.fetch_add(duration, std::memory_order_relaxed);
+    busyTime_.store(busyTime() + duration, std::memory_order_relaxed);
     return done;
 }
 

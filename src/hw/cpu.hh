@@ -16,6 +16,7 @@
 #include <string>
 
 #include "exec/executor.hh"
+#include "exec/model_mutex.hh"
 #include "common/time.hh"
 
 namespace hydra::hw {
@@ -81,10 +82,14 @@ class Cpu
     std::string name_;
     double clockGhz_;
     /**
-     * Relaxed atomics: each Cpu has a single writer (its site's
-     * thread), but the coordinator reads both fields for CPU
-     * attribution while the threaded engine's workers run.
+     * A charge is one critical section: on the threaded engine a host
+     * CPU is charged from a fleet driver's site and from the
+     * coordinator, and a separate load and store of freeAt_ would
+     * lose one of two racing charges. On the sim engine the lock is
+     * free. Both fields are relaxed atomics written under the lock,
+     * so readers (CPU attribution, meters) stay lock-free.
      */
+    exec::ModelMutex chargeMutex_;
     std::atomic<sim::SimTime> busyTime_{0};
     std::atomic<sim::SimTime> freeAt_{0};
 };

@@ -34,14 +34,14 @@ netMetrics()
 } // namespace
 
 Network::Network(exec::Executor &executor, NetworkConfig config)
-    : exec_(executor), config_(config), rng_(config.seed)
+    : exec_(executor), config_(config), mutex_(executor), rng_(config.seed)
 {
 }
 
 NodeId
 Network::addNode(std::string name)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     nodes_.push_back(Node{std::move(name), 0, 0, {}});
     return static_cast<NodeId>(nodes_.size() - 1);
 }
@@ -49,7 +49,7 @@ Network::addNode(std::string name)
 Status
 Network::bind(NodeId node, Port port, PacketHandler handler)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     if (node >= nodes_.size())
         return Status(ErrorCode::NotFound, "no such node");
     auto &handlers = nodes_[node].handlers;
@@ -62,7 +62,7 @@ Network::bind(NodeId node, Port port, PacketHandler handler)
 void
 Network::unbind(NodeId node, Port port)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     if (node < nodes_.size())
         nodes_[node].handlers.erase(port);
 }
@@ -70,21 +70,21 @@ Network::unbind(NodeId node, Port port)
 std::string
 Network::nodeName(NodeId node) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     return node < nodes_.size() ? nodes_[node].name : "<unknown>";
 }
 
 std::size_t
 Network::nodeCount() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     return nodes_.size();
 }
 
 NetworkStats
 Network::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<exec::ModelMutex> lock(mutex_);
     return stats_;
 }
 
@@ -99,7 +99,7 @@ Network::send(Packet packet)
     sim::SimTime duplicateAt = 0;
     chaos::ChaosEngine &chaosEngine = chaos::ChaosEngine::instance();
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         if (packet.src >= nodes_.size() || packet.dst >= nodes_.size())
             return Status(ErrorCode::NetworkUnreachable, "bad address");
         if (packet.payload.size() > config_.maxPayload)
@@ -187,7 +187,7 @@ Network::deliver(Packet packet)
     {
         // Copy the handler out so the receive path (which may re-enter
         // send()) runs without the fabric lock.
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::lock_guard<exec::ModelMutex> lock(mutex_);
         Node &dst = nodes_[packet.dst];
         auto it = dst.handlers.find(packet.dstPort);
         if (it == dst.handlers.end()) {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "common/rng.hh"
 #include "net/packet.hh"
 #include "exec/executor.hh"
+#include "exec/model_mutex.hh"
 
 namespace hydra::net {
 
@@ -87,12 +87,13 @@ class Network
      * One fabric is shared by every host of a fleet, so link-state
      * updates (txFreeAt/rxFreeAt), stats, and the loss RNG are reached
      * from multiple threaded-executor workers concurrently. One lock
-     * covers them all: the critical sections are a handful of integer
-     * updates, far cheaper than the modeled wire times they compute.
+     * covers them all (taken only on that engine): the critical
+     * sections are a handful of integer updates, far cheaper than the
+     * modeled wire times they compute.
      * Handlers are invoked WITHOUT the lock held (deliver copies the
      * handler out), so receive paths may re-enter send().
      */
-    mutable std::mutex mutex_;
+    mutable exec::ModelMutex mutex_;
     std::vector<Node> nodes_;
     NetworkStats stats_;
     hydra::Rng rng_;

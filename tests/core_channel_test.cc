@@ -124,7 +124,7 @@ class ChannelFixture : public ::testing::Test
             std::make_unique<DeviceSite>(machine_, *nic_);
 
         executive_ = std::make_unique<ChannelExecutive>(
-            [this](const std::string &name) -> ExecutionSite * {
+            sim_, [this](const std::string &name) -> ExecutionSite * {
                 if (name == hostSite_.name())
                     return &hostSite_;
                 if (name == deviceSite_->name())

@@ -236,11 +236,11 @@ class StubProvider : public ChannelProvider
     }
 
     std::unique_ptr<Channel>
-    create(const ChannelConfig &config, ExecutionSite &creator) override
+    create(const ChannelConfig &config) override
     {
         ++created;
         auto provider = LocalChannelProvider(sim_);
-        return provider.create(config, creator);
+        return provider.create(config);
     }
 
     int created = 0;
@@ -259,7 +259,7 @@ TEST(ExecutiveSelectionTest, CheapestCapableProviderWins)
     HostSite host(machine);
 
     ChannelExecutive executive(
-        [](const std::string &) -> ExecutionSite * { return nullptr; });
+        sim, [](const std::string &) -> ExecutionSite * { return nullptr; });
     auto slow = std::make_unique<StubProvider>("slow",
                                                sim::microseconds(50),
                                                true, sim);
@@ -290,7 +290,7 @@ TEST(ExecutiveSelectionTest, NoCapableProviderFails)
     HostSite host(machine);
 
     ChannelExecutive executive(
-        [](const std::string &) -> ExecutionSite * { return nullptr; });
+        sim, [](const std::string &) -> ExecutionSite * { return nullptr; });
     executive.registerProvider(std::make_unique<StubProvider>(
         "incapable", sim::nanoseconds(1), false, sim));
 

@@ -3,8 +3,8 @@
  * Tests for the executor abstraction: the SPSC handoff ring, the
  * deterministic SimExecutor's posts, the ThreadedExecutor's post /
  * barrier / cross-thread timer semantics, thread-safe Payload pool
- * conservation under concurrent traffic, and cross-thread span
- * stitching. Everything labeled `threaded` in ctest also runs under
+ * conservation under concurrent traffic, cross-thread span stitching,
+ * and the engine-aware model locks (ModelMutex, Cpu charges). Everything labeled `threaded` in ctest also runs under
  * ThreadSanitizer via `scripts/check.sh --tsan`.
  */
 
@@ -19,6 +19,8 @@
 
 #include "common/payload.hh"
 #include "exec/executor.hh"
+#include "exec/model_mutex.hh"
+#include "hw/cpu.hh"
 #include "obs/metrics.hh"
 #include "exec/sim_executor.hh"
 #include "exec/spsc_queue.hh"
@@ -633,6 +635,105 @@ TEST(ThreadedExecutorTest, PostBatchFromManyProducersLosesNothing)
         producer.join();
     engine.drain();
     EXPECT_EQ(executed.load(), kThreads * kPerThread);
+}
+
+// --------------------------------------------------------- model locks
+
+/** Whether another thread can take @p mutex right now. */
+template <typename Mutex>
+bool
+otherThreadAcquires(Mutex &mutex)
+{
+    bool acquired = false;
+    std::thread other([&]() {
+        acquired = mutex.try_lock();
+        if (acquired)
+            mutex.unlock();
+    });
+    other.join();
+    return acquired;
+}
+
+TEST(ModelMutexTest, SimEngineTakesNoLock)
+{
+    SimExecutor sim;
+    EXPECT_FALSE(sim.concurrentPosts());
+    ModelMutex mutex(sim);
+    RecursiveModelMutex recursive(sim);
+    EXPECT_FALSE(mutex.locking());
+    EXPECT_FALSE(recursive.locking());
+    // Held here, yet another thread takes it at once: nothing was
+    // locked.
+    std::lock_guard<ModelMutex> held(mutex);
+    std::lock_guard<RecursiveModelMutex> heldRecursive(recursive);
+    EXPECT_TRUE(otherThreadAcquires(mutex));
+    EXPECT_TRUE(otherThreadAcquires(recursive));
+}
+
+TEST(ModelMutexTest, ThreadedEngineExcludes)
+{
+    auto engine = makeExecutor(ExecutorKind::Threaded);
+    EXPECT_TRUE(engine->concurrentPosts());
+    ModelMutex mutex(*engine);
+    ASSERT_TRUE(mutex.locking());
+    {
+        std::lock_guard<ModelMutex> held(mutex);
+        EXPECT_FALSE(otherThreadAcquires(mutex));
+    }
+    EXPECT_TRUE(otherThreadAcquires(mutex));
+
+    // A plain counter under the lock: every increment lands (and TSan
+    // sees the lock order every access).
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 20000;
+    std::uint64_t counter = 0;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&]() {
+            for (int i = 0; i < kPerThread; ++i) {
+                std::lock_guard<ModelMutex> lock(mutex);
+                ++counter;
+            }
+        });
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(counter, std::uint64_t{kThreads} * kPerThread);
+}
+
+TEST(ModelMutexTest, RecursiveVariantReentersButExcludesOthers)
+{
+    auto engine = makeExecutor(ExecutorKind::Threaded);
+    RecursiveModelMutex mutex(*engine);
+    ASSERT_TRUE(mutex.locking());
+    std::lock_guard<RecursiveModelMutex> outer(mutex);
+    {
+        std::lock_guard<RecursiveModelMutex> inner(mutex);
+        EXPECT_FALSE(otherThreadAcquires(mutex));
+    }
+    EXPECT_FALSE(otherThreadAcquires(mutex));
+}
+
+TEST(CpuChargeTest, ConcurrentChargesOnTheThreadedEngineAreNeverLost)
+{
+    // A fleet driver site and the coordinator may charge one host CPU
+    // at once. Virtual time stands still here, so every charge queues
+    // behind the others: the CPU is free at the sum of them all.
+    auto engine = makeExecutor(ExecutorKind::Threaded);
+    hw::Cpu cpu(*engine, "test.cpu", 2.4);
+    constexpr int kThreads = 4;
+    constexpr int kCharges = 5000;
+    constexpr Time kCharge = 7;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&]() {
+            for (int i = 0; i < kCharges; ++i)
+                cpu.runFor(kCharge);
+        });
+    for (auto &thread : threads)
+        thread.join();
+    const Time total = Time{kThreads} * kCharges * kCharge;
+    EXPECT_EQ(cpu.busyTime(), total);
+    EXPECT_EQ(cpu.freeAt(), total);
 }
 
 } // namespace

@@ -283,6 +283,46 @@ TEST(CrossHostChannelTest, IntraHostStreamsNeverTouchTheWire)
         << "same-host channel crossed the wire";
 }
 
+TEST(CrossHostChannelTest, RoutesStandFromConnectUntilDestroy)
+{
+    exec::SimExecutor exec;
+    FleetConfig config;
+    config.hosts = 3;
+    Fleet fleet(exec, config);
+
+    core::ChannelConfig channelConfig;
+    channelConfig.targetDevice = fleet.host(1).nic().name();
+    auto created = fleet.host(0).executive().createChannel(
+        channelConfig, fleet.host(0).runtime().hostSite(), 128);
+    ASSERT_TRUE(created.ok());
+    core::Channel *channel = created.value();
+    const core::ChannelId id = channel->id();
+    // The id is bound before the creator connects, so the creator's
+    // host routes it from the create on.
+    EXPECT_TRUE(fleet.host(0).routes(id));
+    EXPECT_FALSE(fleet.host(1).routes(id));
+
+    core::ExecutionSite *site =
+        fleet.host(1).runtime().siteByName(channelConfig.targetDevice);
+    ASSERT_NE(site, nullptr);
+    ASSERT_TRUE(channel->connectSite(*site).ok());
+    // Right after the connect, before any write, both hosts route it.
+    EXPECT_TRUE(fleet.host(0).routes(id));
+    EXPECT_TRUE(fleet.host(1).routes(id));
+
+    // A third endpoint on a unicast channel is refused, but only after
+    // its host's route went up; the destroy must take that one down too.
+    core::ExecutionSite *third =
+        fleet.host(2).runtime().siteByName(fleet.host(2).nic().name());
+    ASSERT_NE(third, nullptr);
+    EXPECT_FALSE(channel->connectSite(*third).ok());
+    EXPECT_EQ(channel->numEndpoints(), 2u);
+
+    ASSERT_TRUE(fleet.host(0).executive().destroyChannelById(id).ok());
+    for (std::size_t h = 0; h < fleet.hostCount(); ++h)
+        EXPECT_FALSE(fleet.host(h).routes(id)) << "host " << h;
+}
+
 TEST(CrossHostChannelTest, DestroyMidFlightOrphansFramesSafely)
 {
     exec::SimExecutor exec;

@@ -183,7 +183,8 @@ TEST(ProxyTest, OneWayInvocationLeavesNoPending)
     counter.doStart();
 
     core::DmaRingChannelProvider provider(sim, false);
-    auto channel = provider.create(core::ChannelConfig{}, host);
+    auto channel = provider.create(core::ChannelConfig{});
+    ASSERT_TRUE(channel->connectCreator(host).ok());
     channel->connectOffcode(counter);
 
     core::Proxy proxy(*channel, counter.guid(), counter.guid());

@@ -76,7 +76,7 @@ class SpanFixture : public ::testing::Test
         deviceSite_ = std::make_unique<DeviceSite>(machine_, *nic_);
 
         executive_ = std::make_unique<ChannelExecutive>(
-            [this](const std::string &name) -> ExecutionSite * {
+            sim_, [this](const std::string &name) -> ExecutionSite * {
                 if (name == hostSite_.name())
                     return &hostSite_;
                 if (name == deviceSite_->name())

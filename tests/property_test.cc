@@ -210,7 +210,8 @@ TEST(ChannelOrderTest, ReliableRingPreservesOrderUnderBackpressure)
     core::ChannelConfig config;
     config.reliable = true;
     config.ringDepth = 3; // tiny ring: constant backpressure
-    auto channel = provider.create(config, host);
+    auto channel = provider.create(config);
+    ASSERT_TRUE(channel->connectCreator(host).ok());
 
     OrderSink sink;
     core::OffcodeContext ctx;
