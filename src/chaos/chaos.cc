@@ -210,10 +210,9 @@ ChaosEngine::note(const char *fault, sim::SimTime now)
     injected_.fetch_add(1, std::memory_order_relaxed);
     obs::counter("chaos.injected", {{"fault", fault}}).increment();
     if (HYDRA_TRACE_ACTIVE()) {
-        const obs::TraceLane lane =
-            obs::Tracer::instance().lane("chaos", "injector");
-        HYDRA_TRACE_INSTANT(lane, std::string("chaos.") + fault, "chaos",
-                            now);
+        obs::Tracer &tracer = obs::Tracer::instance();
+        tracer.instant(tracer.lane("chaos", "injector"),
+                       std::string("chaos.") + fault, "chaos", now);
     }
 }
 

@@ -46,6 +46,15 @@ namespace {
 
 constexpr int kMaxDepth = 128;
 
+Value
+boolean(bool value)
+{
+    Value out;
+    out.kind = Value::Kind::Bool;
+    out.boolean = value;
+    return out;
+}
+
 struct Parser
 {
     const std::string &text;
@@ -100,10 +109,8 @@ struct Parser
           case '{': return parseObject(depth);
           case '[': return parseArray(depth);
           case '"': return parseString();
-          case 't': return parseLiteral("true", Value{Value::Kind::Bool,
-                                                      true});
-          case 'f': return parseLiteral("false", Value{Value::Kind::Bool,
-                                                       false});
+          case 't': return parseLiteral("true", boolean(true));
+          case 'f': return parseLiteral("false", boolean(false));
           case 'n': return parseLiteral("null", Value{});
           default: return parseNumber();
         }

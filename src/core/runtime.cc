@@ -356,10 +356,11 @@ Runtime::attachDevice(dev::Device &device, double link_capacity_gbps)
             if (dep.site != site || !dep.outage)
                 continue;
             Status restarted = completeOffcodeRestart(bindname, dep);
-            if (!restarted)
+            if (!restarted) {
                 LOG_ERROR << dev.name() << ": " << bindname
                           << " restart after reset failed: "
                           << restarted.error().describe();
+            }
         }
     });
 

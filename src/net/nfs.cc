@@ -73,10 +73,27 @@ NfsServer::~NfsServer()
     net_.unbind(node_, kNfsPort);
 }
 
+Bytes &
+NfsServer::File::writable()
+{
+    if (shared) {
+        owned = *shared;
+        shared.reset();
+    }
+    return owned;
+}
+
 void
 NfsServer::putFile(const std::string &name, Bytes content)
 {
-    files_[name] = std::move(content);
+    files_[name] = File{nullptr, std::move(content)};
+}
+
+void
+NfsServer::putFile(const std::string &name,
+                   std::shared_ptr<const Bytes> content)
+{
+    files_[name] = File{std::move(content), {}};
 }
 
 Result<Bytes>
@@ -85,7 +102,7 @@ NfsServer::fileContent(const std::string &name) const
     auto it = files_.find(name);
     if (it == files_.end())
         return Error(ErrorCode::NotFound, name);
-    return it->second;
+    return it->second.bytes();
 }
 
 bool
@@ -121,7 +138,7 @@ NfsServer::onRequest(const Packet &request)
         if (it == files_.end()) {
             error = "no such file";
         } else {
-            scalarWriter.writeU64(it->second.size());
+            scalarWriter.writeU64(it->second.bytes().size());
             result = scalar;
         }
         break;
@@ -129,7 +146,7 @@ NfsServer::onRequest(const Packet &request)
         if (it == files_.end()) {
             error = "no such file";
         } else {
-            const Bytes &content = it->second;
+            const Bytes &content = it->second.bytes();
             const std::uint64_t start =
                 std::min<std::uint64_t>(req.offset, content.size());
             const std::uint64_t end =
@@ -144,12 +161,19 @@ NfsServer::onRequest(const Packet &request)
             error = "write beyond maximum file size";
             break;
         }
-        Bytes &content = files_[req.file]; // creates on first write
-        const std::uint64_t end = req.offset + req.data.size();
-        if (content.size() < end)
-            content.resize(end);
-        std::copy(req.data.begin(), req.data.end(),
-                  content.begin() + static_cast<std::ptrdiff_t>(req.offset));
+        // Creates the file on its first write.
+        Bytes &content = files_[req.file].writable();
+        if (req.offset == content.size()) {
+            content.insert(content.end(), req.data.begin(), req.data.end());
+        } else {
+            // Overwrite, or a write past the end: the gap reads zeros.
+            const std::uint64_t end = req.offset + req.data.size();
+            if (content.size() < end)
+                content.resize(end);
+            std::copy(req.data.begin(), req.data.end(),
+                      content.begin() +
+                          static_cast<std::ptrdiff_t>(req.offset));
+        }
         scalarWriter.writeU32(static_cast<std::uint32_t>(req.data.size()));
         result = scalar;
         break;

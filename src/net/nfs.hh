@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -58,6 +59,14 @@ class NfsServer
     /** Create or replace a file. */
     void putFile(const std::string &name, Bytes content);
 
+    /**
+     * Create or replace a file that shares @p content instead of
+     * copying it. The file copies the buffer on its first Write
+     * (copy-on-write), so @p content itself never changes.
+     */
+    void putFile(const std::string &name,
+                 std::shared_ptr<const Bytes> content);
+
     /** Direct (out-of-band) access for test verification. */
     Result<Bytes> fileContent(const std::string &name) const;
     bool hasFile(const std::string &name) const;
@@ -66,11 +75,23 @@ class NfsServer
     std::uint64_t requestsServed() const { return requestsServed_; }
 
   private:
+    /** A file's bytes: a shared immutable buffer, or its own. */
+    struct File
+    {
+        /** Set while the file shares a buffer it has not written. */
+        std::shared_ptr<const Bytes> shared;
+        Bytes owned;
+
+        const Bytes &bytes() const { return shared ? *shared : owned; }
+        /** The bytes to write: copies a shared buffer first. */
+        Bytes &writable();
+    };
+
     void onRequest(const Packet &request);
 
     Network &net_;
     NodeId node_;
-    std::unordered_map<std::string, Bytes> files_;
+    std::unordered_map<std::string, File> files_;
     std::uint64_t requestsServed_ = 0;
 };
 

@@ -281,15 +281,13 @@ SloEngine::report() const
                 bound += "max=" + std::to_string(rule.maxValue);
         } else {
             char buf[64];
-            std::snprintf(buf, sizeof(buf), "%s<=%.6g",
-                          rule.kind ==
-                                  SloRule::Kind::HistogramPercentile
-                              ? ("p" + std::to_string(
-                                           static_cast<int>(
-                                               rule.percentile)))
-                                    .c_str()
-                              : "rate/s",
-                          rule.maxValue);
+            if (rule.kind == SloRule::Kind::HistogramPercentile)
+                std::snprintf(buf, sizeof(buf), "p%d<=%.6g",
+                              static_cast<int>(rule.percentile),
+                              rule.maxValue);
+            else
+                std::snprintf(buf, sizeof(buf), "rate/s<=%.6g",
+                              rule.maxValue);
             bound = buf;
         }
         std::snprintf(

@@ -586,13 +586,54 @@ FileOffcode::start()
     return Status::success();
 }
 
+std::uint64_t
+FileOffcode::bytesStored() const
+{
+    return segments_.empty()
+               ? 0
+               : (segments_.size() - 1) * kSegmentBytes +
+                     segments_.back().size();
+}
+
+void
+FileOffcode::append(std::span<const std::uint8_t> data)
+{
+    while (!data.empty()) {
+        if (segments_.empty() || segments_.back().size() == kSegmentBytes) {
+            segments_.emplace_back();
+            segments_.back().reserve(kSegmentBytes);
+        }
+        Bytes &segment = segments_.back();
+        const std::size_t n =
+            std::min(data.size(), kSegmentBytes - segment.size());
+        segment.insert(segment.end(), data.begin(), data.begin() + n);
+        data = data.subspan(n);
+    }
+}
+
+Bytes
+FileOffcode::copyOut(std::uint64_t offset, std::size_t length) const
+{
+    Bytes out;
+    out.reserve(length);
+    while (out.size() < length) {
+        const Bytes &segment = segments_[offset / kSegmentBytes];
+        const std::size_t at = offset % kSegmentBytes;
+        const std::size_t n =
+            std::min(length - out.size(), segment.size() - at);
+        out.insert(out.end(), segment.data() + at, segment.data() + at + n);
+        offset += n;
+    }
+    return out;
+}
+
 void
 FileOffcode::onData(const Payload &payload, core::ChannelHandle from)
 {
     (void)from;
     // Append to the controller's write-back cache, then flush whole
     // blocks to the backing store asynchronously.
-    content_.insert(content_.end(), payload.begin(), payload.end());
+    append(std::span(payload.data(), payload.size()));
     site().run(300 + payload.size() / 8);
     flushBlocks();
 }
@@ -606,12 +647,9 @@ FileOffcode::flushBlocks()
         return; // host fallback: the in-memory mirror is the store
 
     const std::size_t block = disk->diskConfig().blockBytes;
-    while (content_.size() - flushedBytes_ >= block) {
+    while (bytesStored() - flushedBytes_ >= block) {
         const std::uint64_t lba = flushedBytes_ / block;
-        Bytes data(content_.begin() +
-                       static_cast<std::ptrdiff_t>(flushedBytes_),
-                   content_.begin() +
-                       static_cast<std::ptrdiff_t>(flushedBytes_ + block));
+        const Bytes data = copyOut(flushedBytes_, block);
         flushedBytes_ += block;
         disk->writeBlocks(lba, data, [](Status status) {
             if (!status) {
@@ -627,11 +665,17 @@ FileOffcode::snapshotState() const
 {
     // The write-back cache *is* the recording; hand the whole store
     // (plus the flush cursor) to the successor so replay after a
-    // controller restart serves identical bytes.
+    // controller restart serves identical bytes. The layout is
+    // writeU64(flushed) + writeBytes(recording), written a segment at
+    // a time.
+    const std::uint64_t size = bytesStored();
     Bytes out;
+    out.reserve(8 + 4 + size);
     ByteWriter writer(out);
     writer.writeU64(flushedBytes_);
-    writer.writeBytes(content_);
+    writer.writeU32(static_cast<std::uint32_t>(size));
+    for (const Bytes &segment : segments_)
+        out.insert(out.end(), segment.begin(), segment.end());
     return out;
 }
 
@@ -640,11 +684,12 @@ FileOffcode::restoreState(const Bytes &snapshot)
 {
     ByteReader reader(snapshot);
     auto flushed = reader.readU64();
-    auto content = reader.readBytes();
+    auto content = reader.readBytesView();
     if (!flushed || !content)
         return;
     flushedBytes_ = flushed.value();
-    content_ = std::move(content).value();
+    segments_.clear();
+    append(content.value());
 }
 
 Result<Bytes>
@@ -658,13 +703,12 @@ FileOffcode::readMethod(const Bytes &args)
 
     site().run(400 + length.value() / 8);
 
-    if (offset.value() >= content_.size())
+    const std::uint64_t size = bytesStored();
+    if (offset.value() >= size)
         return Bytes{}; // EOF
-    const std::size_t end = std::min<std::size_t>(
-        offset.value() + length.value(), content_.size());
-    return Bytes(content_.begin() +
-                     static_cast<std::ptrdiff_t>(offset.value()),
-                 content_.begin() + static_cast<std::ptrdiff_t>(end));
+    const std::uint64_t end =
+        std::min<std::uint64_t>(offset.value() + length.value(), size);
+    return copyOut(offset.value(), end - offset.value());
 }
 
 Result<Bytes>
@@ -672,7 +716,7 @@ FileOffcode::sizeMethod(const Bytes &)
 {
     Bytes out;
     ByteWriter writer(out);
-    writer.writeU64(content_.size());
+    writer.writeU64(bytesStored());
     return out;
 }
 

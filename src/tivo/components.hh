@@ -187,15 +187,22 @@ class DisplayOffcode : public core::Offcode
     obs::Counter *presentedCounter_ = nullptr; ///< tivo.frames_presented
 };
 
-/** File: record/replay store on the smart disk (or host memory). */
+/**
+ * File: record/replay store on the smart disk (or host memory). The
+ * recording lives in fixed-size segments, so an append never moves,
+ * regrows or zero-fills what is already stored.
+ */
 class FileOffcode : public core::Offcode
 {
   public:
+    /** Bytes per recording segment (a flush block may straddle two). */
+    static constexpr std::size_t kSegmentBytes = 64 * 1024;
+
     explicit FileOffcode(TivoEnvPtr env, std::string bindname);
 
     void onData(const Payload &payload, core::ChannelHandle from) override;
 
-    std::uint64_t bytesStored() const { return content_.size(); }
+    std::uint64_t bytesStored() const;
 
     Bytes snapshotState() const override;
     void restoreState(const Bytes &snapshot) override;
@@ -207,10 +214,16 @@ class FileOffcode : public core::Offcode
     Result<Bytes> readMethod(const Bytes &args);
     Result<Bytes> sizeMethod(const Bytes &args);
     void flushBlocks();
+    void append(std::span<const std::uint8_t> data);
+    /** The @p length stored bytes from @p offset on. */
+    Bytes copyOut(std::uint64_t offset, std::size_t length) const;
 
     TivoEnvPtr env_;
-    /** Controller write-back cache mirroring the backing store. */
-    Bytes content_;
+    /**
+     * Controller write-back cache mirroring the backing store: every
+     * segment but the last holds exactly kSegmentBytes.
+     */
+    std::vector<Bytes> segments_;
     std::uint64_t flushedBytes_ = 0;
 };
 

@@ -68,11 +68,13 @@ Testbed::buildFabric()
     clientNode_ = network_->addNode("client-nic");
     clientDiskNode_ = network_->addNode("client-smartdisk");
 
+    // The movie depends only on (mpeg, movieFrames, seed): every
+    // Testbed of one key serves the same encoded buffer, uncopied.
     nas_ = std::make_unique<net::NfsServer>(*network_, nasNode_);
     nas_->putFile(config_.serverTuning.movieFile.empty()
                       ? "movie.mpg"
                       : config_.serverTuning.movieFile,
-                  encodeMovie(config_.mpeg, config_.movieFrames,
+                  sharedMovie(config_.mpeg, config_.movieFrames,
                               config_.seed));
 }
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <mutex>
 
 namespace hydra::tivo {
 
@@ -502,6 +503,32 @@ encodeMovie(const MpegConfig &config, std::uint32_t frames,
         assert(encoded);
     }
     return out;
+}
+
+std::shared_ptr<const Bytes>
+sharedMovie(const MpegConfig &config, std::uint32_t frames,
+            std::uint64_t seed)
+{
+    struct Entry
+    {
+        MpegConfig config;
+        std::uint32_t frames = 0;
+        std::uint64_t seed = 0;
+        std::shared_ptr<const Bytes> movie;
+    };
+    static std::mutex mutex;
+    static Entry memo;
+
+    // Encoding under the lock makes concurrent callers of one key wait
+    // for the first one's movie instead of encoding it again.
+    std::lock_guard<std::mutex> lock(mutex);
+    if (!memo.movie || memo.config != config || memo.frames != frames ||
+        memo.seed != seed) {
+        memo = Entry{config, frames, seed,
+                     std::make_shared<const Bytes>(
+                         encodeMovie(config, frames, seed))};
+    }
+    return memo.movie;
 }
 
 } // namespace hydra::tivo

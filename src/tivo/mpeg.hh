@@ -13,6 +13,7 @@
 #define HYDRA_TIVO_MPEG_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.hh"
@@ -54,6 +55,8 @@ struct MpegConfig
     std::uint32_t gopLength = 9;
     /** Within a GOP, every bFrequency-th frame is P, the rest B. */
     std::uint32_t pSpacing = 3;
+
+    bool operator==(const MpegConfig &) const = default;
 };
 
 /** Deterministic synthetic video source (moving gradient). */
@@ -186,6 +189,17 @@ class StreamAssembler
 /** Encode a whole movie to a byte stream (for NAS seeding). */
 Bytes encodeMovie(const MpegConfig &config, std::uint32_t frames,
                   std::uint64_t seed = 42);
+
+/**
+ * The bytes encodeMovie(config, frames, seed) gives, encoded once and
+ * shared. A process-wide memo holds one entry, the last key asked
+ * for, behind a mutex: while the key repeats, every caller gets the
+ * same immutable buffer; a new key encodes its movie and replaces the
+ * entry. Buffers already handed out stay valid either way.
+ */
+std::shared_ptr<const Bytes> sharedMovie(const MpegConfig &config,
+                                         std::uint32_t frames,
+                                         std::uint64_t seed = 42);
 
 } // namespace hydra::tivo
 

@@ -433,10 +433,11 @@ TEST(ThreadedSpanTest, ConcurrentSpanIdsNeverCollide)
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t]() {
             ids[t].reserve(kSpans);
+            std::string lane = "t";
+            lane += std::to_string(t);
             for (int i = 0; i < kSpans; ++i) {
                 obs::Span span;
-                span.open("test", "t" + std::to_string(t), "s", "test",
-                          0);
+                span.open("test", lane, "s", "test", 0);
                 ids[t].push_back(span.context().spanId);
                 span.end(1);
             }

@@ -58,7 +58,8 @@ TEST(SolverTest, EqualityConstraintBinds)
     std::vector<VarId> vars;
     LinearExpr sum;
     for (int i = 0; i < 5; ++i) {
-        vars.push_back(model.addBinaryVar("v" + std::to_string(i)));
+        vars.push_back(
+            model.addBinaryVar(std::string("v").append(std::to_string(i))));
         sum.add(1.0, vars.back());
     }
     model.addConstraint(sum, Relation::Eq, 2.0);
@@ -165,7 +166,8 @@ TEST_P(SolverPropertyTest, MatchesBruteForce)
     const std::size_t n = 3 + rng.uniformInt(0, 7); // 3..10 vars
     std::vector<VarId> vars;
     for (std::size_t i = 0; i < n; ++i)
-        vars.push_back(model.addBinaryVar("v" + std::to_string(i)));
+        vars.push_back(
+            model.addBinaryVar(std::string("v").append(std::to_string(i))));
 
     const std::size_t numConstraints = rng.uniformInt(1, 4);
     for (std::size_t c = 0; c < numConstraints; ++c) {

@@ -158,6 +158,42 @@ class NfsTest : public ::testing::Test
                                               serverNode_);
     }
 
+    /** Size of @p file as GetSize answers it (0 on error). */
+    std::uint64_t
+    sizeOf(const std::string &file)
+    {
+        std::uint64_t size = 0;
+        client_->getSize(file, [&](Result<std::uint64_t> r) {
+            ASSERT_TRUE(r.ok());
+            size = r.value();
+        });
+        sim_.runToCompletion();
+        return size;
+    }
+
+    /** Bytes of @p file as a Read from @p offset answers them. */
+    Bytes
+    readBack(const std::string &file, std::uint64_t offset,
+             std::uint32_t length)
+    {
+        Bytes got;
+        client_->read(file, offset, length, [&](Result<Bytes> r) {
+            ASSERT_TRUE(r.ok());
+            got = r.value();
+        });
+        sim_.runToCompletion();
+        return got;
+    }
+
+    void
+    writeAt(const std::string &file, std::uint64_t offset, const Bytes &data)
+    {
+        bool ok = false;
+        client_->write(file, offset, data, [&](Status s) { ok = s.ok(); });
+        sim_.runToCompletion();
+        EXPECT_TRUE(ok);
+    }
+
     exec::SimExecutor sim_;
     Network net_;
     NodeId serverNode_ = 0, clientNode_ = 0;
@@ -253,6 +289,83 @@ TEST_F(NfsTest, TwoClientsDistinctReplyPorts)
     second.read("f", 0, 1, [&](Result<Bytes>) { ++done; });
     sim_.runToCompletion();
     EXPECT_EQ(done, 2);
+}
+
+TEST_F(NfsTest, AppendsGiveTheFileResizeAndCopyGave)
+{
+    // Writes at the end of the file take the append path; the file
+    // must equal what the resize + zero-fill + copy path built.
+    Bytes expected;
+    std::uint8_t next = 1;
+    for (std::size_t size : {1000u, 1u, 4096u, 37u, 0u, 1024u, 9000u}) {
+        Bytes data(size);
+        for (auto &byte : data)
+            byte = next++;
+        const std::size_t offset = expected.size();
+        writeAt("rec", offset, data);
+        if (expected.size() < offset + size)
+            expected.resize(offset + size);
+        std::copy(data.begin(), data.end(),
+                  expected.begin() + static_cast<std::ptrdiff_t>(offset));
+    }
+    EXPECT_EQ(server_->fileContent("rec").value(), expected);
+    EXPECT_EQ(sizeOf("rec"), expected.size());
+}
+
+TEST_F(NfsTest, WritePastEndReadsZerosInTheGap)
+{
+    server_->putFile("f", Bytes{1, 2});
+    writeAt("f", 6, Bytes{7, 8});
+    EXPECT_EQ(readBack("f", 0, 100), (Bytes{1, 2, 0, 0, 0, 0, 7, 8}));
+    // An append after the sparse write lands at the new end.
+    writeAt("f", 8, Bytes{9});
+    EXPECT_EQ(readBack("f", 0, 100), (Bytes{1, 2, 0, 0, 0, 0, 7, 8, 9}));
+}
+
+TEST_F(NfsTest, OverwriteInTheMiddleKeepsTheSize)
+{
+    server_->putFile("f", Bytes{0, 1, 2, 3, 4, 5, 6, 7});
+    writeAt("f", 3, Bytes{30, 40});
+    EXPECT_EQ(readBack("f", 0, 100), (Bytes{0, 1, 2, 30, 40, 5, 6, 7}));
+    EXPECT_EQ(sizeOf("f"), 8u);
+    // A write that straddles the end overwrites, then extends.
+    writeAt("f", 7, Bytes{70, 80});
+    EXPECT_EQ(readBack("f", 0, 100),
+              (Bytes{0, 1, 2, 30, 40, 5, 6, 70, 80}));
+}
+
+TEST_F(NfsTest, SharedFileIsCopyOnWrite)
+{
+    const auto shared = std::make_shared<const Bytes>(Bytes{1, 2, 3, 4});
+    server_->putFile("a", shared);
+    server_->putFile("b", shared);
+    // Both files serve the caller's buffer, uncopied.
+    EXPECT_EQ(shared.use_count(), 3);
+    EXPECT_EQ(readBack("a", 1, 2), (Bytes{2, 3}));
+    EXPECT_EQ(sizeOf("a"), 4u);
+
+    writeAt("a", 1, Bytes{9});
+    EXPECT_EQ(*shared, (Bytes{1, 2, 3, 4}));
+    EXPECT_EQ(shared.use_count(), 2);
+    EXPECT_EQ(server_->fileContent("a").value(), (Bytes{1, 9, 3, 4}));
+    EXPECT_EQ(server_->fileContent("b").value(), (Bytes{1, 2, 3, 4}));
+
+    // An append to a shared file copies it too.
+    writeAt("b", 4, Bytes{5});
+    EXPECT_EQ(*shared, (Bytes{1, 2, 3, 4}));
+    EXPECT_EQ(shared.use_count(), 1);
+    EXPECT_EQ(readBack("b", 0, 100), (Bytes{1, 2, 3, 4, 5}));
+}
+
+TEST_F(NfsTest, GetSizeWhileSharedAndOnceOwned)
+{
+    server_->putFile("m",
+                     std::make_shared<const Bytes>(Bytes(12345, 7)));
+    EXPECT_EQ(sizeOf("m"), 12345u);
+    writeAt("m", 12345, Bytes(55, 1));
+    EXPECT_EQ(sizeOf("m"), 12400u);
+    writeAt("m", 0, Bytes{2});
+    EXPECT_EQ(sizeOf("m"), 12400u);
 }
 
 /** An NFS-lite request in its wire layout, built field by field. */

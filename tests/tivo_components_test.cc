@@ -1,9 +1,11 @@
 /**
  * @file
  * Component-level tests for the TiVoPC Offcodes: lifecycle, the File
- * Offcode's interface methods, the disk Streamer's replay state
- * machine, the server File's credit-based prefetch, decoder
- * resynchronization under packet loss, and host-fallback paths.
+ * Offcode's interface methods and its segmented recording (reads,
+ * flushes and snapshots across segments, restart handoff), the disk
+ * Streamer's replay state machine, the server File's credit-based
+ * prefetch, decoder resynchronization under packet loss, and
+ * host-fallback paths.
  */
 
 #include <gtest/gtest.h>
@@ -170,6 +172,211 @@ TEST(ComponentTest, RecordedStreamMatchesWire)
     ASSERT_GE(movie.size(), 2048u);
     EXPECT_TRUE(std::equal(recorded.value().begin(),
                            recorded.value().end(), movie.begin()));
+}
+
+/** Up to @p length recorded bytes from @p offset on, via Read. */
+Bytes
+readRecording(FileOffcode &file, std::uint64_t offset, std::uint32_t length)
+{
+    Bytes args;
+    ByteWriter writer(args);
+    writer.writeU64(offset);
+    writer.writeU32(length);
+    auto data = file.invoke("Read", args);
+    EXPECT_TRUE(data.ok());
+    return data.ok() ? data.value() : Bytes{};
+}
+
+/** The whole recording, read in pieces that straddle the segments. */
+Bytes
+readWholeRecording(FileOffcode &file)
+{
+    Bytes out;
+    for (;;) {
+        const Bytes piece = readRecording(file, out.size(), 7777);
+        if (piece.empty())
+            return out;
+        out.insert(out.end(), piece.begin(), piece.end());
+    }
+}
+
+/** The snapshot layout of a contiguous recording: flush cursor, bytes. */
+Bytes
+contiguousSnapshot(std::uint64_t flushed, const Bytes &recording)
+{
+    Bytes out;
+    ByteWriter writer(out);
+    writer.writeU64(flushed);
+    writer.writeBytes(recording);
+    return out;
+}
+
+/** A testbed that has recorded 5 s of the stream, then stopped it. */
+class RecordingTest : public ::testing::Test
+{
+  protected:
+    RecordingTest() : testbed_(offloadedConfig())
+    {
+        testbed_.offloadedClient()->startWatching();
+        testbed_.server()->startStreaming();
+        testbed_.executor().runUntil(sim::seconds(5));
+        testbed_.server()->stop();
+        testbed_.executor().runUntil(sim::seconds(6));
+    }
+
+    FileOffcode &
+    file()
+    {
+        auto *file = testbed_.offloadedClient()->component<FileOffcode>(
+            "tivo.File");
+        EXPECT_NE(file, nullptr);
+        return *file;
+    }
+
+    Testbed testbed_;
+};
+
+TEST_F(RecordingTest, ReadAndSizeAcrossSegmentBoundaries)
+{
+    constexpr std::size_t kSegment = FileOffcode::kSegmentBytes;
+    const std::uint64_t stored = file().bytesStored();
+    ASSERT_GT(stored, 3 * kSegment);
+
+    auto size = file().invoke("Size", Bytes{});
+    ASSERT_TRUE(size.ok());
+    EXPECT_EQ(ByteReader(size.value()).readU64().value(), stored);
+
+    // Below the movie's length the recording is its prefix.
+    const TestbedConfig config = offloadedConfig();
+    const Bytes movie =
+        encodeMovie(config.mpeg, config.movieFrames, config.seed);
+    ASSERT_GT(movie.size(), 3 * kSegment);
+    const auto movieAt = [&](std::size_t offset, std::size_t length) {
+        return Bytes(movie.begin() + static_cast<std::ptrdiff_t>(offset),
+                     movie.begin() +
+                         static_cast<std::ptrdiff_t>(offset + length));
+    };
+    // One boundary, a read ending exactly on one, one starting on one,
+    // and a read across two whole segments.
+    EXPECT_EQ(readRecording(file(), kSegment - 100, 300),
+              movieAt(kSegment - 100, 300));
+    EXPECT_EQ(readRecording(file(), kSegment - 100, 100),
+              movieAt(kSegment - 100, 100));
+    EXPECT_EQ(readRecording(file(), 2 * kSegment, 50),
+              movieAt(2 * kSegment, 50));
+    EXPECT_EQ(readRecording(file(), 10, 2 * kSegment + 20),
+              movieAt(10, 2 * kSegment + 20));
+
+    // A read past the end is cut at the end, even inside a segment.
+    const Bytes tail = readRecording(file(), stored - 10, 1000);
+    EXPECT_EQ(tail.size(), 10u);
+    EXPECT_EQ(readWholeRecording(file()).size(), stored);
+}
+
+TEST_F(RecordingTest, SnapshotIsTheContiguousEncoding)
+{
+    // On the smart disk the flush cursor is the last whole block.
+    const std::uint64_t stored = file().bytesStored();
+    const std::uint64_t flushed = stored - stored % 4096;
+    EXPECT_EQ(file().snapshotState(),
+              contiguousSnapshot(flushed, readWholeRecording(file())));
+}
+
+TEST_F(RecordingTest, RestartWithStateHandoffServesIdenticalBytes)
+{
+    FileOffcode *before = &file();
+    const Bytes recording = readWholeRecording(*before);
+    const Bytes snapshot = before->snapshotState();
+
+    ASSERT_TRUE(
+        testbed_.clientRuntime()->restartOffcode("tivo.File").ok());
+    FileOffcode &after = file();
+    EXPECT_NE(&after, before);
+    EXPECT_EQ(after.bytesStored(), recording.size());
+    EXPECT_EQ(readWholeRecording(after), recording);
+    EXPECT_EQ(after.snapshotState(), snapshot);
+}
+
+TEST(RecordingStoreTest, RestoreRoundTrips)
+{
+    // Three and a half segments of a pattern that differs per segment.
+    Bytes recording(FileOffcode::kSegmentBytes * 7 / 2);
+    for (std::size_t i = 0; i < recording.size(); ++i)
+        recording[i] = static_cast<std::uint8_t>(i * 7 + i / 65536);
+    const Bytes snapshot = contiguousSnapshot(12288, recording);
+
+    FileOffcode file(std::make_shared<TivoEnv>(), "tivo.File");
+    file.restoreState(snapshot);
+    EXPECT_EQ(file.bytesStored(), recording.size());
+    EXPECT_EQ(file.snapshotState(), snapshot);
+
+    // A truncated snapshot leaves the store as it was.
+    file.restoreState(Bytes(snapshot.begin(), snapshot.begin() + 100));
+    EXPECT_EQ(file.snapshotState(), snapshot);
+
+    // An empty recording restores to an empty store.
+    const Bytes empty = contiguousSnapshot(0, {});
+    file.restoreState(empty);
+    EXPECT_EQ(file.bytesStored(), 0u);
+    EXPECT_EQ(file.snapshotState(), empty);
+}
+
+TEST(RecordingStoreTest, FlushBlocksStraddleSegments)
+{
+    // 3000-byte blocks do not divide a 64 KiB segment, so some blocks
+    // take their bytes from two segments.
+    constexpr std::size_t kBlock = 3000;
+    static_assert(FileOffcode::kSegmentBytes % kBlock != 0);
+    exec::SimExecutor executor;
+    hw::Machine machine(executor, hw::MachineConfig{});
+    dev::DiskConfig diskConfig;
+    diskConfig.blockBytes = kBlock;
+    dev::SmartDisk disk(executor, machine.bus(),
+                        dev::SmartDisk::diskDefaultConfig(), diskConfig);
+    core::Runtime runtime(machine);
+    ASSERT_TRUE(runtime.attachDevice(disk).ok());
+    auto env = std::make_shared<TivoEnv>();
+    env->disk = &disk;
+    ASSERT_TRUE(registerTivoOffcodes(runtime, env, TivoRole::Client).ok());
+
+    Result<core::OffcodeHandle> deployed = Error(ErrorCode::Internal);
+    runtime.createOffcode("tivo.File",
+                          [&](Result<core::OffcodeHandle> handle) {
+                              deployed = std::move(handle);
+                          });
+    executor.runUntil(sim::milliseconds(100));
+    ASSERT_TRUE(deployed.ok());
+    ASSERT_EQ(deployed.value().site->device(), &disk);
+    auto channel = runtime.executive().createChannel(core::ChannelConfig{},
+                                                     runtime.hostSite());
+    ASSERT_TRUE(channel.ok());
+    ASSERT_TRUE(
+        channel.value()->connectOffcode(*deployed.value().offcode).ok());
+
+    // 200 chunks of 1000 bytes: three segments and part of a fourth.
+    Bytes written;
+    for (int chunk = 0; chunk < 200; ++chunk) {
+        Bytes data(1000);
+        for (std::size_t i = 0; i < data.size(); ++i)
+            data[i] = static_cast<std::uint8_t>(written.size() + i * 13 +
+                                                chunk);
+        written.insert(written.end(), data.begin(), data.end());
+        ASSERT_TRUE(channel.value()->write(core::encodeData(data)).ok());
+        executor.runUntil(executor.now() + sim::milliseconds(1));
+    }
+    executor.runUntil(executor.now() + sim::milliseconds(100));
+
+    const std::uint32_t blocks =
+        static_cast<std::uint32_t>(written.size() / kBlock);
+    EXPECT_EQ(disk.blocksWritten(), blocks);
+    Bytes onDisk;
+    disk.readBlocks(0, blocks, [&](Result<Bytes> data) {
+        ASSERT_TRUE(data.ok());
+        onDisk = data.value();
+    });
+    executor.runUntil(executor.now() + sim::milliseconds(10));
+    written.resize(blocks * kBlock);
+    EXPECT_EQ(onDisk, written);
 }
 
 TEST(ComponentTest, ReplayStateMachine)

@@ -5,14 +5,18 @@
  * Decoder components rely on. Hostile input: corrupted stream headers,
  * hostile frame dimensions, and differential tests of the word-at-a-
  * time decoder and encoder against reference copies of the
- * straightforward byte-at-a-time ones.
+ * straightforward byte-at-a-time ones. The process-wide movie memo:
+ * same bytes as encodeMovie, one buffer per key, safe to race.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <memory>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -731,6 +735,71 @@ TEST(MpegTest, DefaultMovieIsPinned)
     }
     EXPECT_EQ(movie.size(), 801756u);
     EXPECT_EQ(digest, 0x967aef3890e8cb45ull);
+}
+
+TEST(MovieMemoTest, SharedMovieIsTheEncodedMovie)
+{
+    const MpegConfig small = smallConfig();
+    for (const auto &[config, frames, seed] :
+         {std::tuple{small, 20u, std::uint64_t{42}},
+          std::tuple{MpegConfig{}, 30u, std::uint64_t{7}}}) {
+        const auto movie = sharedMovie(config, frames, seed);
+        ASSERT_NE(movie, nullptr);
+        EXPECT_EQ(*movie, encodeMovie(config, frames, seed));
+    }
+}
+
+TEST(MovieMemoTest, RepeatedKeySharesOneBuffer)
+{
+    const MpegConfig config = smallConfig();
+    const auto first = sharedMovie(config, 12, 5);
+    const auto second = sharedMovie(config, 12, 5);
+    EXPECT_EQ(first.get(), second.get());
+    // Every field of the key counts: a different seed, length or
+    // config is a different movie.
+    EXPECT_NE(sharedMovie(config, 12, 6).get(), first.get());
+    EXPECT_NE(sharedMovie(config, 13, 5).get(), first.get());
+    MpegConfig wider = config;
+    wider.width += 8;
+    EXPECT_NE(sharedMovie(wider, 12, 5).get(), first.get());
+}
+
+TEST(MovieMemoTest, AlternatingKeysReencodeCorrectly)
+{
+    // The memo holds one entry, so each switch of key encodes again;
+    // buffers handed out earlier stay valid and unchanged.
+    const MpegConfig config = smallConfig();
+    const Bytes a = encodeMovie(config, 15, 1);
+    const Bytes b = encodeMovie(config, 15, 2);
+    std::vector<std::shared_ptr<const Bytes>> kept;
+    for (int round = 0; round < 3; ++round) {
+        kept.push_back(sharedMovie(config, 15, 1));
+        kept.push_back(sharedMovie(config, 15, 2));
+    }
+    for (std::size_t i = 0; i < kept.size(); ++i)
+        EXPECT_EQ(*kept[i], i % 2 == 0 ? a : b) << "handout " << i;
+}
+
+TEST(MovieMemoTest, ConcurrentCallersGetIdenticalBytes)
+{
+    const MpegConfig config = smallConfig();
+    for (int callers = 2; callers <= 4; ++callers) {
+        // A key no earlier caller used, so the callers race to encode.
+        const auto seed = static_cast<std::uint64_t>(1000 + callers);
+        const Bytes wanted = encodeMovie(config, 24, seed);
+        std::vector<std::shared_ptr<const Bytes>> got(callers);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < callers; ++t)
+            threads.emplace_back(
+                [&, t]() { got[t] = sharedMovie(config, 24, seed); });
+        for (auto &thread : threads)
+            thread.join();
+        for (int t = 0; t < callers; ++t) {
+            ASSERT_NE(got[t], nullptr);
+            EXPECT_EQ(*got[t], wanted) << callers << " callers, #" << t;
+            EXPECT_EQ(got[t].get(), got[0].get());
+        }
+    }
 }
 
 } // namespace
