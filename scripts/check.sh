@@ -27,6 +27,12 @@
 #                                  # pool, span id generator, and the
 #                                  # full TiVo run on the threaded engine),
 #                                  # then the chaos and model labels
+#   scripts/check.sh --dead-code   # -O0 gc-sections build of every
+#                                  # program (build-deadcode, plus
+#                                  # hydra_perfbench beside it), fail if
+#                                  # a hydra:: library function survives
+#                                  # in none of them and is not on
+#                                  # scripts/dead_code.py's allowlist
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,6 +42,7 @@ CMAKE_ARGS=()
 SANITIZE=0
 BENCH_SMOKE=0
 TSAN=0
+DEAD_CODE=0
 
 for arg in "$@"; do
     case "$arg" in
@@ -58,12 +65,42 @@ for arg in "$@"; do
         BUILD_DIR=build-tsan
         CMAKE_ARGS+=(-DHYDRA_TSAN=ON)
         ;;
+      --dead-code)
+        DEAD_CODE=1
+        BUILD_DIR=build-deadcode
+        ;;
       *)
-        echo "usage: $0 [--sanitize|--no-tracing|--bench-smoke|--tsan]" >&2
+        echo "usage: $0 [--sanitize|--no-tracing|--bench-smoke|--tsan|--dead-code]" >&2
         exit 2
         ;;
     esac
 done
+
+if [ "$DEAD_CODE" -eq 1 ]; then
+    # -O0 inlines nothing, so a function some program calls keeps its
+    # own symbol; --gc-sections drops every function no program calls.
+    # Tests are not built: a function only they call is dead code
+    # unless the allowlist names why the tests need it.
+    DEAD_ARGS=(-DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS_DEBUG=-O0
+               "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections"
+               -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+    PROGRAMS=(tools/hydra_sim tools/hydra_fleet tools/hydra_top
+              bench/paper_repro bench/fig1_ghz_gbps bench/ilp_layout
+              bench/channel_ablation bench/deploy_latency
+              bench/perf_micro bench/fleet_scale
+              examples/quickstart examples/tivo_pc examples/packet_filter
+              examples/storage_indexer examples/vm_switch)
+    cmake -B "$BUILD_DIR" -S . "${DEAD_ARGS[@]}"
+    cmake --build "$BUILD_DIR" -j "$(nproc)" --target \
+        hydra_sim_cli hydra_fleet_cli hydra_top paper_repro fig1_ghz_gbps \
+        ilp_layout channel_ablation deploy_latency perf_micro fleet_scale \
+        quickstart tivo_pc packet_filter storage_indexer vm_switch
+    cmake -B "$BUILD_DIR/perfbench" -S perfbench "${DEAD_ARGS[@]}"
+    cmake --build "$BUILD_DIR/perfbench" -j "$(nproc)" --target hydra_perfbench
+    python3 scripts/dead_code.py "$BUILD_DIR" "$BUILD_DIR/perfbench" \
+        "${PROGRAMS[@]}"
+    exit 0
+fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$(nproc)"

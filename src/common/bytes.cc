@@ -47,21 +47,6 @@ ByteWriter::writeU64(std::uint64_t value)
 }
 
 void
-ByteWriter::writeI64(std::int64_t value)
-{
-    writeU64(static_cast<std::uint64_t>(value));
-}
-
-void
-ByteWriter::writeF64(double value)
-{
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    writeU64(bits);
-}
-
-void
 ByteWriter::writeBytes(std::span<const std::uint8_t> value)
 {
     writeU32(static_cast<std::uint32_t>(value.size()));
@@ -81,17 +66,6 @@ ByteReader::readU8()
     if (!need(1))
         return Error(ErrorCode::OutOfRange, "buffer underrun");
     return in_[pos_++];
-}
-
-Result<std::uint16_t>
-ByteReader::readU16()
-{
-    if (!need(2))
-        return Error(ErrorCode::OutOfRange, "buffer underrun");
-    std::uint16_t value = static_cast<std::uint16_t>(in_[pos_]) |
-                          static_cast<std::uint16_t>(in_[pos_ + 1]) << 8;
-    pos_ += 2;
-    return value;
 }
 
 Result<std::uint32_t>
@@ -115,27 +89,6 @@ ByteReader::readU64()
     for (int i = 0; i < 8; ++i)
         value |= static_cast<std::uint64_t>(in_[pos_ + i]) << (8 * i);
     pos_ += 8;
-    return value;
-}
-
-Result<std::int64_t>
-ByteReader::readI64()
-{
-    auto raw = readU64();
-    if (!raw)
-        return raw.error();
-    return static_cast<std::int64_t>(raw.value());
-}
-
-Result<double>
-ByteReader::readF64()
-{
-    auto raw = readU64();
-    if (!raw)
-        return raw.error();
-    double value;
-    std::uint64_t bits = raw.value();
-    std::memcpy(&value, &bits, sizeof(value));
     return value;
 }
 

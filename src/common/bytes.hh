@@ -31,8 +31,6 @@ class ByteWriter
     void writeU16(std::uint16_t value);
     void writeU32(std::uint32_t value);
     void writeU64(std::uint64_t value);
-    void writeI64(std::int64_t value);
-    void writeF64(double value);
     /** Length-prefixed (u32) byte string. */
     void writeBytes(std::span<const std::uint8_t> value);
     /** Length-prefixed (u32) UTF-8 string. */
@@ -60,11 +58,8 @@ class ByteReader
     }
 
     Result<std::uint8_t> readU8();
-    Result<std::uint16_t> readU16();
     Result<std::uint32_t> readU32();
     Result<std::uint64_t> readU64();
-    Result<std::int64_t> readI64();
-    Result<double> readF64();
     Result<Bytes> readBytes();
     /** Length-prefixed (u32) byte string as a view into the input. */
     Result<std::span<const std::uint8_t>> readBytesView();

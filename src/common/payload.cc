@@ -289,18 +289,6 @@ payloadCountDeepCopy()
 
 } // namespace detail
 
-Payload
-Payload::copyOf(const std::uint8_t *data, std::size_t size)
-{
-    detail::payloadCountDeepCopy();
-    PayloadBuilder builder;
-    Bytes &buffer = builder.buffer();
-    buffer.resize(size);
-    if (size > 0)
-        std::memcpy(buffer.data(), data, size);
-    return builder.seal();
-}
-
 Bytes
 Payload::toBytes() const
 {

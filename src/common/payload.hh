@@ -96,12 +96,6 @@ class Payload
         len_ = node_->storage.size();
     }
 
-    /** Deep copy (counted in payload.deep_copies) — keep this rare. */
-    explicit Payload(const Bytes &bytes)
-        : Payload(copyOf(bytes.data(), bytes.size()))
-    {
-    }
-
     Payload(const Payload &other)
         : node_(other.node_), off_(other.off_), len_(other.len_)
     {
@@ -143,9 +137,6 @@ class Payload
     }
 
     ~Payload() { release(); }
-
-    /** Deep-copy @p size bytes into a fresh (pooled) buffer. */
-    static Payload copyOf(const std::uint8_t *data, std::size_t size);
 
     const std::uint8_t *
     data() const

@@ -96,15 +96,4 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * u * factor;
 }
 
-double
-Rng::exponential(double mean)
-{
-    assert(mean > 0.0);
-    double u;
-    do {
-        u = uniform();
-    } while (u == 0.0);
-    return -mean * std::log(u);
-}
-
 } // namespace hydra

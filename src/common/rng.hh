@@ -38,9 +38,6 @@ class Rng
     /** Normal variate (Box–Muller). */
     double normal(double mean, double stddev);
 
-    /** Exponential variate with the given mean. */
-    double exponential(double mean);
-
   private:
     std::uint64_t state_[4];
     bool hasSpare_ = false;

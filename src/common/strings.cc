@@ -20,30 +20,6 @@ trim(std::string_view text)
     return text;
 }
 
-std::vector<std::string>
-split(std::string_view text, char delim)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (true) {
-        const std::size_t pos = text.find(delim, start);
-        if (pos == std::string_view::npos) {
-            out.emplace_back(text.substr(start));
-            break;
-        }
-        out.emplace_back(text.substr(start, pos - start));
-        start = pos + 1;
-    }
-    return out;
-}
-
-bool
-startsWith(std::string_view text, std::string_view prefix)
-{
-    return text.size() >= prefix.size() &&
-           text.substr(0, prefix.size()) == prefix;
-}
-
 bool
 endsWith(std::string_view text, std::string_view suffix)
 {

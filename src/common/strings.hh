@@ -15,11 +15,7 @@ namespace hydra {
 /** Strip ASCII whitespace from both ends. */
 std::string_view trim(std::string_view text);
 
-/** Split on a delimiter character; empty fields preserved. */
-std::vector<std::string> split(std::string_view text, char delim);
-
-/** Case-sensitive prefix/suffix tests. */
-bool startsWith(std::string_view text, std::string_view prefix);
+/** Case-sensitive suffix test. */
 bool endsWith(std::string_view text, std::string_view suffix);
 
 /** Lower-case an ASCII string. */

@@ -121,12 +121,6 @@ Call::deserialize(const Payload &wire)
     return deserializeCall(ByteReader(wire.data(), wire.size()));
 }
 
-Result<Call>
-Call::deserialize(const Bytes &wire)
-{
-    return deserializeCall(ByteReader(wire));
-}
-
 Payload
 CallReturn::serialize() const
 {
@@ -146,12 +140,6 @@ CallReturn::deserialize(const Payload &wire)
     return deserializeReturn(ByteReader(wire.data(), wire.size()));
 }
 
-Result<CallReturn>
-CallReturn::deserialize(const Bytes &wire)
-{
-    return deserializeReturn(ByteReader(wire));
-}
-
 std::string
 spanName(const Call &call)
 {
@@ -160,22 +148,6 @@ spanName(const Call &call)
 
 Result<MessageKind>
 peekKind(const Payload &wire)
-{
-    if (wire.empty())
-        return Error(ErrorCode::ParseError, "empty message");
-    const auto kind = static_cast<MessageKind>(wire[0]);
-    switch (kind) {
-      case MessageKind::Call:
-      case MessageKind::Return:
-      case MessageKind::Data:
-      case MessageKind::Management:
-        return kind;
-    }
-    return Error(ErrorCode::ParseError, "unknown message kind");
-}
-
-Result<MessageKind>
-peekKind(const Bytes &wire)
 {
     if (wire.empty())
         return Error(ErrorCode::ParseError, "empty message");
@@ -216,13 +188,6 @@ decodeData(const Payload &wire)
 
 Payload
 encodeManagement(const Bytes &payload)
-{
-    return encodeFramed(MessageKind::Management, payload.data(),
-                        payload.size());
-}
-
-Payload
-encodeManagement(const Payload &payload)
 {
     return encodeFramed(MessageKind::Management, payload.data(),
                         payload.size());

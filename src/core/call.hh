@@ -47,7 +47,6 @@ struct Call
 
     /** Decode from the wire; fails on malformed input. */
     static Result<Call> deserialize(const Payload &wire);
-    static Result<Call> deserialize(const Bytes &wire);
 };
 
 /** A Call's response, matched by callId. */
@@ -60,7 +59,6 @@ struct CallReturn
 
     Payload serialize() const;
     static Result<CallReturn> deserialize(const Payload &wire);
-    static Result<CallReturn> deserialize(const Bytes &wire);
 };
 
 /** Trace-span name of a Call's dispatch ("call.<method>"). */
@@ -68,7 +66,6 @@ std::string spanName(const Call &call);
 
 /** Peek at the kind byte of a wire message (Ok only if non-empty). */
 Result<MessageKind> peekKind(const Payload &wire);
-Result<MessageKind> peekKind(const Bytes &wire);
 
 /** Wrap raw payload as a Data message (pooled buffer). */
 Payload encodeData(const Bytes &payload);
@@ -86,7 +83,6 @@ Result<Payload> decodeData(const Payload &wire);
 
 /** Wrap raw payload as a Management message (pooled buffer). */
 Payload encodeManagement(const Bytes &payload);
-Payload encodeManagement(const Payload &payload);
 
 /** Unwrap a Management message (zero-copy slice). */
 Result<Payload> decodeManagement(const Payload &wire);

@@ -17,18 +17,6 @@ ChannelHandle::write(Payload message)
     return channel->writeFrom(endpoint, std::move(message));
 }
 
-void
-ChannelHandle::install(std::function<void(const Payload &)> handler)
-{
-    if (!channel)
-        return;
-    channel->installHandler(endpoint,
-                            [handler = std::move(handler)](
-                                const Payload &message, std::size_t) {
-                                handler(message);
-                            });
-}
-
 Channel::Channel(ChannelConfig config) : config_(std::move(config))
 {
 }
@@ -63,22 +51,6 @@ Channel::installHandler(std::size_t endpoint, Handler handler)
         obs::ContextScope scope(queued.ctx);
         ep.handler(queued.message, SIZE_MAX);
     }
-}
-
-Result<Payload>
-Channel::poll(std::size_t endpoint)
-{
-    if (endpoint >= endpoints_.size())
-        return Error(ErrorCode::OutOfRange, "bad endpoint");
-    Endpoint &ep = endpoints_[endpoint];
-    if (ep.queue.empty())
-        return Error(ErrorCode::NotFound, "no message pending");
-    // Polling is a pull model: the caller owns its own causal scope,
-    // so the stored context is dropped here.
-    recordDelivery(ep, ep.queue.front().sentAt);
-    Payload message = std::move(ep.queue.front().message);
-    ep.queue.pop_front();
-    return message;
 }
 
 ExecutionSite *
@@ -203,8 +175,8 @@ Channel::deliverTo(std::size_t endpoint, const Payload &message,
         ep.handler(message, from);
         return;
     }
-    // No handler yet: latency resolves when the message is polled or
-    // drained by a late-installed handler.
+    // No handler yet: latency resolves when a late-installed handler
+    // drains the queue.
     ep.queue.push_back(Queued{message, obs::activeContext(), sentAt});
 }
 
@@ -334,8 +306,8 @@ Channel::dispatchToOffcode(std::size_t endpoint, const Payload &message,
         break;
       }
       case MessageKind::Return:
-        // Returns flowing toward an Offcode endpoint are queued so
-        // proxy-style callers on device can poll them.
+        // An Offcode does not consume Returns: they stay queued until
+        // a handler is installed at the endpoint.
         ep.queue.push_back(Queued{message, obs::activeContext(), started});
         break;
     }

@@ -8,7 +8,7 @@
  * then attaches Offcodes with connectOffcode(), which implicitly
  * constructs an endpoint at the target's site and notifies the
  * Offcode. Delivery invokes the endpoint's installed handler, or
- * queues for poll() when none is installed.
+ * queues until one is installed.
  */
 
 #ifndef HYDRA_CORE_CHANNEL_HH
@@ -73,7 +73,7 @@ struct ChannelConfig
     /**
      * Display name for telemetry. A named channel records per-channel
      * delivery latency into `channel.delivery_latency_ns{channel=name}`
-     * (write timestamp -> handler/poll); anonymous channels only feed
+     * (write timestamp -> handler); anonymous channels only feed
      * the per-transport aggregate, which bounds registry growth.
      */
     std::string name;
@@ -97,7 +97,6 @@ struct ChannelHandle
 
     bool valid() const { return channel != nullptr; }
     Status write(Payload message);
-    void install(std::function<void(const Payload &)> handler);
 };
 
 /** Abstract channel; concrete transports live in providers.cc. */
@@ -144,10 +143,8 @@ class Channel
         installHandler(0, std::move(handler));
     }
 
+    /** Set @p endpoint's handler; it first drains the queued messages. */
     void installHandler(std::size_t endpoint, Handler handler);
-
-    /** Non-blocking read of a queued message (no handler installed). */
-    Result<Payload> poll(std::size_t endpoint);
 
     /**
      * Attach an Offcode: constructs its endpoint at the Offcode's
@@ -165,7 +162,7 @@ class Channel
 
     /**
      * Attach a bare endpoint at @p site — no Offcode, no default
-     * dispatch; the caller installs a handler or polls. Fleet load
+     * dispatch; the caller installs a handler. Fleet load
      * generators and tests use this to stand up high-fan-out stream
      * endpoints without deploying Offcodes. Returns the endpoint
      * index.
@@ -229,7 +226,7 @@ class Channel
     /**
      * Final delivery into handler or queue (updates stats).
      * @p sentAt is the write timestamp; a named channel resolves it
-     * here (handler) or at poll() time into its latency histogram.
+     * here (handler) or when a late handler drains the queue.
      * @p deliveredAt is the transport's already-computed clock value
      * (0 = unknown): passing it keeps the hot path free of a second
      * executor clock read, which matters on the sub-microsecond
@@ -244,7 +241,7 @@ class Channel
                            std::size_t from);
 
     /** Record send->deliver latency for a named channel; resolves the
-     * clock itself when @p deliveredAt is 0 (queued/polled paths). */
+     * clock itself when @p deliveredAt is 0 (the queued path). */
     void recordDelivery(const Endpoint &ep, sim::SimTime sentAt,
                         sim::SimTime deliveredAt = 0);
 

@@ -27,9 +27,8 @@ OffcodeDepot::registerOffcode(DepotEntry entry)
         return Status(ErrorCode::InvalidArgument,
                       entry.manifest.bindname + ": missing factory");
 
-    auto shared = std::make_shared<DepotEntry>(std::move(entry));
-    byName_[shared->manifest.bindname] = shared;
-    byGuid_[shared->manifest.guid] = shared;
+    const std::string bindname = entry.manifest.bindname;
+    byName_[bindname] = std::make_unique<DepotEntry>(std::move(entry));
     obs::counter("depot.registered").increment();
     return Status::success();
 }
@@ -58,17 +57,6 @@ OffcodeDepot::findByBindname(const std::string &name) const
     if (it == byName_.end())
         return Error(ErrorCode::NotFound,
                      "no depot entry for bindname " + name);
-    return it->second.get();
-}
-
-Result<const DepotEntry *>
-OffcodeDepot::findByGuid(Guid guid) const
-{
-    auto it = byGuid_.find(guid);
-    noteLookup(it != byGuid_.end());
-    if (it == byGuid_.end())
-        return Error(ErrorCode::NotFound,
-                     "no depot entry for GUID " + guid.toString());
     return it->second.get();
 }
 

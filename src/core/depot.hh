@@ -30,7 +30,7 @@ struct DepotEntry
     std::size_t imageBytes = 32 * 1024;
 };
 
-/** Registry of deployable Offcodes, keyed by bindname and GUID. */
+/** Registry of deployable Offcodes, keyed by bindname. */
 class OffcodeDepot
 {
   public:
@@ -43,7 +43,6 @@ class OffcodeDepot
                            std::size_t image_bytes = 32 * 1024);
 
     Result<const DepotEntry *> findByBindname(const std::string &name) const;
-    Result<const DepotEntry *> findByGuid(Guid guid) const;
 
     /**
      * Resolve an ODF reference: a registered bindname, or a path to
@@ -55,8 +54,7 @@ class OffcodeDepot
     std::size_t size() const { return byName_.size(); }
 
   private:
-    std::unordered_map<std::string, std::shared_ptr<DepotEntry>> byName_;
-    std::unordered_map<Guid, std::shared_ptr<DepotEntry>> byGuid_;
+    std::unordered_map<std::string, std::unique_ptr<DepotEntry>> byName_;
 };
 
 } // namespace hydra::core

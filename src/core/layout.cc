@@ -10,29 +10,13 @@ namespace hydra::core {
 Result<LayoutGraph>
 LayoutGraph::build(const OffcodeDepot &depot, const DepotEntry &root)
 {
-    return buildMany(depot, {&root});
-}
-
-Result<LayoutGraph>
-LayoutGraph::buildMany(const OffcodeDepot &depot,
-                       const std::vector<const DepotEntry *> &roots)
-{
-    if (roots.empty())
-        return Error(ErrorCode::InvalidArgument, "no roots");
-
     LayoutGraph graph;
     std::unordered_map<std::string, std::size_t> index;
     std::deque<std::size_t> frontier;
 
-    for (const DepotEntry *root : roots) {
-        if (!root)
-            return Error(ErrorCode::InvalidArgument, "null root");
-        if (index.count(root->manifest.bindname))
-            continue; // duplicate root / shared component
-        index[root->manifest.bindname] = graph.nodes_.size();
-        frontier.push_back(graph.nodes_.size());
-        graph.nodes_.push_back(root);
-    }
+    index[root.manifest.bindname] = 0;
+    frontier.push_back(0);
+    graph.nodes_.push_back(&root);
     while (!frontier.empty()) {
         const std::size_t from = frontier.front();
         frontier.pop_front();
@@ -62,15 +46,6 @@ LayoutGraph::buildMany(const OffcodeDepot &depot,
         }
     }
     return graph;
-}
-
-std::size_t
-LayoutGraph::indexOf(const std::string &bindname) const
-{
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-        if (nodes_[i]->manifest.bindname == bindname)
-            return i;
-    return SIZE_MAX;
 }
 
 LayoutResolver::LayoutResolver(ResolverConfig config)

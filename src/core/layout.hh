@@ -41,22 +41,8 @@ class LayoutGraph
     static Result<LayoutGraph> build(const OffcodeDepot &depot,
                                      const DepotEntry &root);
 
-    /**
-     * Joint graph over several applications' roots (paper Section 5:
-     * "in multi-user environments, reusing the same Offcode in
-     * several applications may substantially complicate the
-     * offloading layout design"). Shared Offcodes appear once, with
-     * the union of all constraint edges.
-     */
-    static Result<LayoutGraph>
-    buildMany(const OffcodeDepot &depot,
-              const std::vector<const DepotEntry *> &roots);
-
     const std::vector<const DepotEntry *> &nodes() const { return nodes_; }
     const std::vector<GraphEdge> &edges() const { return edges_; }
-
-    /** Index of a node by bindname (SIZE_MAX when absent). */
-    std::size_t indexOf(const std::string &bindname) const;
 
     /** Root node is always index 0. */
     const DepotEntry &root() const { return *nodes_[0]; }

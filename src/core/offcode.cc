@@ -27,12 +27,6 @@ Offcode::Offcode(std::string bindname)
 {
 }
 
-std::string
-Offcode::deviceAddr() const
-{
-    return ctx_.site ? ctx_.site->name() : std::string();
-}
-
 Status
 Offcode::doInitialize(OffcodeContext context)
 {

@@ -126,9 +126,6 @@ class Offcode
     bool supportsInterface(Guid interface_guid) const;
     const std::vector<Guid> &interfaces() const { return interfaces_; }
 
-    /** Site name for ChannelConfig::targetDevice (GetDeviceAddr). */
-    std::string deviceAddr() const;
-
     // --- lifecycle driven by the runtime ---
     Status doInitialize(OffcodeContext context);
     Status doStart();

@@ -50,21 +50,6 @@ Proxy::invoke(const std::string &method, const Bytes &arguments,
     return Status::success();
 }
 
-Status
-Proxy::invokeOneWay(const std::string &method, const Bytes &arguments)
-{
-    Call call = makeCall(method, arguments, false);
-    ExecutionSite *site = channel_.siteOf(endpoint_);
-    obs::Span span;
-    if (HYDRA_TRACE_ACTIVE() && site)
-        span.open(site->machine().name(), site->name(), spanName(call),
-                  "call", site->machine().executor().now());
-    Status sent = channel_.writeFrom(endpoint_, call.serialize());
-    if (site)
-        span.end(site->run(0));
-    return sent;
-}
-
 void
 Proxy::onMessage(const Payload &message)
 {

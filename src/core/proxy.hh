@@ -35,9 +35,6 @@ class Proxy
     Status invoke(const std::string &method, const Bytes &arguments,
                   ReturnCallback on_return);
 
-    /** Fire-and-forget invocation (no Return expected). */
-    Status invokeOneWay(const std::string &method, const Bytes &arguments);
-
     /** Manual scheme: build the Call without sending it. */
     Call makeCall(const std::string &method, const Bytes &arguments,
                   bool expects_return = true);

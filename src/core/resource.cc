@@ -6,15 +6,11 @@ namespace hydra::core {
 
 ResourceManager::ResourceManager()
 {
-    Node root;
-    root.kind = "root";
-    root.name = "runtime";
-    nodes_[rootId_] = std::move(root);
+    nodes_[rootId_] = Node{};
 }
 
 Result<ResourceId>
-ResourceManager::create(ResourceId parent, std::string kind,
-                        std::string name,
+ResourceManager::create(ResourceId parent,
                         std::function<void()> on_release)
 {
     auto it = nodes_.find(parent);
@@ -24,8 +20,6 @@ ResourceManager::create(ResourceId parent, std::string kind,
     const ResourceId id = nextId_++;
     Node node;
     node.parent = parent;
-    node.kind = std::move(kind);
-    node.name = std::move(name);
     node.onRelease = std::move(on_release);
     nodes_[id] = std::move(node);
     nodes_[parent].children.push_back(id);
@@ -74,23 +68,6 @@ ResourceManager::releaseSubtree(ResourceId id)
     nodes_.erase(it);
     if (on_release)
         on_release();
-}
-
-Result<std::string>
-ResourceManager::describe(ResourceId id) const
-{
-    auto it = nodes_.find(id);
-    if (it == nodes_.end())
-        return Error(ErrorCode::NotFound, "resource not found");
-    return it->second.kind + ":" + it->second.name;
-}
-
-std::vector<ResourceId>
-ResourceManager::childrenOf(ResourceId id) const
-{
-    auto it = nodes_.find(id);
-    return it == nodes_.end() ? std::vector<ResourceId>{}
-                              : it->second.children;
 }
 
 } // namespace hydra::core

@@ -4,8 +4,8 @@
  * managed hierarchically to allow for robust clean-up of child
  * resources in the case of a failing parent object."
  *
- * Every runtime object (Offcode, channel, pinned region, loader
- * allocation) registers as a node under a parent; releasing a node
+ * Every deployed Offcode registers as a node under a parent (the
+ * root by default); releasing a node
  * releases its whole subtree, children first, running each node's
  * release action exactly once.
  */
@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -41,8 +40,7 @@ class ResourceManager
      * Register a resource under @p parent. @p on_release runs when
      * the node (or any ancestor) is released.
      */
-    Result<ResourceId> create(ResourceId parent, std::string kind,
-                              std::string name,
+    Result<ResourceId> create(ResourceId parent,
                               std::function<void()> on_release = {});
 
     /** Release a node and its subtree (children first). */
@@ -53,18 +51,10 @@ class ResourceManager
 
     bool exists(ResourceId id) const { return nodes_.count(id) != 0; }
 
-    /** Kind/name of a live node (for diagnostics and tests). */
-    Result<std::string> describe(ResourceId id) const;
-
-    /** Direct children of a node. */
-    std::vector<ResourceId> childrenOf(ResourceId id) const;
-
   private:
     struct Node
     {
         ResourceId parent = kNoResource;
-        std::string kind;
-        std::string name;
         std::function<void()> onRelease;
         std::vector<ResourceId> children;
     };

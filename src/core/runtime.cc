@@ -73,7 +73,7 @@ class HeapPseudoOffcode : public Offcode
         auto bytes = reader.readU64();
         if (!bytes || bytes.value() == 0)
             return Error(ErrorCode::InvalidArgument, "expected size");
-        const hw::Addr addr = rt_.memory().allocBuffer(bytes.value());
+        const hw::Addr addr = rt_.machine().os().allocRegion(bytes.value());
         Bytes out;
         ByteWriter writer(out);
         writer.writeU64(addr);
@@ -224,8 +224,6 @@ Runtime::Runtime(hw::Machine &machine, RuntimeConfig config)
     hostSite_ = std::make_unique<HostSite>(machine_);
     hostLoader_ =
         std::make_unique<HostLoader>(machine_, config_.loaderCosts);
-    memory_ = std::make_unique<MemoryManager>(machine_.os(),
-                                              config_.pinLimitBytes);
     executive_ = std::make_unique<ChannelExecutive>(
         machine_.executor(),
         [this](const std::string &name) { return siteByName(name); },
@@ -305,8 +303,7 @@ Runtime::registerPseudoOffcodes()
         ctx.runtime = this;
         ctx.site = hostSite_.get();
         ctx.oobChannel = dep.oob;
-        auto resource = resources_.create(resources_.root(), "offcode",
-                                          spec.bindname);
+        auto resource = resources_.create(resources_.root());
         ctx.resource = resource ? resource.value() : kNoResource;
         dep.resource = ctx.resource;
 
@@ -480,7 +477,7 @@ Runtime::deployNode(const DepotEntry &entry, ExecutionSite &site,
         // deployed_ at release time: a restart-with-state-handoff
         // swaps dep.instance, so a captured raw pointer would dangle.
         auto resource = resources_.create(
-            resources_.root(), "offcode", bindname,
+            resources_.root(),
             [this, bindname, oobChannel, loader, &entry]() {
                 auto dit = deployed_.find(bindname);
                 if (dit != deployed_.end() && dit->second.instance)
@@ -526,9 +523,7 @@ Runtime::deployNode(const DepotEntry &entry, ExecutionSite &site,
 }
 
 void
-Runtime::deployGraph(LayoutGraph graph,
-                     std::vector<std::string> root_bindnames,
-                     GroupDeployCallback done)
+Runtime::deployGraph(LayoutGraph graph, DeployCallback done)
 {
     auto placement = resolver_.resolve(graph, placementSites());
     if (!placement) {
@@ -545,8 +540,7 @@ Runtime::deployGraph(LayoutGraph graph,
         Placement placement;
         std::vector<std::size_t> toDeploy;
         std::size_t next = 0;
-        GroupDeployCallback done;
-        std::vector<std::string> roots;
+        DeployCallback done;
         /**
          * Continuation for the next load step. Pending owns it and
          * the closure captures Pending, an intentional cycle that is
@@ -556,7 +550,7 @@ Runtime::deployGraph(LayoutGraph graph,
         std::function<void()> step;
 
         void
-        finish(Result<std::vector<OffcodeHandle>> outcome)
+        finish(Result<OffcodeHandle> outcome)
         {
             auto callback = std::move(done);
             step = nullptr; // break the ownership cycle
@@ -567,7 +561,6 @@ Runtime::deployGraph(LayoutGraph graph,
     pending->graph = std::move(graph);
     pending->placement = std::move(placement).value();
     pending->done = std::move(done);
-    pending->roots = std::move(root_bindnames);
 
     for (std::size_t n = 0; n < pending->graph.nodes().size(); ++n) {
         const std::string &name =
@@ -595,16 +588,8 @@ Runtime::deployGraph(LayoutGraph graph,
                 }
             }
             ++stats_.deploymentsCompleted;
-            std::vector<OffcodeHandle> handles;
-            for (const std::string &root : pending->roots) {
-                auto handle = getOffcode(root);
-                if (!handle) {
-                    pending->finish(handle.error());
-                    return;
-                }
-                handles.push_back(handle.value());
-            }
-            pending->finish(std::move(handles));
+            pending->finish(
+                getOffcode(pending->graph.root().manifest.bindname));
             return;
         }
 
@@ -641,43 +626,7 @@ Runtime::createOffcode(const std::string &odf_reference,
         return;
     }
 
-    deployGraph(std::move(graph).value(),
-                {rootEntry.value()->manifest.bindname},
-                [done = std::move(done)](
-                    Result<std::vector<OffcodeHandle>> handles) {
-                    if (!handles) {
-                        done(handles.error());
-                        return;
-                    }
-                    done(handles.value().front());
-                });
-}
-
-void
-Runtime::createOffcodeGroup(const std::vector<std::string> &odf_references,
-                            GroupDeployCallback done)
-{
-    std::vector<const DepotEntry *> roots;
-    std::vector<std::string> bindnames;
-    for (const std::string &reference : odf_references) {
-        auto entry = depot_.resolve(reference);
-        if (!entry) {
-            ++stats_.deploymentsFailed;
-            done(entry.error());
-            return;
-        }
-        roots.push_back(entry.value());
-        bindnames.push_back(entry.value()->manifest.bindname);
-    }
-
-    auto graph = LayoutGraph::buildMany(depot_, roots);
-    if (!graph) {
-        ++stats_.deploymentsFailed;
-        done(graph.error());
-        return;
-    }
-    deployGraph(std::move(graph).value(), std::move(bindnames),
-                std::move(done));
+    deployGraph(std::move(graph).value(), std::move(done));
 }
 
 Result<OffcodeHandle>
@@ -688,23 +637,6 @@ Runtime::getOffcode(const std::string &bindname)
         return Error(ErrorCode::NotFound,
                      "offcode not deployed: " + bindname);
     return OffcodeHandle{it->second.instance.get(), it->second.site};
-}
-
-Status
-Runtime::destroyOffcode(const std::string &bindname)
-{
-    auto it = deployed_.find(bindname);
-    if (it == deployed_.end())
-        return Status(ErrorCode::NotFound,
-                      "offcode not deployed: " + bindname);
-    // Release the resource subtree first: its callbacks stop the
-    // Offcode and tear down channels while the instance is alive.
-    const ResourceId resource = it->second.resource;
-    Status released = Status::success();
-    if (resource != kNoResource)
-        released = resources_.release(resource);
-    deployed_.erase(it);
-    return released;
 }
 
 void

@@ -27,7 +27,6 @@
 #include "core/executive.hh"
 #include "core/layout.hh"
 #include "core/loader.hh"
-#include "core/memory.hh"
 #include "core/offcode.hh"
 #include "core/proxy.hh"
 #include "core/resource.hh"
@@ -50,7 +49,6 @@ struct RuntimeConfig
     ResolverConfig resolver;
     /** Bus supports single-transaction multicast (PCIe-style). */
     bool busMulticast = false;
-    std::size_t pinLimitBytes = 64 * 1024 * 1024;
     LoaderCosts loaderCosts;
 
     /**
@@ -133,7 +131,6 @@ class Runtime
     OffcodeDepot &depot() { return depot_; }
     ChannelExecutive &executive() { return *executive_; }
     ResourceManager &resources() { return resources_; }
-    MemoryManager &memory() { return *memory_; }
     const RuntimeConfig &config() const { return config_; }
     const RuntimeStats &stats() const { return stats_; }
 
@@ -152,23 +149,8 @@ class Runtime
     void createOffcode(const std::string &odf_reference,
                        DeployCallback done);
 
-    using GroupDeployCallback =
-        std::function<void(Result<std::vector<OffcodeHandle>>)>;
-
-    /**
-     * Deploy several applications' root Offcodes jointly: one union
-     * layout graph, one ILP solve, shared Offcodes instantiated once
-     * (paper Section 5's multi-application scenario). @p done
-     * receives one handle per requested root, in order.
-     */
-    void createOffcodeGroup(const std::vector<std::string> &odf_references,
-                            GroupDeployCallback done);
-
     /** Look up a deployed (or pseudo) Offcode by bindname. */
     Result<OffcodeHandle> getOffcode(const std::string &bindname);
-
-    /** Tear down a deployed Offcode and its runtime resources. */
-    Status destroyOffcode(const std::string &bindname);
 
     // --- firmware OS hardening (restart-with-state-handoff) ---
     /**
@@ -244,10 +226,8 @@ class Runtime
     void watchdogSweep();
     void scheduleWatchdog();
 
-    /** Shared deployment driver behind both createOffcode flavours. */
-    void deployGraph(LayoutGraph graph,
-                     std::vector<std::string> root_bindnames,
-                     GroupDeployCallback done);
+    /** Deploy every not-yet-deployed node of @p graph, then start. */
+    void deployGraph(LayoutGraph graph, DeployCallback done);
 
     /** Deploy one node; calls done when initialized (not started). */
     void deployNode(const DepotEntry &entry, ExecutionSite &site,
@@ -269,7 +249,6 @@ class Runtime
 
     OffcodeDepot depot_;
     ResourceManager resources_;
-    std::unique_ptr<MemoryManager> memory_;
     std::unique_ptr<ChannelExecutive> executive_;
     LayoutResolver resolver_;
 

@@ -116,13 +116,6 @@ ProgrammableNic::unbindPort(net::Port port)
     net_.unbind(node_, port);
 }
 
-std::size_t
-ProgrammableNic::pendingRx() const
-{
-    std::lock_guard<exec::ModelMutex> lock(mutex_);
-    return pendingRx_.size();
-}
-
 void
 ProgrammableNic::onResetBegin()
 {

@@ -78,8 +78,6 @@ class ProgrammableNic : public Device
     std::uint64_t packetsToHost() const { return toHost_; }
     std::uint64_t packetsToDevice() const { return toDevice_; }
     std::uint64_t packetsSent() const { return sent_; }
-    /** Packets held in the rx queue while the firmware is down. */
-    std::size_t pendingRx() const;
 
   protected:
     /**

@@ -611,15 +611,6 @@ Fleet::~Fleet()
 }
 
 Host *
-Fleet::hostByName(std::string_view name)
-{
-    for (auto &host : hosts_)
-        if (host->name() == name)
-            return host.get();
-    return nullptr;
-}
-
-Host *
 Fleet::hostOf(const hw::Machine &machine)
 {
     for (auto &host : hosts_)

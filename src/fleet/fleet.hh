@@ -193,7 +193,6 @@ class Fleet
 
     std::size_t hostCount() const { return hosts_.size(); }
     Host &host(std::size_t index) { return *hosts_[index]; }
-    Host *hostByName(std::string_view name);
     /** Fleet member owning @p machine; nullptr for outside machines. */
     Host *hostOf(const hw::Machine &machine);
 

@@ -84,14 +84,6 @@ Bus::transfer(std::uint64_t bytes, Callback done)
     exec_.scheduleAt(fireAt, std::move(done));
 }
 
-sim::SimTime
-Bus::estimateCompletion(std::uint64_t bytes) const
-{
-    std::lock_guard<exec::ModelMutex> lock(mutex_);
-    const sim::SimTime start = std::max(exec_.now(), freeAt_);
-    return start + setupLatency_ + sim::transferTime(bytes, bandwidthGbps_);
-}
-
 BusStats
 Bus::stats() const
 {

@@ -57,9 +57,6 @@ class Bus
      */
     void transfer(std::uint64_t bytes, Callback done);
 
-    /** Completion time of a transfer queued now (without queuing it). */
-    sim::SimTime estimateCompletion(std::uint64_t bytes) const;
-
     /** Snapshot of the counters (safe while transfers run). */
     BusStats stats() const;
     const std::string &name() const { return name_; }

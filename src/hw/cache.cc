@@ -189,11 +189,4 @@ CacheModel::beginWindow()
     windowBase_ = totals_;
 }
 
-void
-CacheModel::flush()
-{
-    std::fill(lines_.begin(), lines_.end(), kEmpty);
-    markDirty(0, numSets());
-}
-
 } // namespace hydra::hw

@@ -79,9 +79,6 @@ class CacheModel
     /** Start a new measurement window (paper samples every 5 s). */
     void beginWindow();
 
-    /** Drop all cached lines (e.g. between benchmark scenarios). */
-    void flush();
-
     std::size_t lineBytes() const { return std::size_t{1} << lineShift_; }
     std::size_t numSets() const { return setMask_ + 1; }
 

@@ -11,13 +11,6 @@ LinearExpr::add(double coeff, VarId var)
     return *this;
 }
 
-LinearExpr &
-LinearExpr::addConstant(double value)
-{
-    constant_ += value;
-    return *this;
-}
-
 double
 LinearExpr::evaluate(const std::vector<std::int8_t> &values) const
 {

@@ -34,7 +34,6 @@ class LinearExpr
     LinearExpr() = default;
 
     LinearExpr &add(double coeff, VarId var);
-    LinearExpr &addConstant(double value);
 
     const std::vector<Term> &terms() const { return terms_; }
     double constant() const { return constant_; }

@@ -84,12 +84,6 @@ NfsServer::File::writable()
 }
 
 void
-NfsServer::putFile(const std::string &name, Bytes content)
-{
-    files_[name] = File{nullptr, std::move(content)};
-}
-
-void
 NfsServer::putFile(const std::string &name,
                    std::shared_ptr<const Bytes> content)
 {

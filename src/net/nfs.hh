@@ -56,9 +56,6 @@ class NfsServer
     NfsServer(const NfsServer &) = delete;
     NfsServer &operator=(const NfsServer &) = delete;
 
-    /** Create or replace a file. */
-    void putFile(const std::string &name, Bytes content);
-
     /**
      * Create or replace a file that shares @p content instead of
      * copying it. The file copies the buffer on its first Write

@@ -38,15 +38,4 @@ TcpPathModel::evaluate(TcpDirection direction,
     return point;
 }
 
-std::vector<TcpPathPoint>
-TcpPathModel::sweep(TcpDirection direction,
-                    const std::vector<std::size_t> &packet_sizes) const
-{
-    std::vector<TcpPathPoint> out;
-    out.reserve(packet_sizes.size());
-    for (std::size_t size : packet_sizes)
-        out.push_back(evaluate(direction, size));
-    return out;
-}
-
 } // namespace hydra::net

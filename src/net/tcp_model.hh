@@ -63,11 +63,6 @@ class TcpPathModel
     TcpPathPoint evaluate(TcpDirection direction,
                           std::size_t packet_bytes) const;
 
-    /** Evaluate a full sweep (one Fig. 1 panel). */
-    std::vector<TcpPathPoint>
-    sweep(TcpDirection direction,
-          const std::vector<std::size_t> &packet_sizes) const;
-
     const TcpCostModel &costs() const { return costs_; }
 
   private:

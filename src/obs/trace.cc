@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/json.hh"
@@ -262,17 +261,6 @@ Tracer::writeJson(std::ostream &out) const
     }
     out << "],\"otherData\":{\"clock\":\"simulated\",\"overwritten\":"
         << (total_ > n ? total_ - n : 0) << "}}";
-}
-
-bool
-Tracer::writeFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    writeJson(out);
-    out.flush();
-    return out.good();
 }
 
 } // namespace hydra::obs

@@ -112,8 +112,6 @@ class Tracer
 
     /** Serialize as Chrome trace JSON (object form, with metadata). */
     void writeJson(std::ostream &out) const;
-    /** writeJson to @p path; false on I/O failure. */
-    bool writeFile(const std::string &path) const;
 
   private:
     Tracer() = default;

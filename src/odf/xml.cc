@@ -15,15 +15,6 @@ XmlNode::attr(std::string_view key) const
     return {};
 }
 
-bool
-XmlNode::hasAttr(std::string_view key) const
-{
-    for (const auto &[name_, value] : attributes)
-        if (name_ == key)
-            return true;
-    return false;
-}
-
 const XmlNode *
 XmlNode::child(std::string_view child_name) const
 {

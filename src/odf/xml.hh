@@ -32,7 +32,6 @@ class XmlNode
 
     /** Attribute value, or empty string when absent. */
     std::string_view attr(std::string_view key) const;
-    bool hasAttr(std::string_view key) const;
 
     /** First child with the given element name, or nullptr. */
     const XmlNode *child(std::string_view child_name) const;

@@ -313,13 +313,6 @@ MpegEncoder::frameTypeFor(std::uint32_t sequence) const
     return pos % config_.pSpacing == 0 ? FrameType::P : FrameType::B;
 }
 
-void
-MpegEncoder::reset()
-{
-    reference_.clear();
-    hasReference_ = false;
-}
-
 Result<MpegEncoder::Coded>
 MpegEncoder::code(const RawFrame &frame)
 {

@@ -95,8 +95,6 @@ class MpegEncoder
     /** Frame type the GOP assigns to @p sequence. */
     FrameType frameTypeFor(std::uint32_t sequence) const;
 
-    void reset();
-
   private:
     /** A coded frame: its type and payload length (payload in rle_). */
     struct Coded

@@ -520,29 +520,6 @@ TEST_F(ChannelFixture, ReliableChannelBacklogsInsteadOfDropping)
     EXPECT_EQ(echo.dataReceived.size(), 64u);
 }
 
-TEST_F(ChannelFixture, PollWithoutHandlerQueues)
-{
-    ChannelConfig config;
-    config.targetDevice = hostSite_.name();
-    auto channel = executive_->createChannel(config, hostSite_);
-    // Second host endpoint without an offcode handler.
-    // (Use connectCreator-like path via a second offcode w/o handler
-    // is covered elsewhere; here poll on creator endpoint.)
-    EchoOffcode echo;
-    place(echo, hostSite_);
-    channel.value()->connectOffcode(echo);
-
-    // The echo writes back raw data toward the creator (endpoint 0),
-    // which has no handler -> must be pollable.
-    channel.value()->writeFrom(1, encodeData(Bytes{4}));
-    sim_.runToCompletion();
-
-    auto polled = channel.value()->poll(0);
-    ASSERT_TRUE(polled.ok());
-    EXPECT_EQ(decodeData(polled.value()).value(), (Bytes{4}));
-    EXPECT_FALSE(channel.value()->poll(0).ok());
-}
-
 TEST_F(ChannelFixture, HandlerInstallDrainsQueue)
 {
     ChannelConfig config;
@@ -835,7 +812,7 @@ TEST_F(ChannelPoolFailFixture, WriteFailsOutOfMemoryOnLocalAndRing)
     }
 }
 
-TEST_F(ChannelFixture, ThousandQueuedMessagesDrainInOrderViaPollThenHandler)
+TEST_F(ChannelFixture, ThousandQueuedMessagesDrainInOrderToALateHandler)
 {
     ChannelConfig config;
     config.targetDevice = deviceSite_->name();
@@ -862,11 +839,6 @@ TEST_F(ChannelFixture, ThousandQueuedMessagesDrainInOrderViaPollThenHandler)
                static_cast<std::size_t>(message.data()[1]) << 8;
     };
     std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < kMessages / 2; ++i) {
-        auto polled = channel.poll(0);
-        ASSERT_TRUE(polled.ok());
-        order.push_back(index(polled.value()));
-    }
     channel.installHandler(0, [&](const Payload &message, std::size_t) {
         order.push_back(index(message));
     });
@@ -874,7 +846,11 @@ TEST_F(ChannelFixture, ThousandQueuedMessagesDrainInOrderViaPollThenHandler)
     ASSERT_EQ(order.size(), kMessages);
     for (std::size_t i = 0; i < kMessages; ++i)
         EXPECT_EQ(order[i], i) << "out of order at " << i;
-    EXPECT_FALSE(channel.poll(0).ok());
+    // The queue is empty: a later write goes straight to the handler.
+    ASSERT_TRUE(channel.writeFrom(device.value(), Payload(Bytes{0xe8, 3})).ok());
+    sim_.runToCompletion();
+    ASSERT_EQ(order.size(), kMessages + 1);
+    EXPECT_EQ(order.back(), kMessages);
 }
 
 } // namespace

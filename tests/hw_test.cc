@@ -101,15 +101,6 @@ TEST(CacheTest, WindowStatsResetIndependently)
     EXPECT_EQ(cache.totals().accesses, 2u);
 }
 
-TEST(CacheTest, FlushDropsEverything)
-{
-    CacheModel cache(4096, 64, 4);
-    cache.access(0, 64, false);
-    cache.flush();
-    cache.access(0, 64, false);
-    EXPECT_EQ(cache.totals().misses, 2u);
-}
-
 TEST(CacheTest, InvalidatedSlotRefillsBeforeEvictingLru)
 {
     CacheModel cache(256, 64, 4); // 1 set x 4 ways
@@ -141,17 +132,6 @@ TEST(CacheTest, SnoopedHotLineCostsOneMissOnRetouch)
     cache.access(0, kHotBytes, false);
     EXPECT_EQ(cache.totals().misses, kHotBytes / 64 + 1);
     EXPECT_EQ(cache.totals().accesses, 3 * kHotBytes / 64);
-}
-
-TEST(CacheTest, FlushThenRetouchMissesEveryHotLine)
-{
-    CacheModel cache(kL2Bytes, 64, 8);
-    cache.access(0, kHotBytes, false);
-    cache.access(0, kHotBytes, false);
-    cache.flush();
-    cache.beginWindow();
-    cache.access(0, kHotBytes, false);
-    EXPECT_EQ(cache.windowStats().misses, cache.numSets() * 2);
 }
 
 TEST(CacheTest, RangeOverWaysPerSetThrashesOnRetouch)

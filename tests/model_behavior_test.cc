@@ -121,27 +121,6 @@ TEST(NetworkModelTest, ReceiverDownlinkSerializesConcurrentSenders)
     EXPECT_GE(deliveries[1] - deliveries[0], wire);
 }
 
-TEST(BusModelTest, EstimateMatchesActualCompletion)
-{
-    exec::SimExecutor sim;
-    hw::Bus bus(sim, "pci", 8.0, 700);
-    const sim::SimTime estimate = bus.estimateCompletion(4096);
-    sim::SimTime actual = 0;
-    bus.transfer(4096, [&]() { actual = sim.now(); });
-    sim.runToCompletion();
-    EXPECT_EQ(actual, estimate);
-}
-
-TEST(BusModelTest, ContentionDelaysLaterEstimates)
-{
-    exec::SimExecutor sim;
-    hw::Bus bus(sim, "pci", 8.0, 0);
-    bus.transfer(8192, []() {});
-    // A second transfer queues behind the first.
-    const sim::SimTime estimate = bus.estimateCompletion(8192);
-    EXPECT_GE(estimate, 2 * sim::transferTime(8192, 8.0));
-}
-
 TEST(StatsRenderTest, HistogramRenderShowsBars)
 {
     Histogram h(0.0, 10.0, 5);
@@ -152,50 +131,6 @@ TEST(StatsRenderTest, HistogramRenderShowsBars)
     EXPECT_NE(out.find("##########"), std::string::npos); // peak bin
     EXPECT_NE(out.find("\n"), std::string::npos);
     EXPECT_EQ(h.totalCount(), 51u);
-}
-
-TEST(ProxyTest, OneWayInvocationLeavesNoPending)
-{
-    exec::SimExecutor sim;
-    hw::Machine machine(sim, hw::MachineConfig{});
-    net::Network net(sim, net::NetworkConfig{});
-    dev::ProgrammableNic nic(sim, machine.bus(), net, net.addNode("n"));
-    core::HostSite host(machine);
-    core::DeviceSite device(machine, nic);
-
-    class Counter : public core::Offcode
-    {
-      public:
-        Counter() : Offcode("counter")
-        {
-            registerMethod("Tick", [this](const Bytes &) -> Result<Bytes> {
-                ++ticks;
-                return Bytes{};
-            });
-        }
-        int ticks = 0;
-    };
-
-    Counter counter;
-    core::OffcodeContext ctx;
-    ctx.site = &device;
-    counter.doInitialize(ctx);
-    counter.doStart();
-
-    core::DmaRingChannelProvider provider(sim, false);
-    auto channel = provider.create(core::ChannelConfig{});
-    ASSERT_TRUE(channel->connectCreator(host).ok());
-    channel->connectOffcode(counter);
-
-    core::Proxy proxy(*channel, counter.guid(), counter.guid());
-    for (int i = 0; i < 5; ++i)
-        ASSERT_TRUE(proxy.invokeOneWay("Tick", Bytes{}).ok());
-    sim.runToCompletion();
-
-    EXPECT_EQ(counter.ticks, 5);
-    EXPECT_EQ(proxy.pendingCalls(), 0u);
-    // One-way calls produce no Return traffic back to endpoint 0.
-    EXPECT_FALSE(channel->poll(0).ok());
 }
 
 TEST(DeviceEdgeTest, FreeLocalClampsAtZero)
@@ -220,28 +155,6 @@ TEST(NetworkEdgeTest, NodeNamesAndUnknownNode)
     EXPECT_EQ(net.nodeName(a), "alpha");
     EXPECT_EQ(net.nodeName(999), "<unknown>");
     EXPECT_EQ(net.nodeCount(), 1u);
-}
-
-TEST(StatsEdgeTest, AddAllAndClear)
-{
-    SampleSet s;
-    s.addAll({1.0, 2.0, 3.0});
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    s.clear();
-    EXPECT_TRUE(s.empty());
-}
-
-TEST(StatsEdgeTest, CdfOfConstantSeries)
-{
-    SampleSet s;
-    for (int i = 0; i < 10; ++i)
-        s.add(5.0);
-    const auto cdf = empiricalCdf(s);
-    ASSERT_EQ(cdf.size(), 1u);
-    EXPECT_DOUBLE_EQ(cdf[0].value, 5.0);
-    EXPECT_DOUBLE_EQ(cdf[0].probability, 1.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
 } // namespace

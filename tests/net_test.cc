@@ -158,6 +158,14 @@ class NfsTest : public ::testing::Test
                                               serverNode_);
     }
 
+    /** Store @p content as @p file on the server. */
+    void
+    put(const std::string &file, Bytes content)
+    {
+        server_->putFile(file,
+                         std::make_shared<const Bytes>(std::move(content)));
+    }
+
     /** Size of @p file as GetSize answers it (0 on error). */
     std::uint64_t
     sizeOf(const std::string &file)
@@ -203,7 +211,7 @@ class NfsTest : public ::testing::Test
 
 TEST_F(NfsTest, ReadReturnsFileContent)
 {
-    server_->putFile("movie", Bytes{10, 20, 30, 40, 50});
+    put("movie", Bytes{10, 20, 30, 40, 50});
     Bytes got;
     client_->read("movie", 1, 3, [&](Result<Bytes> r) {
         ASSERT_TRUE(r.ok());
@@ -216,7 +224,7 @@ TEST_F(NfsTest, ReadReturnsFileContent)
 
 TEST_F(NfsTest, ReadPastEndIsShort)
 {
-    server_->putFile("f", Bytes{1, 2, 3});
+    put("f", Bytes{1, 2, 3});
     Bytes got{9}; // sentinel
     client_->read("f", 2, 100, [&](Result<Bytes> r) {
         ASSERT_TRUE(r.ok());
@@ -249,7 +257,7 @@ TEST_F(NfsTest, WriteCreatesAndExtends)
 
 TEST_F(NfsTest, WriteOverlaysExisting)
 {
-    server_->putFile("f", Bytes{1, 1, 1, 1});
+    put("f", Bytes{1, 1, 1, 1});
     client_->write("f", 1, Bytes{9, 9}, [](Status) {});
     sim_.runToCompletion();
     EXPECT_EQ(server_->fileContent("f").value(), (Bytes{1, 9, 9, 1}));
@@ -257,7 +265,7 @@ TEST_F(NfsTest, WriteOverlaysExisting)
 
 TEST_F(NfsTest, GetSize)
 {
-    server_->putFile("f", Bytes(12345, 0));
+    put("f", Bytes(12345, 0));
     std::uint64_t size = 0;
     client_->getSize("f", [&](Result<std::uint64_t> r) {
         ASSERT_TRUE(r.ok());
@@ -269,8 +277,8 @@ TEST_F(NfsTest, GetSize)
 
 TEST_F(NfsTest, ConcurrentRequestsCorrelateByXid)
 {
-    server_->putFile("a", Bytes{1});
-    server_->putFile("b", Bytes{2});
+    put("a", Bytes{1});
+    put("b", Bytes{2});
     Bytes gotA, gotB;
     client_->read("a", 0, 1, [&](Result<Bytes> r) { gotA = r.value(); });
     client_->read("b", 0, 1, [&](Result<Bytes> r) { gotB = r.value(); });
@@ -283,7 +291,7 @@ TEST_F(NfsTest, ConcurrentRequestsCorrelateByXid)
 TEST_F(NfsTest, TwoClientsDistinctReplyPorts)
 {
     NfsClient second(net_, clientNode_, serverNode_, 40000);
-    server_->putFile("f", Bytes{5});
+    put("f", Bytes{5});
     int done = 0;
     client_->read("f", 0, 1, [&](Result<Bytes>) { ++done; });
     second.read("f", 0, 1, [&](Result<Bytes>) { ++done; });
@@ -314,7 +322,7 @@ TEST_F(NfsTest, AppendsGiveTheFileResizeAndCopyGave)
 
 TEST_F(NfsTest, WritePastEndReadsZerosInTheGap)
 {
-    server_->putFile("f", Bytes{1, 2});
+    put("f", Bytes{1, 2});
     writeAt("f", 6, Bytes{7, 8});
     EXPECT_EQ(readBack("f", 0, 100), (Bytes{1, 2, 0, 0, 0, 0, 7, 8}));
     // An append after the sparse write lands at the new end.
@@ -324,7 +332,7 @@ TEST_F(NfsTest, WritePastEndReadsZerosInTheGap)
 
 TEST_F(NfsTest, OverwriteInTheMiddleKeepsTheSize)
 {
-    server_->putFile("f", Bytes{0, 1, 2, 3, 4, 5, 6, 7});
+    put("f", Bytes{0, 1, 2, 3, 4, 5, 6, 7});
     writeAt("f", 3, Bytes{30, 40});
     EXPECT_EQ(readBack("f", 0, 100), (Bytes{0, 1, 2, 30, 40, 5, 6, 7}));
     EXPECT_EQ(sizeOf("f"), 8u);
@@ -422,7 +430,7 @@ TEST_F(NfsTest, RequestBytesMatchWireLayout)
 
 TEST_F(NfsTest, ReplyBytesMatchWireLayout)
 {
-    server_->putFile("f", Bytes{10, 20, 30, 40});
+    put("f", Bytes{10, 20, 30, 40});
     std::vector<Bytes> replies;
     capture(net_, clientNode_, 40002, replies);
     auto ask = [&](Bytes request) {
@@ -546,16 +554,6 @@ TEST(TcpModelTest, RuleOfThumbNearOneGhzPerGbpsAtMtu)
     const auto p = model.evaluate(TcpDirection::Receive, 1460);
     EXPECT_GT(p.ghzPerGbps, 0.5);
     EXPECT_LT(p.ghzPerGbps, 2.0);
-}
-
-TEST(TcpModelTest, SweepCoversAllSizes)
-{
-    TcpPathModel model;
-    const std::vector<std::size_t> sizes{64, 128, 256, 512, 1024};
-    const auto sweep = model.sweep(TcpDirection::Transmit, sizes);
-    ASSERT_EQ(sweep.size(), sizes.size());
-    for (std::size_t i = 0; i < sizes.size(); ++i)
-        EXPECT_EQ(sweep[i].packetBytes, sizes[i]);
 }
 
 } // namespace

@@ -75,14 +75,14 @@ TEST(PayloadTest, ExplicitDeepCopyIsCounted)
 {
     const Bytes bytes(32, 9);
     const auto before = payloadPoolStats().deepCopies;
-    Payload p(bytes); // explicit ctor: deliberate copy
+    Payload p{Bytes(bytes)}; // adopts its own vector: not a payload copy
     EXPECT_EQ(p, bytes);
-    EXPECT_NE(p.data(), bytes.data());
-    EXPECT_EQ(payloadPoolStats().deepCopies, before + 1);
+    EXPECT_EQ(payloadPoolStats().deepCopies, before);
 
-    const Bytes out = p.toBytes(); // materializing counts too
+    const Bytes out = p.toBytes(); // materializing is the deliberate copy
     EXPECT_EQ(out, bytes);
-    EXPECT_EQ(payloadPoolStats().deepCopies, before + 2);
+    EXPECT_NE(out.data(), p.data());
+    EXPECT_EQ(payloadPoolStats().deepCopies, before + 1);
 }
 
 TEST(PayloadTest, SliceSharesTheBuffer)

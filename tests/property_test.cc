@@ -149,12 +149,11 @@ TEST(CallRobustnessTest, EveryTruncationFailsCleanly)
     call.method = "SomeMethod";
     call.arguments = Bytes(100, 9);
     call.callId = 7;
-    const Bytes wire = call.serialize().toBytes();
+    const Payload wire = call.serialize();
 
     for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-        const Bytes truncated(wire.begin(),
-                              wire.begin() +
-                                  static_cast<std::ptrdiff_t>(cut));
+        // Each cut in its own buffer, so an over-read leaves it.
+        const Payload truncated{Bytes(wire.begin(), wire.begin() + cut)};
         auto decoded = core::Call::deserialize(truncated);
         EXPECT_FALSE(decoded.ok()) << "cut at " << cut;
     }
@@ -170,7 +169,7 @@ TEST(CallRobustnessTest, RandomGarbageNeverDecodesAsValidReturn)
             byte = static_cast<std::uint8_t>(rng.next());
         // Must never crash; may only succeed if the kind byte and
         // all length fields happen to be consistent.
-        auto ret = core::CallReturn::deserialize(garbage);
+        auto ret = core::CallReturn::deserialize(Payload(Bytes(garbage)));
         if (ret.ok()) {
             EXPECT_EQ(garbage[0],
                       static_cast<std::uint8_t>(
@@ -300,13 +299,6 @@ class ReferenceCache
             table_[tag % sets_].remove(tag);
     }
 
-    void
-    flush()
-    {
-        for (auto &set : table_)
-            set.clear();
-    }
-
   private:
     std::size_t line_, ways_, sets_;
     std::vector<std::list<std::uint64_t>> table_;
@@ -369,7 +361,7 @@ class CacheDifferentialTest
 
     /**
      * Applies one operation to the model and the reference, picked by
-     * @p op in [0, 1): 80% access, 15% snoop, 1% flush, 4% new
+     * @p op in [0, 1): 80% access, 16% snoop, 4% new
      * measurement window. The model's miss delta must match the
      * reference's after every operation, not only in the final total.
      */
@@ -387,12 +379,9 @@ class CacheDifferentialTest
                 << "access " << addr << "+" << size;
             window_.accesses += lines;
             window_.misses += misses;
-        } else if (op < 0.95) {
+        } else if (op < 0.96) {
             reference_.snoopInvalidate(addr, size);
             cache_.snoopInvalidate(addr, size);
-        } else if (op < 0.96) {
-            reference_.flush();
-            cache_.flush();
         } else {
             cache_.beginWindow();
             window_ = {};
