@@ -1,9 +1,9 @@
 /**
  * @file
  * Fleet scale bench (DESIGN.md §14): what the multi-host refactor
- * buys and what wall it removed.
+ * buys.
  *
- * Three measurements:
+ * Two measurements:
  *
  *  1. Registry-size ladder — 4 hosts on the *threaded* executor,
  *     10k -> 100k (-> 1M with --full) live streams, reporting
@@ -22,19 +22,10 @@
  *     only: the >= 2x acceptance bar for 4 hosts is held by
  *     scripts/bench_gate.py on BM_FleetOpenLoop.
  *
- *  3. Registry wall — the first wall an earlier revision hit: the
- *     executive registry was an unordered vector searched by pointer,
- *     so destroying one channel under churn cost a scan of every
- *     live channel. The executive is id-indexed now; the "legacy"
- *     column re-creates the old cost by running the same churn loop
- *     against a vector<ChannelId> mirror (find + erase) on top of
- *     the indexed destroy, which isolates exactly the removed scan.
- *
  * Usage: fleet_scale [--full] [--json FILE]
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -49,14 +40,6 @@
 using namespace hydra;
 
 namespace {
-
-double
-wallMsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 // ---------------------------------------------- registry-size ladder
 
@@ -111,87 +94,6 @@ scalingRun(std::size_t hosts)
     load.offeredMsgsPerSec = 5e6; // saturating: ~4x 1-host capacity
     load.duration = sim::milliseconds(20);
     return runOpenLoop(fleet, load);
-}
-
-// ----------------------------------------------------- registry wall
-
-struct ChurnResult
-{
-    std::size_t population = 0;
-    double indexedNsPerOp = 0.0;
-    double legacyNsPerOp = 0.0;
-};
-
-/**
- * Time @p ops destroy+recreate cycles against a population of
- * @p population live cross-host channels. With @p legacyScan, each
- * destroy first pays the old registry's cost: a linear find + erase
- * in an id vector mirroring the whole population.
- */
-ChurnResult
-churnRun(std::size_t population, std::size_t ops)
-{
-    auto executor = exec::makeExecutor(exec::ExecutorKind::Sim);
-    fleet::FleetConfig fleetConfig;
-    fleetConfig.hosts = 2;
-    fleet::Fleet fleet(*executor, fleetConfig);
-    fleet::Host &home = fleet.host(0);
-    fleet::Host &target = fleet.host(1);
-
-    core::ChannelConfig config;
-    config.name = "bench.churn";
-    config.targetDevice = target.nic().name();
-
-    const auto create = [&]() -> core::ChannelId {
-        auto created = home.executive().createChannel(
-            config, home.runtime().hostSite(), 256);
-        if (!created.ok())
-            return core::kInvalidChannel;
-        auto endpoint = created.value()->connectSite(
-            *target.runtime().siteByName(config.targetDevice));
-        (void)endpoint;
-        return created.value()->id();
-    };
-
-    std::vector<core::ChannelId> ids;
-    ids.reserve(population);
-    for (std::size_t i = 0; i < population; ++i)
-        ids.push_back(create());
-    executor->drain();
-
-    ChurnResult result;
-    result.population = population;
-
-    const auto churn = [&](bool legacyScan) {
-        // The legacy registry: an unordered vector scanned per
-        // destroy, exactly what ChannelExecutive used to keep.
-        std::vector<core::ChannelId> legacy;
-        if (legacyScan)
-            legacy = ids;
-        const auto start = std::chrono::steady_clock::now();
-        for (std::size_t k = 0; k < ops; ++k) {
-            const std::size_t slot = (k * 7919) % ids.size();
-            const core::ChannelId victim = ids[slot];
-            if (legacyScan) {
-                auto it = std::find(legacy.begin(), legacy.end(), victim);
-                if (it != legacy.end())
-                    legacy.erase(it);
-            }
-            home.executive().destroyChannelById(victim);
-            ids[slot] = create();
-            if (legacyScan)
-                legacy.push_back(ids[slot]);
-            if (k % 512 == 511)
-                executor->drain();
-        }
-        const double ms = wallMsSince(start);
-        executor->drain();
-        return ms * 1e6 / static_cast<double>(ops);
-    };
-
-    result.indexedNsPerOp = churn(false);
-    result.legacyNsPerOp = churn(true);
-    return result;
 }
 
 } // namespace
@@ -252,21 +154,6 @@ main(int argc, char **argv)
                 "bench_gate.py)\n",
                 ratio);
 
-    // 3. Registry wall (churn before/after the id-indexed registry).
-    std::printf("\n== registry wall: destroy+create under churn, "
-                "2 hosts, cross-host streams ==\n");
-    std::printf("%10s %16s %16s %9s\n", "population", "legacy-ns/op",
-                "indexed-ns/op", "speedup");
-    std::vector<ChurnResult> walls;
-    for (std::size_t population : {10000ul, 100000ul}) {
-        walls.push_back(churnRun(population, 2000));
-        const ChurnResult &wall = walls.back();
-        std::printf("%10zu %16.0f %16.0f %8.1fx\n", wall.population,
-                    wall.legacyNsPerOp, wall.indexedNsPerOp,
-                    wall.legacyNsPerOp /
-                        std::max(wall.indexedNsPerOp, 1.0));
-    }
-
     if (!jsonOut.empty()) {
         std::ofstream out(jsonOut);
         if (!out) {
@@ -303,24 +190,7 @@ main(int argc, char **argv)
             << one.deliveredPerVirtualSec
             << ", \"four_host_vmsgs_per_sec\": "
             << four.deliveredPerVirtualSec << ", \"ratio\": " << ratio
-            << ", \"acceptance_min\": 2.0},\n";
-        out << "  \"registry_wall\": {\n"
-            << "    \"description\": \"Churn cost of the executive "
-               "registry. 'legacy' re-creates the pre-refactor "
-               "unordered-vector registry (linear find + erase per "
-               "destroy) on top of the indexed destroy; 'indexed' is "
-               "the shipped id-keyed map. The scan cost grows with "
-               "the live-channel population; the indexed cost does "
-               "not.\",\n    \"churn_ops\": 2000,\n    \"rows\": [";
-        for (std::size_t i = 0; i < walls.size(); ++i)
-            out << (i ? "," : "") << "\n      {\"population\": "
-                << walls[i].population << ", \"legacy_ns_per_op\": "
-                << walls[i].legacyNsPerOp << ", \"indexed_ns_per_op\": "
-                << walls[i].indexedNsPerOp << ", \"speedup\": "
-                << walls[i].legacyNsPerOp /
-                       std::max(walls[i].indexedNsPerOp, 1.0)
-                << "}";
-        out << "\n    ]\n  }\n}\n";
+            << ", \"acceptance_min\": 2.0}\n}\n";
         std::printf("\n(wrote %s)\n", jsonOut.c_str());
     }
 
