@@ -179,24 +179,30 @@ NfsServer::onRequest(const Packet &request)
 
     // Reply: [status u8][xid u64][request op u8], then the
     // length-prefixed result or the error string.
-    PayloadBuilder builder;
-    ByteWriter writer(builder.buffer());
-    writer.writeU8(static_cast<std::uint8_t>(error ? NfsOp::ReplyError
-                                                   : NfsOp::ReplyOk));
-    writer.writeU64(req.xid);
-    writer.writeU8(static_cast<std::uint8_t>(req.op));
-    if (error)
-        writer.writeString(error);
-    else
-        writer.writeBytes(result);
+    const auto reply = [&](const char *failure) {
+        PayloadBuilder builder;
+        ByteWriter writer(builder.buffer());
+        writer.writeU8(static_cast<std::uint8_t>(
+            failure ? NfsOp::ReplyError : NfsOp::ReplyOk));
+        writer.writeU64(req.xid);
+        writer.writeU8(static_cast<std::uint8_t>(req.op));
+        if (failure)
+            writer.writeString(failure);
+        else
+            writer.writeBytes(result);
 
-    Packet reply;
-    reply.src = node_;
-    reply.dst = request.src;
-    reply.srcPort = kNfsPort;
-    reply.dstPort = request.srcPort;
-    reply.payload = builder.seal();
-    net_.send(std::move(reply));
+        Packet packet;
+        packet.src = node_;
+        packet.dst = request.src;
+        packet.srcPort = kNfsPort;
+        packet.dstPort = request.srcPort;
+        packet.payload = builder.seal();
+        return net_.send(std::move(packet));
+    };
+    // A result too large for one packet goes back as an error, so
+    // the client is not left waiting for a reply that never comes.
+    if (!reply(error) && !error)
+        reply("reply too large");
 }
 
 NfsClient::NfsClient(Network &network, NodeId node, NodeId server,
@@ -215,13 +221,13 @@ NfsClient::~NfsClient()
     net_.unbind(node_, replyPort_);
 }
 
-std::uint64_t
-NfsClient::sendRequest(NfsOp op, const std::string &file,
+void
+NfsClient::sendRequest(Pending pending, const std::string &file,
                        std::uint64_t offset, std::uint32_t length,
                        std::span<const std::uint8_t> data)
 {
     Request req;
-    req.op = op;
+    req.op = pending.op;
     req.xid = nextXid_++;
     req.file = file;
     req.offset = offset;
@@ -234,43 +240,58 @@ NfsClient::sendRequest(NfsOp op, const std::string &file,
     packet.srcPort = replyPort_;
     packet.dstPort = kNfsPort;
     packet.payload = encodeRequest(req);
-    net_.send(std::move(packet));
-    return req.xid;
+    Status sent = net_.send(std::move(packet));
+    if (sent)
+        pending_[req.xid] = std::move(pending);
+    else
+        fail(pending, sent.error());
+}
+
+void
+NfsClient::fail(Pending &pending, const Error &error)
+{
+    switch (pending.op) {
+      case NfsOp::Read:
+        pending.onRead(error);
+        break;
+      case NfsOp::Write:
+        pending.onWrite(Status(error));
+        break;
+      case NfsOp::GetSize:
+        pending.onSize(error);
+        break;
+      default:
+        break;
+    }
 }
 
 void
 NfsClient::read(const std::string &file, std::uint64_t offset,
                 std::uint32_t length, ReadCallback done)
 {
-    const std::uint64_t xid =
-        sendRequest(NfsOp::Read, file, offset, length);
     Pending pending;
     pending.op = NfsOp::Read;
     pending.onRead = std::move(done);
-    pending_[xid] = std::move(pending);
+    sendRequest(std::move(pending), file, offset, length);
 }
 
 void
 NfsClient::write(const std::string &file, std::uint64_t offset,
                  const Bytes &data, WriteCallback done)
 {
-    const std::uint64_t xid =
-        sendRequest(NfsOp::Write, file, offset, 0, data);
     Pending pending;
     pending.op = NfsOp::Write;
     pending.onWrite = std::move(done);
-    pending_[xid] = std::move(pending);
+    sendRequest(std::move(pending), file, offset, 0, data);
 }
 
 void
 NfsClient::getSize(const std::string &file, SizeCallback done)
 {
-    const std::uint64_t xid =
-        sendRequest(NfsOp::GetSize, file, 0, 0);
     Pending pending;
     pending.op = NfsOp::GetSize;
     pending.onSize = std::move(done);
-    pending_[xid] = std::move(pending);
+    sendRequest(std::move(pending), file, 0, 0);
 }
 
 void
@@ -297,21 +318,8 @@ NfsClient::onReply(const Packet &reply)
 
     if (!ok) {
         auto message = reader.readString();
-        Error error(ErrorCode::NotFound,
-                    message ? message.value() : "nfs error");
-        switch (pending.op) {
-          case NfsOp::Read:
-            pending.onRead(error);
-            break;
-          case NfsOp::Write:
-            pending.onWrite(Status(error));
-            break;
-          case NfsOp::GetSize:
-            pending.onSize(error);
-            break;
-          default:
-            break;
-        }
+        fail(pending, Error(ErrorCode::NotFound,
+                            message ? message.value() : "nfs error"));
         return;
     }
 

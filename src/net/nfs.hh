@@ -134,9 +134,16 @@ class NfsClient
     };
 
     void onReply(const Packet &reply);
-    std::uint64_t sendRequest(NfsOp op, const std::string &file,
-                              std::uint64_t offset, std::uint32_t length,
-                              std::span<const std::uint8_t> data = {});
+    /**
+     * Send @p pending's request and register it for the reply; when
+     * the network refuses the request (e.g. above maxPayload), the
+     * callback gets the error instead.
+     */
+    void sendRequest(Pending pending, const std::string &file,
+                     std::uint64_t offset, std::uint32_t length,
+                     std::span<const std::uint8_t> data = {});
+    /** Fire @p pending's callback with @p error. */
+    static void fail(Pending &pending, const Error &error);
 
     Network &net_;
     NodeId node_;

@@ -468,6 +468,40 @@ TEST_F(NfsTest, ReplyBytesMatchWireLayout)
               (Bytes{10, 20, 30, 50, 60}));
 }
 
+TEST_F(NfsTest, WriteAboveMaxPayloadFailsWithoutAReply)
+{
+    // 70,000 bytes do not fit one 64 KiB packet: the network refuses
+    // the request, and the callback still fires, with the error.
+    bool called = false;
+    Status result = Status::success();
+    client_->write("f", 0, Bytes(70000, 1), [&](Status s) {
+        called = true;
+        result = s;
+    });
+    sim_.runToCompletion();
+    EXPECT_TRUE(called);
+    EXPECT_FALSE(result.ok());
+    EXPECT_EQ(client_->outstanding(), 0u);
+    EXPECT_FALSE(server_->hasFile("f"));
+}
+
+TEST_F(NfsTest, ReadAboveMaxPayloadRepliesWithAnError)
+{
+    // The request fits; the 70,000-byte reply does not, so the server
+    // answers ReplyError instead of leaving the client waiting.
+    put("big", Bytes(70000, 3));
+    bool called = false;
+    bool ok = true;
+    client_->read("big", 0, 70000, [&](Result<Bytes> r) {
+        called = true;
+        ok = r.ok();
+    });
+    sim_.runToCompletion();
+    EXPECT_TRUE(called);
+    EXPECT_FALSE(ok);
+    EXPECT_EQ(client_->outstanding(), 0u);
+}
+
 TEST_F(NfsTest, WriteBeyondMaxFileSizeIsRejected)
 {
     // The write's end offset is wire data: a corrupted or hostile
