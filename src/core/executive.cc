@@ -32,10 +32,10 @@ ChannelExecutive::registerProvider(std::unique_ptr<ChannelProvider> provider)
 }
 
 void
-ChannelExecutive::setRemoteSiteLookup(
+ChannelExecutive::setSiteLookup(
     std::function<ExecutionSite *(const std::string &)> lookup)
 {
-    remoteLookup_ = std::move(lookup);
+    siteLookup_ = std::move(lookup);
 }
 
 Result<Channel *>
@@ -49,8 +49,6 @@ ChannelExecutive::createChannel(const ChannelConfig &config,
     ExecutionSite *target = nullptr;
     if (!config.targetDevice.empty()) {
         target = siteLookup_(config.targetDevice);
-        if (!target && remoteLookup_)
-            target = remoteLookup_(config.targetDevice);
         if (!target)
             return Error(ErrorCode::NotFound,
                          "unknown target device: " + config.targetDevice);

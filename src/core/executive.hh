@@ -13,10 +13,10 @@
  * newest — walks neighbouring slots instead of a node-based map's
  * scattered heap nodes, and destroyChannelById is O(1). Id 0
  * (kInvalidChannel) is never owned: findChannel(0) is nullptr and
- * destroyChannelById(0) is NotFound. Cross-host targets resolve
- * through an optional secondary site lookup (installed by
- * fleet::Fleet) and are served by a provider that frames messages
- * over NIC/network packets.
+ * destroyChannelById(0) is NotFound. Targets resolve through one
+ * site lookup; fleet::Fleet replaces it with one that also finds
+ * other hosts' sites, served by a provider that frames messages over
+ * NIC/network packets.
  */
 
 #ifndef HYDRA_CORE_EXECUTIVE_HH
@@ -58,12 +58,11 @@ class ChannelExecutive
     void registerProvider(std::unique_ptr<ChannelProvider> provider);
 
     /**
-     * Secondary site lookup consulted when the local one misses —
-     * the fleet installs cross-host resolution here ("hostN" or any
-     * other host's device name). Set during fleet bring-up, before
-     * channels are created.
+     * Replace the site lookup that resolves config.targetDevice — the
+     * fleet installs one that resolves every host's sites. Set during
+     * fleet bring-up, before channels are created.
      */
-    void setRemoteSiteLookup(
+    void setSiteLookup(
         std::function<ExecutionSite *(const std::string &)> lookup);
 
     /**
@@ -126,7 +125,6 @@ class ChannelExecutive
     std::vector<Channel *> snapshot() const;
 
     std::function<ExecutionSite *(const std::string &)> siteLookup_;
-    std::function<ExecutionSite *(const std::string &)> remoteLookup_;
     /** A provider plus its `channel.created{provider=...}` handle,
      * bound at the provider's first create (so series register in
      * the same order as an uncached lookup would) and read and

@@ -591,11 +591,16 @@ Fleet::Fleet(exec::Executor &executor, FleetConfig config)
         for (const core::SiteInfo &info : host->runtime().placementSites())
             siteIndex_.emplace(info.site->name(), info.site);
 
-    // Stitch the shards: cross-host name resolution plus the remote
-    // provider, per host.
+    // Stitch the shards: one site lookup per host (the fleet's index
+    // first, then the home runtime for the host-local "host" alias)
+    // plus the remote provider. Site names are host-prefixed, so the
+    // index finds a home site exactly where the runtime would.
     for (auto &host : hosts_) {
-        host->executive().setRemoteSiteLookup(
-            [this](const std::string &name) { return findSite(name); });
+        host->executive().setSiteLookup(
+            [this, home = &host->runtime()](const std::string &name) {
+                core::ExecutionSite *site = findSite(name);
+                return site ? site : home->siteByName(name);
+            });
         host->executive().registerProvider(
             std::make_unique<RemoteChannelProvider>(*this, *host));
     }

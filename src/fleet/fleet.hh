@@ -201,7 +201,7 @@ class Fleet
     Host &homeOf(std::string_view key);
 
     /**
-     * Resolve a site name across every host (the shards' remote
+     * Resolve a site name across every host (the shards' site
      * lookup): "host2.host", "host2-nic", or any attached device
      * name. The generic aliases ("host") stay host-local. One hash
      * lookup in the index built with the fleet; a miss scans every
