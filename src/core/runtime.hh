@@ -3,7 +3,7 @@
  * The HYDRA runtime — the Offloading Access Layer (paper Section 4).
  *
  * One Runtime instance exists per host machine. It owns the Offcode
- * Depot, Channel Executive, Resource/Memory/Layout Management units,
+ * Depot, Channel Executive, Resource and Layout Management units,
  * per-device loaders, and the deployed Offcode instances. The
  * deployment pipeline implements the paper's Fig. 5 control flow:
  * process ODFs -> build offloading layout graph -> resolve device
