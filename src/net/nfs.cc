@@ -201,7 +201,8 @@ NfsServer::onRequest(const Packet &request)
     };
     // A result too large for one packet goes back as an error, so
     // the client is not left waiting for a reply that never comes.
-    if (!reply(error) && !error)
+    const Status sent = reply(error);
+    if (!sent && !error && sent.error().code == ErrorCode::MessageTooLarge)
         reply("reply too large");
 }
 
