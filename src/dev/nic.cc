@@ -218,9 +218,8 @@ ProgrammableNic::sendFromDevice(net::Packet packet)
 }
 
 Status
-ProgrammableNic::sendFromHost(net::Packet packet, hw::Addr host_buffer)
+ProgrammableNic::sendFromHost(net::Packet packet)
 {
-    (void)host_buffer; // the cache/copy interaction is the caller's
     packet.src = node_;
     const std::uint64_t bytes = packet.payload.size();
     ++sent_;

@@ -70,10 +70,11 @@ class ProgrammableNic : public Device
 
     /**
      * Transmit a packet whose payload lives in host memory: one DMA
-     * crossing device-ward, then the wire. @p host_buffer is the
-     * payload's host address (cache interaction handled by caller).
+     * crossing device-ward, then the wire. The DMA reads host memory
+     * without the CPU, so the caller models any copy that staged the
+     * payload in the host cache.
      */
-    Status sendFromHost(net::Packet packet, hw::Addr host_buffer);
+    Status sendFromHost(net::Packet packet);
 
     std::uint64_t packetsToHost() const { return toHost_; }
     std::uint64_t packetsToDevice() const { return toDevice_; }

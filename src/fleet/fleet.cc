@@ -184,12 +184,10 @@ class RemoteChannel : public core::Channel
         metrics.bytes.add(message.size());
 
         const sim::SimTime sentAt = home_.machine().executor().now();
-        Wire &src = wires_[from];
-
         for (std::size_t to = 0; to < endpoints_.size(); ++to) {
             if (to == from)
                 continue;
-            if (wires_[to].host == src.host) {
+            if (hosts_[to] == hosts_[from]) {
                 sendLocalLeg(from, to, message, sentAt);
                 continue;
             }
@@ -221,26 +219,13 @@ class RemoteChannel : public core::Channel
         auto added = Channel::addEndpoint(site);
         if (!added)
             return added;
-        Wire wire;
-        wire.host = owner;
-        if (site.isHost())
-            wire.txBuffer = owner->machine().os().allocRegion(
-                config_.maxMessageBytes + kWireHeaderBytes);
-        wires_.push_back(wire);
+        hosts_.push_back(owner);
         growSeqs();
         return added;
     }
 
   private:
     friend class Host;
-
-    /** Per-endpoint wire state, parallel to endpoints_. */
-    struct Wire
-    {
-        Host *host = nullptr;
-        /** Host-side tx staging region (0 for device endpoints). */
-        hw::Addr txBuffer = 0;
-    };
 
     /** Sequence state of one ordered endpoint pair (a, b). */
     struct PairSeq
@@ -255,7 +240,7 @@ class RemoteChannel : public core::Channel
     PairSeq &
     pairSeq(std::size_t a, std::size_t b)
     {
-        return seqs_[a * wires_.size() + b];
+        return seqs_[a * hosts_.size() + b];
     }
 
     /**
@@ -267,7 +252,7 @@ class RemoteChannel : public core::Channel
     void
     growSeqs()
     {
-        const std::size_t n = wires_.size() - 1;
+        const std::size_t n = hosts_.size() - 1;
         seqs_.resize((n + 1) * (n + 1));
         for (std::size_t row = n; row-- > 0;) {
             seqs_[row * (n + 1) + n] = PairSeq{};
@@ -287,7 +272,7 @@ class RemoteChannel : public core::Channel
     {
         if (endpoints_[from].site)
             endpoints_[from].site->run(kCosts.enqueueCycles);
-        Host *owner = wires_[from].host;
+        Host *owner = hosts_[from];
         const core::ChannelId channel = id();
         owner->machine().executor().schedule(
             kCosts.localLatency,
@@ -307,7 +292,7 @@ class RemoteChannel : public core::Channel
     sendWireLeg(std::size_t from, std::size_t to, const Payload &message,
                 sim::SimTime sentAt)
     {
-        Wire &src = wires_[from];
+        Host *const src = hosts_[from];
         const std::uint64_t seq = pairSeq(from, to).tx++;
 
         PayloadBuilder builder;
@@ -323,7 +308,7 @@ class RemoteChannel : public core::Channel
         remoteMetrics().wireCopies.increment();
 
         net::Packet packet;
-        packet.dst = wires_[to].host->node();
+        packet.dst = hosts_[to]->node();
         packet.dstPort = endpoints_[to].site->isHost() ? kFleetHostPort
                                                        : kFleetDevicePort;
         packet.srcPort = endpoints_[from].site->isHost()
@@ -336,9 +321,8 @@ class RemoteChannel : public core::Channel
         if (endpoints_[from].site)
             endpoints_[from].site->run(kCosts.txDescriptorCycles);
         Status sent = endpoints_[from].site->isHost()
-                          ? src.host->nic().sendFromHost(
-                                std::move(packet), src.txBuffer)
-                          : src.host->nic().sendFromDevice(
+                          ? src->nic().sendFromHost(std::move(packet))
+                          : src->nic().sendFromDevice(
                                 std::move(packet));
         if (!sent) {
             remoteMetrics().dropped.increment();
@@ -383,10 +367,11 @@ class RemoteChannel : public core::Channel
     Host &home_;
     std::size_t wireLimit_;
     exec::RecursiveModelMutex mutex_;
-    // Inline slots hold a unicast channel's state: two wires, a 2x2
-    // sequence table and at most two routed hosts.
-    SmallVector<Wire, 2> wires_;
-    /** Flat n x n sequence table, n = wires_.size(); see pairSeq(). */
+    // Inline slots hold a unicast channel's state: two endpoint hosts,
+    // a 2x2 sequence table and at most two routed hosts.
+    /** Each endpoint's host, parallel to endpoints_. */
+    SmallVector<Host *, 2> hosts_;
+    /** Flat n x n sequence table, n = hosts_.size(); see pairSeq(). */
     SmallVector<PairSeq, 4> seqs_;
     /** Hosts whose fabric tables carry our id (dtor unregisters). */
     SmallVector<Host *, 2> routedHosts_;

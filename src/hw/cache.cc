@@ -13,9 +13,10 @@ namespace {
  * displaces moves one slot towards LRU, until the touched line's old
  * slot absorbs the carry (hit) or the LRU tag or an empty slot falls
  * off the end (miss). A separate search and shift would compile to a
- * memmove call per line. Returns true on a miss.
+ * memmove call per line. Returns the slot the carry stopped at, which
+ * is @p ways on a miss.
  */
-[[gnu::always_inline]] inline bool
+[[gnu::always_inline]] inline std::size_t
 touch(Addr *const set, const std::size_t ways, const Addr line)
 {
     Addr carry = line;
@@ -27,7 +28,18 @@ touch(Addr *const set, const std::size_t ways, const Addr line)
             break;
         carry = displaced;
     }
-    return w == ways;
+    return w;
+}
+
+/** Touch lines first..last in order; returns the number of misses. */
+[[gnu::always_inline]] inline std::uint64_t
+walk(Addr *const lines, const std::size_t ways, const Addr mask,
+     const Addr first, const Addr last)
+{
+    std::uint64_t misses = 0;
+    for (Addr line = first; line <= last; ++line)
+        misses += touch(lines + (line & mask) * ways, ways, line) == ways;
+    return misses;
 }
 
 } // namespace
@@ -53,13 +65,15 @@ CacheModel::CacheModel(std::size_t capacity_bytes, std::size_t line_bytes,
     setMask_ = num_sets - 1;
     lines_.assign(num_sets * ways, kEmpty);
     dirty_.assign((num_sets + 63) / 64, 0);
+    deferred_.assign(num_sets, 0);
+    deferredBits_.assign(dirty_.size(), 0);
 }
 
-// Pinned to a 64 B boundary, and built with loops on 32 B boundaries
-// (src/hw/CMakeLists.txt): the carry loop is a few instructions with a
-// data-dependent exit, and its speed swung by 30-50% with where
-// unrelated code changes placed it, worst when it straddled a 32 B
-// fetch block.
+// Pinned to a 64 B boundary, and built with loops and jump targets on
+// 32 B boundaries (src/hw/CMakeLists.txt): the carry loop is a few
+// instructions with a data-dependent exit, and its speed swung by
+// 30-50% with where unrelated code changes placed it, worst when it
+// straddled a 32 B fetch block.
 __attribute__((aligned(64))) void
 CacheModel::access(Addr addr, std::size_t size, bool is_write)
 {
@@ -68,33 +82,110 @@ CacheModel::access(Addr addr, std::size_t size, bool is_write)
         return;
     const Addr first = addr >> lineShift_;
     const Addr last = (addr + size - 1) >> lineShift_;
+    // With no range remembered there is nothing to keep clean, so
+    // accesses that never build one pay no bookkeeping.
+    if (replayFirst_ != kEmpty) {
+        accessWithRange(first, last);
+        return;
+    }
+    // Locals, not members: stores through the sets may alias `this`.
+    totals_.misses += walk(lines_.data(), ways_, setMask_, first, last);
+    totals_.accesses += last - first + 1;
+    remember(first, last);
+}
+
+template <typename Fn>
+void
+CacheModel::forEachDeferred(Fn fn)
+{
+    for (std::size_t i = 0; i < deferredBits_.size(); ++i) {
+        for (std::uint64_t b = deferredBits_[i]; b != 0; b &= b - 1)
+            fn(Addr{i} * 64 + std::countr_zero(b));
+        deferredBits_[i] = 0;
+    }
+}
+
+// Pinned like access(): the OS housekeeping tick's stream runs its
+// carry loop here.
+__attribute__((aligned(64))) void
+CacheModel::accessWithRange(Addr first, Addr last)
+{
     if (first == replayFirst_ && last == replayLast_) {
         replay();
         return;
     }
-    // Locals, not members: stores through `set` may alias `this`.
     const std::size_t ways = ways_;
     const Addr mask = setMask_;
     Addr *const lines = lines_.data();
     std::uint64_t misses = 0;
-    for (Addr line = first; line <= last; ++line)
-        misses += touch(lines + (line & mask) * ways, ways, line);
-    const Addr count = last - first + 1;
-    totals_.accesses += count;
-    totals_.misses += misses;
-
-    if (count >= mask + 1 && count <= (mask + 1) * ways) {
-        // One to `ways` lines in every set: each set now holds its
-        // lines of this range MRU first, so remember it with every set
-        // clean.
-        replayFirst_ = first;
-        replayLast_ = last;
-        std::fill(dirty_.begin(), dirty_.end(), 0);
-    } else if (replayFirst_ != kEmpty) {
-        // With no range remembered there is nothing to keep clean, so
-        // accesses that never build one pay no bookkeeping.
-        markDirty(first, count);
+    if (last - first < mask) {
+        // Fewer lines than sets, so each set is touched at most once.
+        const Addr rangeFirst = replayFirst_;
+        const Addr rangeSpan = replayLast_ - replayFirst_;
+        const Addr perSet = rangePerSet_;
+        const Addr extra = rangeExtra_;
+        const std::uint64_t *const dirty = dirty_.data();
+        std::uint32_t *const deferred = deferred_.data();
+        std::uint64_t *const deferredBits = deferredBits_.data();
+        for (Addr line = first; line <= last; ++line) {
+            const Addr set = line & mask;
+            Addr *const row = lines + set * ways;
+            // Wraps past rangeSpan for a line below the range.
+            const Addr offset = line - rangeFirst;
+            const bool clean = !(dirty[set >> 6] >> (set & 63) & 1);
+            if (clean && offset > rangeSpan) {
+                // Behind the set's k range lines: the order the next
+                // replay would leave. Unless all of the set's other
+                // slots already hold deferred lines, a miss there
+                // evicts what it would in the full set.
+                const std::size_t k = perSet + ((offset & mask) < extra);
+                const std::uint32_t t = deferred[set];
+                if (k + t < ways) {
+                    const std::size_t w = touch(row + k, ways - k, line);
+                    misses += w == ways - k;
+                    if (w >= t) {
+                        // A miss, or a hit below the deferred lines.
+                        deferred[set] = t + 1;
+                        deferredBits[set >> 6] |= std::uint64_t{1}
+                                                  << (set & 63);
+                    }
+                    continue;
+                }
+            }
+            markDirty(set);
+            misses += touch(row, ways, line) == ways;
+        }
+    } else {
+        // This access may set a new range, and otherwise dirties every
+        // set: put the deferred sets back in LRU order first.
+        forEachDeferred([this](Addr set) { markDirty(set); });
+        misses = walk(lines, ways, mask, first, last);
+        if (!remember(first, last)) {
+            std::fill(dirty_.begin(), dirty_.end(), ~std::uint64_t{0});
+            // Fewer than 64 sets: keep the bits of absent sets clear.
+            if (mask + 1 < 64)
+                dirty_[0] = ~std::uint64_t{0} >> (64 - (mask + 1));
+        }
     }
+    totals_.accesses += last - first + 1;
+    totals_.misses += misses;
+}
+
+bool
+CacheModel::remember(Addr first, Addr last)
+{
+    // One to `ways` lines in every set: each set now holds its lines
+    // of this range MRU first, so remember it with every set clean.
+    const Addr count = last - first + 1;
+    const Addr sets = setMask_ + 1;
+    if (count < sets || count > sets * ways_)
+        return false;
+    replayFirst_ = first;
+    replayLast_ = last;
+    rangePerSet_ = count >> std::countr_zero(sets);
+    rangeExtra_ = count & setMask_;
+    std::fill(dirty_.begin(), dirty_.end(), 0);
+    return true;
 }
 
 // Pinned like access(), for the same reason.
@@ -107,6 +198,12 @@ CacheModel::replay()
     const std::uint64_t *const dirty = dirty_.data();
     const Addr first = replayFirst_;
     const Addr last = replayLast_;
+    // A deferred set already holds what this replay would leave.
+    forEachDeferred([this](Addr set) { deferred_[set] = 0; });
+    totals_.accesses += last - first + 1;
+    if (std::none_of(dirty_.begin(), dirty_.end(),
+                     [](std::uint64_t w) { return w != 0; }))
+        return;
     const Addr word = std::min<Addr>(mask + 1, 64);
     std::uint64_t misses = 0;
     // Ascending over the range, one dirty word's run of sets at a time:
@@ -119,40 +216,38 @@ CacheModel::replay()
         const std::uint64_t bits = (dirty[set >> 6] >> (set & 63)) & all;
         if (bits == all) {
             for (Addr l = line; l < line + span; ++l)
-                misses += touch(lines + (l & mask) * ways, ways, l);
+                misses +=
+                    touch(lines + (l & mask) * ways, ways, l) == ways;
         } else {
             for (std::uint64_t b = bits; b != 0; b &= b - 1) {
                 const Addr l = line + std::countr_zero(b);
-                misses += touch(lines + (l & mask) * ways, ways, l);
+                misses +=
+                    touch(lines + (l & mask) * ways, ways, l) == ways;
             }
         }
         line += span;
     }
     std::fill(dirty_.begin(), dirty_.end(), 0);
-    totals_.accesses += last - first + 1;
     totals_.misses += misses;
 }
 
 void
-CacheModel::markDirty(Addr first, Addr count)
+CacheModel::markDirty(Addr set)
 {
-    const Addr sets = numSets();
-    if (count >= sets) {
-        std::fill(dirty_.begin(), dirty_.end(), ~std::uint64_t{0});
-        // Fewer than 64 sets: keep the bits of absent sets clear.
-        if (sets < 64)
-            dirty_[0] = ~std::uint64_t{0} >> (64 - sets);
-        return;
+    std::uint32_t &t = deferred_[set];
+    if (t != 0) {
+        Addr *const row = lines_.data() + set * ways_;
+        const std::size_t k = rangeLines(set);
+        std::rotate(row, row + k, row + k + t);
+        t = 0;
     }
-    // The run of sets from first's onwards, wrapping, a word at a time.
-    const Addr word = std::min<Addr>(sets, 64);
-    for (Addr set = first & setMask_; count > 0;) {
-        const Addr bit = set & (word - 1);
-        const Addr take = std::min(count, word - bit);
-        dirty_[set >> 6] |= (~std::uint64_t{0} >> (64 - take)) << bit;
-        set = (set + take) & setMask_;
-        count -= take;
-    }
+    dirty_[set >> 6] |= std::uint64_t{1} << (set & 63);
+}
+
+std::size_t
+CacheModel::rangeLines(Addr set) const
+{
+    return rangePerSet_ + (((set - replayFirst_) & setMask_) < rangeExtra_);
 }
 
 void
@@ -162,15 +257,18 @@ CacheModel::snoopInvalidate(Addr addr, std::size_t size)
         return;
     const Addr last = (addr + size - 1) >> lineShift_;
     for (Addr line = addr >> lineShift_; line <= last; ++line) {
-        Addr *const set = lines_.data() + (line & setMask_) * ways_;
-        Addr *const end = set + ways_;
-        Addr *const hit = std::find(set, end, line);
-        if (hit == end)
+        const Addr set = line & setMask_;
+        Addr *const row = lines_.data() + set * ways_;
+        Addr *const end = row + ways_;
+        if (std::find(row, end, line) == end)
             continue;
+        // In LRU order before the line leaves (a no-op on a set that
+        // is not deferred).
+        markDirty(set);
+        Addr *const hit = std::find(row, end, line);
         // Close the gap so the empty slot joins the tail.
         std::copy(hit + 1, end, hit);
         end[-1] = kEmpty;
-        markDirty(line, 1);
     }
 }
 

@@ -49,6 +49,17 @@ struct CacheStats
  * model remembers the last such range and a bitmap of the sets changed
  * since; a repeat of that range walks only the marked sets and counts
  * the rest as hits.
+ *
+ * Deferred replay: a line outside the range that lands in a clean set
+ * holding k range lines is stored at slot k, behind them, which is
+ * where the next replay would move it. The set stays clean and counts
+ * the t lines so stored; the next replay only resets that count. An
+ * operation that cannot keep this order (a touch of a range line, a
+ * miss that would evict a range line, a snoop, an access of numSets()
+ * lines or more) first rotates the t lines back in front of the range
+ * lines, which is the set's true LRU order, and marks the set dirty.
+ * Miss counts and set contents are the same as without either
+ * shortcut.
  */
 class CacheModel
 {
@@ -86,10 +97,19 @@ class CacheModel
     /** Marks an empty slot; no line number reaches it (lines >= 2 B). */
     static constexpr Addr kEmpty = ~Addr{0};
 
+    /** access() of lines first..last while a range is remembered. */
+    void accessWithRange(Addr first, Addr last);
+    /** Remember lines first..last if they put one to `ways` lines in
+     *  every set; returns whether they did. */
+    bool remember(Addr first, Addr last);
     /** Re-run the remembered range on its dirty sets only. */
     void replay();
-    /** Mark the sets of @p count lines from line @p first dirty. */
-    void markDirty(Addr first, Addr count);
+    /** Rotate @p set back to LRU order if deferred, and mark it dirty. */
+    void markDirty(Addr set);
+    /** Call @p fn on each set deferredBits_ marks, clearing the marks. */
+    template <typename Fn> void forEachDeferred(Fn fn);
+    /** Lines of the remembered range that map to @p set. */
+    std::size_t rangeLines(Addr set) const;
 
     unsigned lineShift_;
     Addr setMask_;
@@ -99,8 +119,17 @@ class CacheModel
     /** Line numbers of the remembered range; kEmpty until one is. */
     Addr replayFirst_ = kEmpty;
     Addr replayLast_ = kEmpty;
+    /** Range lines per set, and the count of sets (from the range's
+     *  first) that hold one more. */
+    Addr rangePerSet_ = 0;
+    Addr rangeExtra_ = 0;
     /** One bit per set changed since the remembered range last ran. */
     std::vector<std::uint64_t> dirty_;
+    /** Per set: lines stored behind the range lines since the last
+     *  replay (a clean set's t); 0 unless deferred. */
+    std::vector<std::uint32_t> deferred_;
+    /** One bit per set made deferred since the last replay. */
+    std::vector<std::uint64_t> deferredBits_;
     CacheStats totals_;
     CacheStats windowBase_;
 };

@@ -902,7 +902,7 @@ ServerBroadcastOffcode::onData(const Payload &payload,
         os.syscall();
         const hw::Addr staging = os.allocRegion(payload.size());
         os.copyBytes(staging, staging + payload.size(), payload.size());
-        env_->nic->sendFromHost(std::move(packet), staging);
+        env_->nic->sendFromHost(std::move(packet));
     }
     ++packetsSent_;
 }

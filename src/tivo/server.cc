@@ -122,7 +122,7 @@ SimpleServer::iteration()
                            packet.dstPort = config_.videoPort;
                            packet.seq = seq_++;
                            packet.payload = std::move(chunk);
-                           nic_.sendFromHost(std::move(packet), skb);
+                           nic_.sendFromHost(std::move(packet));
                            ++chunksSent_;
 
                            const sim::SimTime wake =
@@ -235,7 +235,7 @@ SendfileServer::iteration()
         packet.dstPort = config_.videoPort;
         packet.seq = seq_++;
         packet.payload = std::move(chunk);
-        nic_.sendFromHost(std::move(packet), pageCache_);
+        nic_.sendFromHost(std::move(packet));
         ++chunksSent_;
         refillReadahead();
     }
@@ -353,7 +353,7 @@ OnloadedServer::iteration()
         packet.dstPort = config_.videoPort;
         packet.seq = seq_++;
         packet.payload = std::move(chunk);
-        nic_.sendFromHost(std::move(packet), skb);
+        nic_.sendFromHost(std::move(packet));
         ++chunksSent_;
         refillReadahead();
     }

@@ -96,6 +96,10 @@ class EchoOffcode : public Offcode
         registerMethod("Fail", [](const Bytes &) -> Result<Bytes> {
             return Error(ErrorCode::Internal, "deliberate");
         });
+        registerMethod("Count", [this](const Bytes &) -> Result<Bytes> {
+            ++counted;
+            return Bytes{};
+        });
     }
 
     void
@@ -107,6 +111,7 @@ class EchoOffcode : public Offcode
 
     std::vector<Payload> dataReceived;
     ChannelHandle lastFrom;
+    int counted = 0;
 };
 
 class ChannelFixture : public ::testing::Test
@@ -315,6 +320,46 @@ TEST_F(ChannelFixture, CallDispatchAndReturn)
     sim_.runToCompletion();
     EXPECT_EQ(result, (Bytes{3, 2, 1}));
     EXPECT_EQ(proxy.pendingCalls(), 0u);
+}
+
+TEST_F(ChannelFixture, OneWayCallRunsOnceAndSendsNoReturn)
+{
+    EchoOffcode echo;
+    place(echo, *deviceSite_);
+
+    ChannelConfig config;
+    config.targetDevice = deviceSite_->name();
+    auto channel = executive_->createChannel(config, hostSite_);
+    ASSERT_TRUE(channel.ok());
+    ASSERT_TRUE(channel.value()->connectOffcode(echo).ok());
+
+    Proxy proxy(*channel.value(), echo.guid(), echo.guid());
+    // Replace the proxy's Return dispatcher with a counter of every
+    // message that reaches the caller's endpoint.
+    std::vector<Payload> toCaller;
+    channel.value()->installHandler(
+        0, [&](const Payload &message, std::size_t) {
+            toCaller.push_back(message);
+        });
+
+    ASSERT_TRUE(channel.value()
+                    ->write(proxy.makeCall("Count", Bytes{}, false)
+                                .serialize())
+                    .ok());
+    sim_.runToCompletion();
+    EXPECT_EQ(echo.counted, 1);
+    EXPECT_TRUE(toCaller.empty());
+
+    // The same Call expecting a Return gets one: the counter above
+    // would have seen a reply to the one-way Call.
+    ASSERT_TRUE(channel.value()
+                    ->write(proxy.makeCall("Count", Bytes{}, true)
+                                .serialize())
+                    .ok());
+    sim_.runToCompletion();
+    EXPECT_EQ(echo.counted, 2);
+    ASSERT_EQ(toCaller.size(), 1u);
+    EXPECT_TRUE(CallReturn::deserialize(toCaller[0]).ok());
 }
 
 TEST_F(ChannelFixture, FailedCallPropagatesError)

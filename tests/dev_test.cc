@@ -214,7 +214,7 @@ TEST_F(NicFixture, SendFromHostCrossesBusFirst)
     p.dst = peer_;
     p.dstPort = 90;
     p.payload = Bytes(1024, 1);
-    nic_->sendFromHost(std::move(p), 0x1000);
+    nic_->sendFromHost(std::move(p));
     sim_.runToCompletion();
     EXPECT_EQ(received, 1);
     EXPECT_EQ(machine_.bus().stats().transactions, 1u);

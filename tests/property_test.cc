@@ -483,6 +483,96 @@ TEST_P(CacheDifferentialTest, RangeReplaysMatchReferenceEveryStep)
     }
 }
 
+/**
+ * The OS housekeeping tick's shape: replays of one hot range between
+ * short accesses beside it, which the model stores behind each clean
+ * set's range lines (deferred) until the next replay. The short
+ * accesses come from a pool of up to 2 x ways lines per set in a
+ * window of sets, so they hit lines deferred since the last replay,
+ * hit lines stored below those, and miss both where the set has a
+ * free slot behind its deferred lines and where it has none. Mixed in:
+ * touches of range lines, snoops (half of them into the pool's sets),
+ * accesses of numSets() lines or more from the pool, and now and then
+ * a new hot range.
+ */
+TEST_P(CacheDifferentialTest, HousekeepingTicksMatchReferenceEveryStep)
+{
+    const auto &[geo, seed] = GetParam();
+    Rng rng(seed * 15485863 + geo.capacity + geo.ways);
+
+    const auto sets =
+        static_cast<std::int64_t>(geo.capacity / (geo.line * geo.ways));
+    const auto ways = static_cast<std::int64_t>(geo.ways);
+    const auto line = static_cast<std::int64_t>(geo.line);
+    const std::int64_t window = std::min<std::int64_t>(sets, 4);
+    // Short accesses span fewer lines than there are sets (one line
+    // when there is one set, which makes every access a wide one).
+    const std::int64_t maxShort = std::max<std::int64_t>(sets - 1, 1);
+    const std::int64_t maxPoolRun = std::min<std::int64_t>(maxShort, 3);
+    // Past every range below: ranges start before line 2 x sets and
+    // span at most sets x ways lines.
+    const std::int64_t poolFirst = sets * (ways + 2);
+    std::int64_t hotFirst = 0;
+    std::int64_t hotLines = 0;
+    auto newRange = [&] {
+        hotFirst = rng.uniformInt(0, 2 * sets - 1);
+        hotLines = rng.uniformInt(sets, sets * ways);
+    };
+    auto lines = [&](std::int64_t first, std::int64_t count) {
+        return apply(0.0, static_cast<hw::Addr>(first * line),
+                     static_cast<std::size_t>(count * line), rng);
+    };
+    newRange();
+    ASSERT_NO_FATAL_FAILURE(lines(hotFirst, hotLines));
+    for (int i = 0; i < 6000; ++i) {
+        const double op = rng.uniform();
+        if (op < 0.25) {
+            ASSERT_NO_FATAL_FAILURE(lines(hotFirst, hotLines))
+                << "replay, op " << i;
+        } else if (op < 0.70) {
+            // Fewer than numSets() lines from the pool.
+            const std::int64_t first =
+                poolFirst + rng.uniformInt(0, 2 * ways - 1) * sets +
+                rng.uniformInt(0, window - 1);
+            ASSERT_NO_FATAL_FAILURE(
+                lines(first, rng.uniformInt(1, maxPoolRun)))
+                << "beside the range, op " << i;
+        } else if (op < 0.80) {
+            const std::int64_t count =
+                rng.uniformInt(1, std::min(maxShort, hotLines));
+            ASSERT_NO_FATAL_FAILURE(lines(
+                hotFirst + rng.uniformInt(0, hotLines - count), count))
+                << "range lines, op " << i;
+        } else if (op < 0.90) {
+            const std::int64_t first =
+                rng.chance(0.5)
+                    ? poolFirst + rng.uniformInt(0, 2 * ways - 1) * sets +
+                          rng.uniformInt(0, window - 1)
+                    : hotFirst + rng.uniformInt(0, hotLines - 1);
+            ASSERT_NO_FATAL_FAILURE(
+                apply(0.9, static_cast<hw::Addr>(first * line),
+                      static_cast<std::size_t>(
+                          rng.uniformInt(1, 2 * line)),
+                      rng))
+                << "snoop, op " << i;
+        } else if (op < 0.96) {
+            // numSets() lines or more from the pool; up to sets x ways
+            // of them become the remembered range.
+            ASSERT_NO_FATAL_FAILURE(
+                lines(poolFirst + rng.uniformInt(0, sets - 1),
+                      rng.uniformInt(sets, sets * (ways + 1))))
+                << "wide access, op " << i;
+        } else if (op < 0.98) {
+            newRange();
+            ASSERT_NO_FATAL_FAILURE(lines(hotFirst, hotLines))
+                << "new range, op " << i;
+        } else {
+            ASSERT_NO_FATAL_FAILURE(apply(0.99, 0, 1, rng))
+                << "window, op " << i;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheDifferentialTest,
     ::testing::Combine(
